@@ -6,6 +6,7 @@ to filter a corrupted trace.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from pulseox import pipeline, spo2, synth
@@ -18,10 +19,8 @@ with tempfile.TemporaryDirectory() as d:
     synth.gen_cohort(4, out, SynthConfig(duration_s=300.0), variation_seed=7)
     subjects, settings = pipeline.load_experiment(out / "cohort.json")
 
-# Smaller ensemble than the default 400 trees keeps the demo quick.
-settings = pipeline.replace_settings(
-    settings, gbdt_params=GbdtParams(n_estimators=40, seed=7)
-)
+# Smaller ensemble than the default 100 trees keeps the demo quick.
+settings = replace(settings, gbdt_params=GbdtParams(n_estimators=40, seed=7))
 
 reports = pipeline.run_loocv(subjects, settings)
 print(f"{'subject':8s} {'baseline':>9s} {'enhanced':>9s} {'pruned':>8s} "

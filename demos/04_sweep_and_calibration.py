@@ -6,6 +6,7 @@ against reference pairs, and folding a user's own windows into training.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,7 @@ with tempfile.TemporaryDirectory() as d:
     out = Path(d) / "cohort"
     synth.gen_cohort(3, out, SynthConfig(duration_s=240.0), variation_seed=3)
     subjects, settings = pipeline.load_experiment(out / "cohort.json")
-settings = pipeline.replace_settings(
-    settings, gbdt_params=GbdtParams(n_estimators=30, seed=3)
-)
+settings = replace(settings, gbdt_params=GbdtParams(n_estimators=30, seed=3))
 
 # How strict should "reliable" be? Sweep the labeling threshold.
 rows = pipeline.sweep("reliability_threshold", [1.0, 2.0, 4.0], subjects, settings)

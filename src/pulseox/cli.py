@@ -42,9 +42,7 @@ def _write_manifest(out_dir, command, config, seed):
             "scipy": scipy.__version__,
         },
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    signal_io.write_json(out_dir / "manifest.json", doc)
 
 
 def _load_json(path):
@@ -71,7 +69,7 @@ def cmd_simulate(args):
 
 
 def cmd_spo2(args):
-    frames, meta = signal_io.load_frames(args.stream, args.kind)
+    frames, _ = signal_io.load_frames(args.stream, args.kind)
     calib = spo2.CalibrationCurve(args.y0, args.m)
     if args.algo == "baseline":
         estimates = spo2.baseline_spo2(frames, calib, args.window, args.step)
@@ -92,9 +90,7 @@ def cmd_train(args):
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gbdt.save(model, out / "model.json")
-    with open(out / "selection.json", "w", encoding="utf-8") as fh:
-        json.dump(selection.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    signal_io.write_json(out / "selection.json", selection.to_json_dict())
     _write_manifest(out, "train", _load_json(args.config), settings.gbdt_params.seed)
     print(f"trained on {len(X)} rows; kept {len(model.feature_catalog)}/{len(settings.catalog)} features")
     return EXIT_OK
@@ -115,9 +111,7 @@ def cmd_evaluate(args):
         return EXIT_IO
     metrics.reports_to_csv(out / "reports.csv", reports)
     for r in reports:
-        with open(out / f"report_{r.subject_id}.json", "w", encoding="utf-8") as fh:
-            json.dump(r.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        signal_io.write_json(out / f"report_{r.subject_id}.json", r.to_json_dict())
     _write_manifest(out, "evaluate", _load_json(args.config), settings.gbdt_params.seed)
     prec, skipped = metrics.aggregate([r.precision for r in ok])
     rmse_p, _ = metrics.aggregate([r.rmse_pruned for r in ok])
@@ -130,13 +124,13 @@ def cmd_evaluate(args):
 
 
 def cmd_prune(args):
-    frames, meta = signal_io.load_frames(args.stream, "wrist")
+    frames, _ = signal_io.load_frames(args.stream, "wrist")
     model = gbdt.load(args.model)
     settings = pipeline.PipelineSettings(
         calibration=spo2.CalibrationCurve(args.y0, args.m),
         decision_threshold=args.threshold,
     )
-    readings = pipeline.prune(frames, model, settings, subject_meta=meta)
+    readings = pipeline.prune(frames, model, settings)
     spo2.estimates_to_csv(args.out, readings)
     print(f"emitted {len(readings)} readings")
     return EXIT_OK

@@ -61,10 +61,6 @@ class LengthMismatch(PulseoxError):
     pass
 
 
-class NoOverlap(PulseoxError):
-    """Zero aligned pairs between wrist and reference streams."""
-
-
 class EmptyGroup(PulseoxError):
     pass
 

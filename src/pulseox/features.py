@@ -94,26 +94,13 @@ class WindowSet:
     def __len__(self):
         return len(self.t_ms)
 
-    def window(self, i: int) -> dict:
-        return {c: m[i] for c, m in self.channels.items()}
-
 
 def window_stream(series: FrameSeries, cfg: WindowConfig) -> WindowSet:
     """Slice a regularized stream into windows, excluding any containing gaps."""
-    n = len(series)
-    if n < cfg.window_len:
-        empty = np.empty(0, dtype=int)
-        return WindowSet(empty.astype(np.int64), empty, {c: np.empty((0, cfg.window_len)) for c in CHANNELS})
-    starts = np.arange(0, n - cfg.window_len + 1, cfg.step)
-    idx = starts[:, None] + np.arange(cfg.window_len)[None, :]
-    ok = ~series.gap[idx].any(axis=1)
-    starts = starts[ok]
+    starts, idx, t_end, has_gap = series.windows(cfg.window_len, cfg.step)
+    ok = ~has_gap
     idx = idx[ok]
-    return WindowSet(
-        t_ms=series.t_ms[starts + cfg.window_len - 1] if len(starts) else np.empty(0, dtype=np.int64),
-        start_idx=starts,
-        channels={c: series.channel(c)[idx] for c in CHANNELS},
-    )
+    return WindowSet(t_end[ok], starts[ok], {c: series.channel(c)[idx] for c in CHANNELS})
 
 
 # --- batched feature primitives; X has shape (n_windows, window_len) ---------
@@ -295,16 +282,6 @@ def extract_matrix(windows: WindowSet, catalog) -> np.ndarray:
     for j, spec in enumerate(catalog):
         X[:, j] = compute_feature_batch(spec, windows)
     return X
-
-
-def matrix_to_csv(path, t_ms, X, catalog):
-    import csv as _csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["t_ms"] + [s.spec_id for s in catalog])
-        for i in range(len(X)):
-            w.writerow([int(t_ms[i])] + [repr(float(v)) for v in X[i]])
 
 
 # --- significance testing and selection --------------------------------------

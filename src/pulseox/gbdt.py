@@ -276,17 +276,28 @@ def _node_to_list(root: TreeNode) -> list:
     return nodes
 
 
-def _node_from_list(nodes: list, i: int = 0) -> TreeNode:
-    d = nodes[i]
-    if "leaf" in d:
-        return TreeNode(weight=float(d["leaf"]))
-    return TreeNode(
-        feature_id=int(d["feature"]),
-        threshold=float(d["threshold"]),
-        default_direction=d.get("default", "left"),
-        left=_node_from_list(nodes, d["left"]),
-        right=_node_from_list(nodes, d["right"]),
-    )
+def _node_from_list(nodes: list, n_features: int) -> TreeNode:
+    """Rebuild a tree from its node list, last node first; children must point
+    forward and stay in range, and split features must index the catalog."""
+    built = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        d = nodes[i]
+        if "leaf" in d:
+            built[i] = TreeNode(weight=float(d["leaf"]))
+            continue
+        f, left, right = int(d["feature"]), int(d["left"]), int(d["right"])
+        if not (i < left < len(nodes) and i < right < len(nodes)):
+            raise CorruptFile(f"node {i}: child index out of order or range")
+        if f < 0 or (n_features and f >= n_features):
+            raise CorruptFile(f"node {i}: feature {f} outside the {n_features}-feature catalog")
+        built[i] = TreeNode(
+            feature_id=f,
+            threshold=float(d["threshold"]),
+            default_direction=d.get("default", "left"),
+            left=built[left],
+            right=built[right],
+        )
+    return built[0]
 
 
 def save(model: GbdtModel, path):
@@ -314,8 +325,8 @@ def load(path) -> GbdtModel:
         raise SchemaVersionMismatch(f"{path}: schema version {version}")
     try:
         params = GbdtParams(**doc["params"])
-        trees = [_node_from_list(t["nodes"]) for t in doc["trees"]]
         catalog = [FeatureSpec.from_id(s) for s in doc["catalog"]]
+        trees = [_node_from_list(t["nodes"], len(catalog)) for t in doc["trees"]]
         return GbdtModel(
             trees=trees,
             base_logit=float(doc["base_logit"]),
@@ -323,5 +334,5 @@ def load(path) -> GbdtModel:
             feature_catalog=catalog,
             training_meta=doc.get("training_meta", {}),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (IndexError, KeyError, TypeError, ValueError) as e:
         raise CorruptFile(f"{path}: {e}")

@@ -8,12 +8,12 @@ or 1; aggregates skip absent values and report how many were skipped.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import LengthMismatch
+from .signal_io import csv_float, write_csv
 
 
 @dataclass
@@ -34,38 +34,20 @@ class EvalReport:
     extras: dict = field(default_factory=dict)
 
     def to_row(self):
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-
         return [
             self.subject_id,
             self.site,
             self.group,
-            fmt(self.precision),
-            fmt(self.rmse_baseline),
-            fmt(self.rmse_enhanced),
-            fmt(self.rmse_pruned),
-            repr(float(self.max_silent_interval_s)),
-            str(self.n_emitted),
+            csv_float(self.precision),
+            csv_float(self.rmse_baseline),
+            csv_float(self.rmse_enhanced),
+            csv_float(self.rmse_pruned),
+            float(self.max_silent_interval_s),
+            self.n_emitted,
         ]
 
     def to_json_dict(self):
-        return {
-            "subject_id": self.subject_id,
-            "site": self.site,
-            "group": self.group,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "precision": self.precision,
-            "rmse_baseline": self.rmse_baseline,
-            "rmse_enhanced": self.rmse_enhanced,
-            "rmse_pruned": self.rmse_pruned,
-            "max_silent_interval_s": self.max_silent_interval_s,
-            "n_emitted": self.n_emitted,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
 
 REPORT_CSV_HEADER = [
@@ -82,11 +64,7 @@ REPORT_CSV_HEADER = [
 
 
 def reports_to_csv(path, reports):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(REPORT_CSV_HEADER)
-        for r in reports:
-            w.writerow(r.to_row())
+    write_csv(path, REPORT_CSV_HEADER, (r.to_row() for r in reports))
 
 
 def confusion(labels, predictions):
@@ -149,11 +127,7 @@ def error_cdf(abs_errors):
 
 
 def error_cdf_to_csv(path, table):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["abs_error", "cumulative_fraction"])
-        for err, frac in table:
-            w.writerow([repr(float(err)), repr(float(frac))])
+    write_csv(path, ["abs_error", "cumulative_fraction"], np.asarray(table, dtype=float).tolist())
 
 
 def aggregate(values):

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import features as feats
 from . import gbdt, metrics, signal_io, spo2
-from .errors import EmptyGroup, InsufficientUserData, NoOverlap, SingleClass
+from .errors import EmptyGroup, InsufficientUserData, SingleClass
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,6 @@ class LabelConfig:
     def __post_init__(self):
         if self.reliability_threshold_pct <= 0:
             raise ValueError("reliability threshold must be positive")
-
-
-@dataclass(frozen=True)
-class LabeledWindow:
-    t_ms: int
-    wrist_estimate: spo2.Spo2Estimate
-    reference_pct: float
-    reliable: bool
 
 
 @dataclass(frozen=True)
@@ -80,51 +72,23 @@ class PipelineSettings:
 # --- alignment and labeling ---------------------------------------------------
 
 
-def _nearest_reference(wrist_t, ref_t, ref_v, tolerance_ms):
+def nearest_reference(wrist_t, ref_t, ref_v, tolerance_ms):
     """Nearest reference value per wrist timestamp; NaN outside tolerance."""
     out = np.full(len(wrist_t), np.nan)
     if len(ref_t) == 0:
         return out
-    idx = np.searchsorted(ref_t, wrist_t)
-    idx = np.clip(idx, 1, len(ref_t) - 1)
-    left = idx - 1
-    pick = np.where(wrist_t - ref_t[left] <= ref_t[idx] - wrist_t, left, idx)
-    ok = np.abs(ref_t[pick] - wrist_t) <= tolerance_ms
+    pick, ok = signal_io.nearest_within(ref_t, wrist_t, tolerance_ms)
     out[ok] = ref_v[pick[ok]]
     return out
 
 
-def align_streams(wrist_estimates, finger_estimates, cfg: LabelConfig):
-    """Pair each wrist estimate with the nearest fingertip estimate in time.
-
-    Wrist estimates with no reference inside the tolerance are dropped;
-    returns ``(pairs, n_dropped)`` where each pair is
-    ``(wrist_estimate, reference_pct)``. Raises :class:`NoOverlap` when
-    nothing pairs, which signals clock misconfiguration.
-    """
-    finger_valid = [e for e in finger_estimates if e.valid]
-    ref_t = np.array([e.t_ms for e in finger_valid], dtype=float)
-    ref_v = np.array([e.spo2_pct for e in finger_valid])
-    wrist_t = np.array([e.t_ms for e in wrist_estimates], dtype=float)
-    ref = _nearest_reference(wrist_t, ref_t, ref_v, cfg.alignment_tolerance_ms)
-    pairs = [
-        (e, float(r)) for e, r in zip(wrist_estimates, ref) if not np.isnan(r)
-    ]
-    if wrist_estimates and not pairs:
-        raise NoOverlap("no wrist estimate found a reference within tolerance")
-    return pairs, len(wrist_estimates) - len(pairs)
-
-
-def label_windows(paired, cfg: LabelConfig):
-    """Reliable iff |wrist - reference| <= threshold (inclusive)."""
-    out = []
-    for est, ref in paired:
-        reliable = bool(
-            est.valid
-            and abs(est.spo2_pct - ref) <= cfg.reliability_threshold_pct
-        )
-        out.append(LabeledWindow(est.t_ms, est, ref, reliable))
-    return out
+def reliability_labels(value, reference, cfg: LabelConfig):
+    """``(label, has_label)``: reliable iff |value - reference| <= threshold
+    (inclusive); windows missing a value or a reference have no label."""
+    has_label = ~np.isnan(value) & ~np.isnan(reference)
+    with np.errstate(invalid="ignore"):
+        label = np.abs(value - reference) <= cfg.reliability_threshold_pct
+    return label & has_label, has_label
 
 
 def reference_series(subject: SubjectData, settings: PipelineSettings):
@@ -133,8 +97,8 @@ def reference_series(subject: SubjectData, settings: PipelineSettings):
     period_ms = 1000.0 / subject.meta.nominal_rate_hz
     step = max(1, int(settings.label.alignment_tolerance_ms / period_ms))
     stats = spo2.window_stats(subject.finger, settings.window.window_len, step)
-    keep = (stats.corr >= settings.enhanced.corr_threshold) & ~stats.dc_invalid
-    pct = np.clip(settings.calibration.y0 - settings.calibration.m * stats.ratio, 0.0, 100.0)
+    keep = spo2.gate_pass(stats, settings.enhanced)
+    pct, _ = spo2.calibrate(stats.ratio, settings.calibration)
     return stats.t_ms[keep].astype(float), pct[keep]
 
 
@@ -159,22 +123,20 @@ class StreamAnalysis:
     span_ms: tuple
 
 
-def analyze_stream(subject: SubjectData, settings: PipelineSettings, step: int) -> StreamAnalysis:
-    wcfg = feats.WindowConfig(settings.window.window_len, step)
-    ws = feats.window_stream(subject.wrist, wcfg)
-    stats = spo2.matrix_stats(ws.channels["red"], ws.channels["ir"], ws.t_ms, ws.start_idx)
-    calib = settings.calibration
-    with np.errstate(invalid="ignore"):
-        value = np.clip(calib.y0 - calib.m * stats.ratio, 0.0, 100.0)
-    gate_pass = (stats.corr >= settings.enhanced.corr_threshold) & ~stats.dc_invalid
+def _gap_free_stats(series, window_len, step):
+    """Gap-free windows of a stream and their ratio-of-ratios statistics."""
+    ws = feats.window_stream(series, feats.WindowConfig(window_len, step))
+    return ws, spo2.matrix_stats(ws.channels["red"], ws.channels["ir"], ws.t_ms, ws.start_idx)
 
+
+def analyze_stream(subject: SubjectData, settings: PipelineSettings, step: int) -> StreamAnalysis:
+    ws, stats = _gap_free_stats(subject.wrist, settings.window.window_len, step)
+    value, _ = spo2.calibrate(stats.ratio, settings.calibration)
     ref_t, ref_v = reference_series(subject, settings)
-    reference = _nearest_reference(ws.t_ms.astype(float), ref_t, ref_v, settings.label.alignment_tolerance_ms)
-    has_label = ~np.isnan(value) & ~np.isnan(reference)
-    with np.errstate(invalid="ignore"):
-        label = np.abs(value - reference) <= settings.label.reliability_threshold_pct
-    label &= has_label
+    reference = nearest_reference(ws.t_ms.astype(float), ref_t, ref_v, settings.label.alignment_tolerance_ms)
+    label, has_label = reliability_labels(value, reference, settings.label)
     span = (int(subject.wrist.t_ms[0]), int(subject.wrist.t_ms[-1]))
+    gate_pass = spo2.gate_pass(stats, settings.enhanced)
     return StreamAnalysis(ws.t_ms, value, gate_pass, reference, label, has_label, ws, span)
 
 
@@ -236,34 +198,22 @@ def train_model(X, y, settings: PipelineSettings, training_meta=None):
 # --- inference and evaluation -------------------------------------------------
 
 
-def _predict(analysis: StreamAnalysis, model: gbdt.GbdtModel, settings: PipelineSettings):
-    X = feats.extract_matrix(analysis.windows, model.feature_catalog)
-    proba = model.predict_proba_batch(X)
-    return proba >= settings.decision_threshold
+def _predict(windows: feats.WindowSet, model: gbdt.GbdtModel, settings: PipelineSettings):
+    X = feats.extract_matrix(windows, model.feature_catalog)
+    return model.predict_proba_batch(X) >= settings.decision_threshold
 
 
-def prune(series, model, settings: PipelineSettings, subject_meta=None):
+def prune(series, model, settings: PipelineSettings):
     """Sliding-window pruned readings: emit the enhanced-algorithm value for
     windows that pass both the correlation gate and the classifier."""
-    wcfg = feats.WindowConfig(settings.window.window_len, 1)
-    ws = feats.window_stream(series, wcfg)
-    stats = spo2.matrix_stats(ws.channels["red"], ws.channels["ir"], ws.t_ms, ws.start_idx)
-    gate_pass = (stats.corr >= settings.enhanced.corr_threshold) & ~stats.dc_invalid
-    X = feats.extract_matrix(ws, model.feature_catalog)
-    positive = model.predict_proba_batch(X) >= settings.decision_threshold
-    emit = gate_pass & positive
-    out = []
-    for i in np.flatnonzero(emit):
-        pct, gates = spo2.spo2_from_r(float(stats.ratio[i]), settings.calibration)
-        out.append(
-            spo2.Spo2Estimate(int(stats.t_ms[i]), float(stats.ratio[i]), pct, "pruned", gates)
-        )
-    return out
+    ws, stats = _gap_free_stats(series, settings.window.window_len, 1)
+    emit = spo2.gate_pass(stats, settings.enhanced) & _predict(ws, model, settings)
+    return spo2.estimates_from_stats(stats, settings.calibration, "pruned", emit=emit)
 
 
 def evaluate_subject(subject: SubjectData, model, settings: PipelineSettings, group="") -> metrics.EvalReport:
     analysis = analyze_stream(subject, settings, step=1)
-    positive = _predict(analysis, model, settings)
+    positive = _predict(analysis.windows, model, settings)
     emit = positive & analysis.gate_pass
 
     def pair_set(mask):
@@ -271,6 +221,7 @@ def evaluate_subject(subject: SubjectData, model, settings: PipelineSettings, gr
         return np.column_stack([analysis.value[mask], analysis.reference[mask]])
 
     all_windows = np.ones(len(analysis.t_ms), dtype=bool)
+    pruned = pair_set(emit)
     labeled = analysis.has_label
     tp, fp, tn, fn = metrics.confusion(analysis.label[labeled], emit[labeled])
 
@@ -285,16 +236,14 @@ def evaluate_subject(subject: SubjectData, model, settings: PipelineSettings, gr
         precision=metrics.precision(analysis.label[labeled], emit[labeled]),
         rmse_baseline=metrics.rmse_or_none(pair_set(all_windows)),
         rmse_enhanced=metrics.rmse_or_none(pair_set(analysis.gate_pass)),
-        rmse_pruned=metrics.rmse_or_none(pair_set(emit)),
+        rmse_pruned=metrics.rmse_or_none(pruned),
         max_silent_interval_s=metrics.max_silent_interval(
             analysis.t_ms[emit], analysis.span_ms
         ),
         n_emitted=int(emit.sum()),
     )
     report.extras["n_labeled"] = int(labeled.sum())
-    report.extras["abs_errors_pruned"] = [
-        float(v) for v in np.abs(pair_set(emit)[:, 0] - pair_set(emit)[:, 1])
-    ]
+    report.extras["abs_errors_pruned"] = np.abs(pruned[:, 0] - pruned[:, 1]).tolist()
     return report
 
 
@@ -371,12 +320,9 @@ def sweep(axis: str, values, subjects, settings: PipelineSettings):
     rows = []
     for v in values:
         if axis == "window_len":
-            s = replace_settings(settings, window=feats.WindowConfig(int(v), settings.window.step))
+            s = replace(settings, window=replace(settings.window, window_len=int(v)))
         else:
-            s = replace_settings(
-                settings,
-                label=LabelConfig(float(v), settings.label.alignment_tolerance_ms),
-            )
+            s = replace(settings, label=replace(settings.label, reliability_threshold_pct=float(v)))
         reports = run_loocv(subjects, s)
         prec, _ = metrics.aggregate([r.precision for r in reports])
         rmse_p, _ = metrics.aggregate([r.rmse_pruned for r in reports])
@@ -397,37 +343,9 @@ def sweep(axis: str, values, subjects, settings: PipelineSettings):
 
 
 def sweep_to_csv(path, rows):
-    import csv as _csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["value", "precision", "rmse_pruned", "rmse_enhanced", "max_silent_s", "n_labeled"])
-        for r in rows:
-            w.writerow(
-                [
-                    repr(r["value"]),
-                    "" if r["precision"] is None else repr(r["precision"]),
-                    "" if r["rmse_pruned"] is None else repr(r["rmse_pruned"]),
-                    "" if r["rmse_enhanced"] is None else repr(r["rmse_enhanced"]),
-                    "" if r["max_silent_s"] is None else repr(r["max_silent_s"]),
-                    str(r["n_labeled"]),
-                ]
-            )
-
-
-def replace_settings(settings: PipelineSettings, **kwargs) -> PipelineSettings:
-    d = dict(
-        window=settings.window,
-        label=settings.label,
-        gbdt_params=settings.gbdt_params,
-        calibration=settings.calibration,
-        enhanced=settings.enhanced,
-        fdr_q=settings.fdr_q,
-        decision_threshold=settings.decision_threshold,
-        catalog=settings.catalog,
-    )
-    d.update(kwargs)
-    return PipelineSettings(**d)
+    header = ["value", "precision", "rmse_pruned", "rmse_enhanced", "max_silent_s", "n_labeled"]
+    cells = ([signal_io.csv_float(r[k]) for k in header[:-1]] + [r["n_labeled"]] for r in rows)
+    signal_io.write_csv(path, header, cells)
 
 
 # --- experiment config --------------------------------------------------------

@@ -24,10 +24,6 @@ FINGERTIP_HEADER = ["t_ms", "red", "ir"]
 SITES = ("wrist_top", "wrist_bottom", "fingertip")
 SKIN_TONES = ("light", "medium", "dark", "unknown")
 
-#: A grid slot longer than this many sample periods without a source sample is
-#: still a gap marker; the constant exists so window invalidation is explicit.
-GAP_TOLERANCE_PERIODS = 5
-
 #: Fraction of out-of-order rows above which a capture is considered corrupt.
 ORDER_TOLERANCE = 0.01
 
@@ -63,17 +59,6 @@ class StreamMeta:
             raise ValueError(f"unknown skin_tone {self.skin_tone!r}")
 
 
-@dataclass(frozen=True)
-class SensorFrame:
-    """One sample with derived motion magnitudes."""
-
-    t_ms: int
-    red: float
-    ir: float
-    accel_mag: float
-    gyro_mag: float
-
-
 @dataclass
 class FrameSeries:
     """Columnar frame storage; gap rows carry NaN values and ``gap=True``."""
@@ -97,29 +82,21 @@ class FrameSeries:
     def __len__(self):
         return len(self.t_ms)
 
-    def frame(self, i: int) -> SensorFrame:
-        return SensorFrame(
-            int(self.t_ms[i]),
-            float(self.red[i]),
-            float(self.ir[i]),
-            float(self.accel_mag[i]),
-            float(self.gyro_mag[i]),
-        )
-
     def channel(self, name: str) -> np.ndarray:
         if name not in ("red", "ir", "accel_mag", "gyro_mag"):
             raise KeyError(name)
         return getattr(self, name)
 
-    def slice(self, start: int, stop: int) -> "FrameSeries":
-        return FrameSeries(
-            self.t_ms[start:stop],
-            self.red[start:stop],
-            self.ir[start:stop],
-            self.accel_mag[start:stop],
-            self.gyro_mag[start:stop],
-            self.gap[start:stop],
-        )
+    def windows(self, window_len: int, step: int):
+        """Every complete window of ``window_len`` samples, ``step`` samples apart.
+
+        Returns ``(starts, idx, t_end, has_gap)``: start indices, the
+        (n_windows, window_len) sample-index matrix, window-end timestamps, and
+        whether a window holds a gap slot.
+        """
+        starts = np.arange(0, max(len(self) - window_len + 1, 0), step)
+        idx = starts[:, None] + np.arange(window_len)[None, :]
+        return starts, idx, self.t_ms[starts + window_len - 1], self.gap[idx].any(axis=1)
 
 
 def meta_path(stream_path):
@@ -219,6 +196,29 @@ def parse_stream(path, kind: str):
     return records, meta, dropped
 
 
+def write_csv(path, header, rows):
+    """Write a header and rows as CSV.
+
+    Floats are written as their shortest round-trip repr, so cells must be
+    Python floats (``tolist()``/``float()``), never numpy scalars.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def csv_float(v):
+    """CSV cell of an optional number: empty when absent."""
+    return "" if v is None else float(v)
+
+
+def write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def write_stream(path, series: FrameSeries, kind: str, meta: StreamMeta | None = None):
     """Write a frame series in the CSV format :func:`parse_stream` reads.
 
@@ -226,29 +226,14 @@ def write_stream(path, series: FrameSeries, kind: str, meta: StreamMeta | None =
     round-trip through :func:`to_frames` reproduces the magnitudes exactly.
     Gap rows are omitted (a capture never writes samples it did not take).
     """
-    header = WRIST_HEADER if kind == "wrist" else FINGERTIP_HEADER
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for i in range(len(series)):
-            if series.gap[i]:
-                continue
-            if kind == "fingertip":
-                w.writerow([int(series.t_ms[i]), repr(float(series.red[i])), repr(float(series.ir[i]))])
-            else:
-                w.writerow(
-                    [
-                        int(series.t_ms[i]),
-                        repr(float(series.red[i])),
-                        repr(float(series.ir[i])),
-                        repr(float(series.accel_mag[i])),
-                        "0.0",
-                        "0.0",
-                        repr(float(series.gyro_mag[i])),
-                        "0.0",
-                        "0.0",
-                    ]
-                )
+    ok = ~series.gap
+    cols = [series.t_ms[ok].tolist(), series.red[ok].tolist(), series.ir[ok].tolist()]
+    if kind == "fingertip":
+        write_csv(path, FINGERTIP_HEADER, zip(*cols))
+    else:
+        zero = ["0.0"] * len(cols[0])
+        accel, gyro = series.accel_mag[ok].tolist(), series.gyro_mag[ok].tolist()
+        write_csv(path, WRIST_HEADER, zip(*cols, accel, zero, zero, gyro, zero, zero))
     if meta is not None:
         save_meta(path, meta)
 
@@ -272,6 +257,15 @@ def to_frames(records) -> FrameSeries:
     return FrameSeries(t, red, ir, acc, gyr)
 
 
+def nearest_within(src_t, query_t, tolerance):
+    """Per query time: the index of the nearest ``src_t`` entry (the earlier
+    one on a tie) and whether it lies within ``tolerance``. ``src_t`` is sorted."""
+    idx = np.clip(np.searchsorted(src_t, query_t), 1, len(src_t) - 1)
+    left = idx - 1
+    pick = np.where(query_t - src_t[left] <= src_t[idx] - query_t, left, idx)
+    return pick, np.abs(src_t[pick] - query_t) <= tolerance
+
+
 def regularize(series: FrameSeries, meta: StreamMeta) -> FrameSeries:
     """Snap frames onto a uniform 1/rate grid via nearest-neighbor picks.
 
@@ -289,19 +283,12 @@ def regularize(series: FrameSeries, meta: StreamMeta) -> FrameSeries:
     n_slots = int(round((src_t[-1] - t0) / period)) + 1
     grid = t0 + period * np.arange(n_slots)
 
-    # nearest source sample per grid slot
-    idx = np.searchsorted(src_t, grid)
-    idx = np.clip(idx, 1, len(src_t) - 1)
-    left = idx - 1
-    pick = np.where(grid - src_t[left] <= src_t[idx] - grid, left, idx)
-    dist = np.abs(src_t[pick] - grid)
-    ok = dist <= period / 2.0 + 1e-9
-
+    pick, ok = nearest_within(src_t, grid, period / 2.0 + 1e-9)
     src_rows = np.flatnonzero(~series.gap)[pick]
     t_out = np.rint(grid).astype(np.int64)
 
     def take(channel):
-        out = channel[src_rows].astype(float).copy()
+        out = channel[src_rows].astype(float)
         out[~ok] = np.nan
         return out
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DcNonPositive, DegenerateIr, TooFewPairs, WindowTooShort
-from .signal_io import FrameSeries
+from .signal_io import FrameSeries, write_csv
 
 MIN_WINDOW = 8
 
@@ -29,7 +29,9 @@ GATE_CORR_REJECTED = "corr_rejected"
 GATE_CLAMPED = "out_of_range_clamped"
 GATE_DC_INVALID = "dc_invalid"
 
-ALGORITHMS = ("baseline", "enhanced", "pruned")
+#: Gate flag sets indexed by bit code: 1 dc_invalid, 2 corr_rejected, 4 clamped.
+_GATES = (GATE_DC_INVALID, GATE_CORR_REJECTED, GATE_CLAMPED)
+_GATE_SETS = [frozenset(g for bit, g in enumerate(_GATES) if code >> bit & 1) for code in range(8)]
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,7 @@ def _detrend(x: np.ndarray) -> np.ndarray:
     k = np.arange(w, dtype=float)
     k0 = k - k.mean()
     denom = np.dot(k0, k0)
+    # BLAS dgemv: its sums vary with the BLAS thread count (ratio/corr by <= 1.1e-16 at 1 vs 2 threads).
     slope = x @ k0 / denom
     mean = x.mean(axis=1)
     return x - mean[:, None] - slope[:, None] * k0[None, :]
@@ -125,10 +128,19 @@ def spo2_from_r(r: float, calib: CalibrationCurve):
     of rejecting so the reading cadence is preserved while physical
     impossibility stays visible.
     """
-    raw = calib.y0 - calib.m * r
-    clamped = min(100.0, max(0.0, raw))
-    gates = frozenset() if clamped == raw else frozenset({GATE_CLAMPED})
-    return clamped, gates
+    pct, clamped = calibrate(r, calib)
+    return float(pct), frozenset({GATE_CLAMPED}) if clamped else frozenset()
+
+
+def calibrate(ratio, calib: CalibrationCurve):
+    """Vectorized clamped calibration of ratios.
+
+    Returns ``(spo2_pct, clamped)``: ``y0 - m * ratio`` clipped to [0, 100],
+    and whether the clip changed each value. NaN ratios stay NaN, unflagged.
+    """
+    with np.errstate(invalid="ignore"):
+        raw = calib.y0 - calib.m * np.asarray(ratio, dtype=float)
+        return np.clip(raw, 0.0, 100.0), (raw < 0.0) | (raw > 100.0)
 
 
 @dataclass
@@ -192,47 +204,40 @@ def matrix_stats(red, ir, t_ms, start_idx=None, has_gap=None) -> WindowStats:
 
 
 def window_stats(series: FrameSeries, window_len: int = 100, step: int = 1) -> WindowStats:
-    """Per-window statistics over every complete window of a stream."""
+    """Per-window statistics over every complete window of a stream; windows
+    holding a gap slot are kept and flagged ``dc_invalid``."""
     if window_len < MIN_WINDOW:
         raise WindowTooShort(f"window_len must be >= {MIN_WINDOW}")
-    n = len(series)
-    if n < window_len:
-        z = np.empty(0)
-        return WindowStats(
-            z.astype(np.int64), z.astype(int), z, z, z, z, z, z, z.astype(bool)
-        )
-    starts = np.arange(0, n - window_len + 1, step)
-    idx = starts[:, None] + np.arange(window_len)[None, :]
-    return matrix_stats(
-        series.red[idx],
-        series.ir[idx],
-        series.t_ms[starts + window_len - 1],
-        start_idx=starts,
-        has_gap=series.gap[idx].any(axis=1),
-    )
+    starts, idx, t_end, has_gap = series.windows(window_len, step)
+    return matrix_stats(series.red[idx], series.ir[idx], t_end, start_idx=starts, has_gap=has_gap)
 
 
-def _estimates_from_stats(stats: WindowStats, calib, algorithm, reject=None):
-    reject = np.zeros(len(stats), dtype=bool) if reject is None else reject
-    out = []
-    for i in range(len(stats)):
-        gates = set()
-        if stats.dc_invalid[i]:
-            gates.add(GATE_DC_INVALID)
-        if reject[i]:
-            gates.add(GATE_CORR_REJECTED)
-        if gates:
-            out.append(
-                Spo2Estimate(
-                    int(stats.t_ms[i]), float("nan"), float("nan"), algorithm, frozenset(gates)
-                )
-            )
-            continue
-        pct, clamp_gates = spo2_from_r(float(stats.ratio[i]), calib)
-        out.append(
-            Spo2Estimate(int(stats.t_ms[i]), float(stats.ratio[i]), pct, algorithm, clamp_gates)
-        )
-    return out
+def corr_pass(stats: WindowStats, cfg: EnhancedConfig) -> np.ndarray:
+    """The correlation gate alone; the undefined (NaN) correlation of a flat or
+    gapped window fails it."""
+    with np.errstate(invalid="ignore"):
+        return stats.corr >= cfg.corr_threshold
+
+
+def gate_pass(stats: WindowStats, cfg: EnhancedConfig) -> np.ndarray:
+    """Windows that carry an enhanced reading: correlation gate and valid DC."""
+    return corr_pass(stats, cfg) & ~stats.dc_invalid
+
+
+def estimates_from_stats(stats: WindowStats, calib, algorithm, reject=False, emit=None) -> list:
+    """One :class:`Spo2Estimate` per window, or per ``emit`` window when given.
+
+    ``dc_invalid`` and ``reject`` (flagged ``corr_rejected``) windows carry no
+    value; the others carry the clamped calibration of their ratio.
+    """
+    suppressed = stats.dc_invalid | reject
+    pct, clamped = calibrate(stats.ratio, calib)
+    code = stats.dc_invalid + 2 * reject + 4 * (clamped & ~suppressed)
+    ratio = np.where(suppressed, np.nan, stats.ratio)
+    pct[suppressed] = np.nan
+    rows = slice(None) if emit is None else np.flatnonzero(emit)
+    cols = (stats.t_ms[rows].tolist(), ratio[rows].tolist(), pct[rows].tolist(), code[rows].tolist())
+    return [Spo2Estimate(t, r, p, algorithm, _GATE_SETS[c]) for t, r, p, c in zip(*cols)]
 
 
 def baseline_spo2(series, calib: CalibrationCurve, window_len: int = 100, step: int = 1):
@@ -242,7 +247,7 @@ def baseline_spo2(series, calib: CalibrationCurve, window_len: int = 100, step: 
     ``dc_invalid`` flag and no value; degenerate windows are flagged, not fatal.
     """
     stats = window_stats(series, window_len, step)
-    return _estimates_from_stats(stats, calib, "baseline")
+    return estimates_from_stats(stats, calib, "baseline")
 
 
 def enhanced_spo2(
@@ -260,8 +265,7 @@ def enhanced_spo2(
     correlation and are likewise rejected: a flat trace carries no pulse.
     """
     stats = window_stats(series, window_len, step)
-    reject = ~(stats.corr >= cfg.corr_threshold)  # NaN correlation rejects too
-    return _estimates_from_stats(stats, calib, "enhanced", reject=reject)
+    return estimates_from_stats(stats, calib, "enhanced", reject=~corr_pass(stats, cfg))
 
 
 def recalibrate(paired, fit_fraction: float = 0.5):
@@ -294,12 +298,5 @@ def apply_offset(calib: CalibrationCurve, offset: float) -> CalibrationCurve:
 
 
 def estimates_to_csv(path, estimates):
-    import csv as _csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["t_ms", "algorithm", "ratio_r", "spo2_pct", "gates"])
-        for e in estimates:
-            w.writerow(
-                [e.t_ms, e.algorithm, repr(float(e.ratio_r)), repr(float(e.spo2_pct)), "|".join(sorted(e.gates))]
-            )
+    rows = ([e.t_ms, e.algorithm, float(e.ratio_r), float(e.spo2_pct), "|".join(sorted(e.gates))] for e in estimates)
+    write_csv(path, ["t_ms", "algorithm", "ratio_r", "spo2_pct", "gates"], rows)

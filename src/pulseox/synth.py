@@ -16,13 +16,12 @@ perfusion index the AC/DC ratio of the infrared channel up to window effects.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigOutOfRange, IoFailure
-from .signal_io import FrameSeries, StreamMeta, write_stream
+from .signal_io import FrameSeries, StreamMeta, write_csv, write_json, write_stream
 from .spo2 import CalibrationCurve
 
 ARTIFACT_KINDS = ("motion", "ambient_spike", "contact_loss")
@@ -210,13 +209,8 @@ def inject_artifacts(frames: FrameSeries, truth: SynthTruth, segments, rng=None,
 
 
 def write_truth(path, frames: FrameSeries, truth: SynthTruth):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t_ms", "true_spo2_pct", "artifact"])
-        for i in range(len(frames)):
-            w.writerow(
-                [int(frames.t_ms[i]), repr(float(truth.true_spo2_pct[i])), int(truth.artifact_mask[i])]
-            )
+    cols = (frames.t_ms.tolist(), truth.true_spo2_pct.tolist(), truth.artifact_mask.astype(int).tolist())
+    write_csv(path, ["t_ms", "true_spo2_pct", "artifact"], zip(*cols))
 
 
 def read_truth(path):
@@ -349,7 +343,5 @@ def gen_cohort(
         "calibration": {"y0": calib.y0, "m": calib.m},
         "cohort": entries,
     }
-    with open(out / "cohort.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "cohort.json", config)
     return config

@@ -5,7 +5,7 @@ import pytest
 
 from pulseox import cli, gbdt, synth
 from pulseox.features import FeatureSpec
-from pulseox.gbdt import GbdtModel, GbdtParams
+from pulseox.gbdt import GbdtModel, GbdtParams, TreeNode
 from pulseox.signal_io import StreamMeta, write_stream
 from pulseox.synth import ArtifactSegment, SynthConfig
 
@@ -135,6 +135,21 @@ class TestTrainEvaluatePruneSweep:
         enhanced = [r for r in read_rows(enhanced_csv)[1:] if "corr_rejected" not in r[4] and "dc_invalid" not in r[4]]
         assert [r[0] for r in pruned] == [r[0] for r in enhanced]
         assert [r[3] for r in pruned] == [r[3] for r in enhanced]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("left", 99), ("left", 0), ("feature", 1)],
+        ids=["child_out_of_range", "child_points_to_itself", "feature_past_catalog"],
+    )
+    def test_prune_corrupt_tree_exits_io(self, clean_stream, tmp_path, capsys, field, value):
+        split = TreeNode(feature_id=0, threshold=1.0, left=TreeNode(weight=1.0), right=TreeNode(weight=-1.0))
+        model_path = tmp_path / "model.json"
+        gbdt.save(GbdtModel([split], 0.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
+        doc = json.loads(model_path.read_text())
+        doc["trees"][0]["nodes"][0][field] = value
+        model_path.write_text(json.dumps(doc))
+        assert cli.main(["prune", str(clean_stream), str(model_path), str(tmp_path / "out.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_sweep_csv(self, cohort_small_dir, tmp_path, capsys):
         config = str(cohort_small_dir / "cohort.json")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pulseox import gbdt, metrics, pipeline, spo2, synth
-from pulseox.errors import EmptyGroup, InsufficientUserData, NoOverlap
+from pulseox.errors import EmptyGroup, InsufficientUserData
 from pulseox.features import FeatureSpec, WindowConfig
 from pulseox.gbdt import GbdtModel, GbdtParams
 from pulseox.pipeline import CohortSplit, LabelConfig, PipelineSettings
@@ -13,10 +13,6 @@ from pulseox.spo2 import CalibrationCurve
 from pulseox.synth import ArtifactSegment, SynthConfig
 
 FAST = PipelineSettings(gbdt_params=GbdtParams(n_estimators=15, seed=0))
-
-
-def make_est(t, pct=97.0, alg="enhanced"):
-    return spo2.Spo2Estimate(int(t), 0.5, float(pct), alg)
 
 
 SOME_ARTIFACTS = (
@@ -39,58 +35,63 @@ def make_subject(sid="u00", duration_s=240.0, seed=0, artifacts=()):
 
 
 class TestAlignStreams:
-    cfg = LabelConfig()
+    """Wrist-to-reference alignment, as ``analyze_stream`` does it."""
+
+    tol = LabelConfig().alignment_tolerance_ms
+    grid = np.arange(0, 10_000, 1000, dtype=float)
+
+    def align(self, wrist_t, ref_t):
+        ref_t = np.asarray(ref_t, dtype=float)
+        return pipeline.nearest_reference(wrist_t, ref_t, 90.0 + ref_t / 1000, self.tol)
 
     def test_identity_grids(self):
-        wrist = [make_est(t) for t in range(0, 10_000, 1000)]
-        finger = [make_est(t, 98.0) for t in range(0, 10_000, 1000)]
-        pairs, dropped = pipeline.align_streams(wrist, finger, self.cfg)
-        assert dropped == 0
-        assert [(p[0].t_ms, p[1]) for p in pairs] == [(t, 98.0) for t in range(0, 10_000, 1000)]
+        np.testing.assert_array_equal(self.align(self.grid, self.grid), 90.0 + self.grid / 1000)
 
     def test_constant_offset_within_tolerance(self):
-        wrist = [make_est(t) for t in range(0, 10_000, 1000)]
-        finger = [make_est(t + 200, 98.0) for t in range(0, 10_000, 1000)]
-        pairs, dropped = pipeline.align_streams(wrist, finger, self.cfg)
-        assert dropped == 0
-        assert len(pairs) == len(wrist)
+        np.testing.assert_array_equal(self.align(self.grid, self.grid + 200), 90.0 + (self.grid + 200) / 1000)
 
     def test_reference_gap_drops(self):
-        wrist = [make_est(t) for t in range(0, 10_000, 1000)]
-        finger = [make_est(t, 98.0) for t in range(0, 10_000, 1000) if not 3000 <= t <= 5000]
-        pairs, dropped = pipeline.align_streams(wrist, finger, self.cfg)
-        assert dropped == 3  # t in {3000, 4000, 5000} has no reference within 500 ms
-        assert {p[0].t_ms for p in pairs} == set(range(0, 10_000, 1000)) - {3000, 4000, 5000}
+        ref_t = [t for t in self.grid if not 3000 <= t <= 5000]
+        ref = self.align(self.grid, ref_t)
+        # t in {3000, 4000, 5000} has no reference within 500 ms
+        np.testing.assert_array_equal(np.isnan(ref), np.isin(self.grid, [3000, 4000, 5000]))
+        np.testing.assert_array_equal(ref[~np.isnan(ref)], 90.0 + np.asarray(ref_t) / 1000)
 
     def test_no_overlap(self):
-        wrist = [make_est(t) for t in range(0, 5000, 1000)]
-        finger = [make_est(t, 98.0) for t in range(100_000, 105_000, 1000)]
-        with pytest.raises(NoOverlap):
-            pipeline.align_streams(wrist, finger, self.cfg)
+        ref = self.align(np.arange(0, 5000, 1000, dtype=float), np.arange(100_000, 105_000, 1000))
+        assert np.isnan(ref).all()
 
 
 class TestLabelWindows:
+    """Reliability labels, as ``analyze_stream`` computes them."""
+
     cfg = LabelConfig(reliability_threshold_pct=2.0)
 
-    def labels(self, pairs):
-        return [w.reliable for w in pipeline.label_windows(pairs, self.cfg)]
+    def labels(self, value, reference):
+        label, has_label = pipeline.reliability_labels(
+            np.array([value], dtype=float), np.array([reference], dtype=float), self.cfg
+        )
+        assert has_label[0] == (not np.isnan(value) and not np.isnan(reference))
+        return bool(label[0])
 
     def test_within(self):
-        assert self.labels([(make_est(0, 97.0), 98.0)]) == [True]
+        assert self.labels(97.0, 98.0)
 
     def test_outside(self):
-        assert self.labels([(make_est(0, 94.0), 98.0)]) == [False]
+        assert not self.labels(94.0, 98.0)
 
     def test_boundary_inclusive(self):
-        assert self.labels([(make_est(0, 96.0), 98.0)]) == [True]
+        assert self.labels(96.0, 98.0)
 
     def test_sign_symmetric(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             a, b = rng.uniform(90, 100, 2)
-            fwd = self.labels([(make_est(0, a), float(b))])
-            rev = self.labels([(make_est(0, b), float(a))])
-            assert fwd == rev
+            assert self.labels(a, b) == self.labels(b, a)
+
+    def test_missing_value_or_reference_unlabeled(self):
+        assert not self.labels(float("nan"), 98.0)
+        assert not self.labels(97.0, float("nan"))
 
 
 class TestTrainingRows:
