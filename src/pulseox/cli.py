@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, features, gbdt, metrics, pipeline, signal_io, spo2, synth
-from .errors import PulseoxError
+from .errors import ConfigOutOfRange, PulseoxError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -69,6 +69,10 @@ def cmd_simulate(args):
 
 
 def cmd_spo2(args):
+    if args.window < spo2.MIN_WINDOW:
+        raise ConfigOutOfRange(f"--window must be >= {spo2.MIN_WINDOW}, got {args.window}")
+    if args.step < 1:
+        raise ConfigOutOfRange(f"--step must be >= 1, got {args.step}")
     frames, _ = signal_io.load_frames(args.stream, args.kind)
     calib = spo2.CalibrationCurve(args.y0, args.m)
     if args.algo == "baseline":
@@ -205,7 +209,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError, ConfigOutOfRange) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, PulseoxError) as e:

@@ -4,6 +4,18 @@ Second-order (Newton) boosting on the logistic objective with exact greedy
 splits, L1 soft-thresholded leaf weights, L2 shrinkage, a hessian-sum minimum
 per child, and per-tree row subsampling without replacement. Training is
 deterministic for a fixed seed.
+
+Split search is presorted exact greedy (Chen & Guestrin 2016,
+arXiv:1603.02754, section 4.1): ``train`` sorts every column once, each node
+keeps its rows' slice of that order, and one pass of prefix sums over all
+features at once scores every candidate threshold. The sort is stable, so
+tied values stay in row order exactly as a per-node stable sort leaves them,
+and the prefix sums and chosen splits are the same bits.
+
+A split sends ``x < threshold`` left; a NaN goes to the node's saved
+``default_direction``. The split search assumes finite features, which the
+feature catalog guarantees: it would score a NaN on the right of every
+threshold while training sends it left.
 """
 
 from __future__ import annotations
@@ -88,12 +100,33 @@ def leaf_weight(G: float, H: float, params: GbdtParams) -> float:
 
 
 def _score(G, H, params):
-    t = np.where(G > params.reg_alpha, G - params.reg_alpha,
-                 np.where(G < -params.reg_alpha, G + params.reg_alpha, 0.0))
+    # G minus its clip to [-alpha, alpha] is the soft threshold, bit for bit
+    t = G - np.clip(G, -params.reg_alpha, params.reg_alpha)
     return t * t / (H + params.reg_lambda)
 
 
-def best_split(X, g, h, params: GbdtParams, row_idx=None):
+def _presort(X) -> np.ndarray:
+    """Row order of every column, shape (n_features, n_rows); ties stay in row
+    order (stable mergesort)."""
+    return np.argsort(X.T, axis=1, kind="mergesort")
+
+
+def _restrict(order, rows, n_rows) -> np.ndarray:
+    """``order`` with only the row ids in ``rows`` left, in the same order; every
+    column keeps the same number of rows."""
+    member = np.zeros(n_rows, dtype=bool)
+    member[rows] = True
+    return order[member[order]].reshape(len(order), -1)
+
+
+def _goes_left(x, threshold, default_direction) -> np.ndarray:
+    """Split rule: ``x < threshold`` goes left; a NaN goes to the default side."""
+    if default_direction == "left":
+        return ~(x >= threshold)
+    return x < threshold
+
+
+def best_split(X, g, h, params: GbdtParams, row_idx=None, order=None):
     """Exact greedy search for the best split over all features.
 
     Gain is half the score improvement of the penalized objective. Candidate
@@ -101,52 +134,53 @@ def best_split(X, g, h, params: GbdtParams, row_idx=None):
     children must satisfy the hessian-sum minimum. Ties in gain resolve to the
     lower feature id, then the lower threshold. Returns
     ``(feature_id, threshold, gain)`` or None.
+
+    ``row_idx`` holds distinct row ids in ascending order. ``order`` is their
+    per-column sorted order as :func:`_presort` restricted to them; it is
+    computed here when not given.
     """
     if row_idx is None:
         row_idx = np.arange(len(g))
     if len(row_idx) == 0:
         raise EmptyMatrix("no rows to split")
-    gs = g[row_idx]
-    hs = h[row_idx]
-    G, H = gs.sum(), hs.sum()
+    if order is None:
+        order = _restrict(_presort(X), row_idx, len(X))
+    n_features, m = order.shape
+    if n_features == 0 or m < 2:
+        return None
+    G, H = g[row_idx].sum(), h[row_idx].sum()
     parent = float(_score(G, H, params))
 
-    best = None  # (gain, feature_id, threshold)
-    for f in range(X.shape[1]):
-        vals = X[row_idx, f]
-        order = np.argsort(vals, kind="mergesort")
-        v = vals[order]
-        GL = np.cumsum(gs[order])[:-1]
-        HL = np.cumsum(hs[order])[:-1]
-        boundary = v[:-1] < v[1:]
-        valid = boundary & (HL >= params.min_child_weight) & (H - HL >= params.min_child_weight)
-        if not valid.any():
-            continue
-        gain = 0.5 * (_score(GL, HL, params) + _score(G - GL, H - HL, params) - parent)
-        gain[~valid] = -np.inf
-        k = int(np.argmax(gain))  # first max: lowest threshold wins ties
-        if gain[k] > 0 and (best is None or gain[k] > best[0]):
-            best = (float(gain[k]), f, float((v[k] + v[k + 1]) / 2.0))
-    if best is None:
+    v = X[order, np.arange(n_features)[:, None]]
+    GL = np.cumsum(g[order], axis=1)[:, :-1]
+    HL = np.cumsum(h[order], axis=1)[:, :-1]
+    valid = (v[:, :-1] < v[:, 1:]) & (HL >= params.min_child_weight) & (H - HL >= params.min_child_weight)
+    gain = 0.5 * (_score(GL, HL, params) + _score(G - GL, H - HL, params) - parent)
+    gain[~valid] = -np.inf
+    # the first maximum in row-major order has the lowest feature id, then
+    # the lowest threshold
+    f, k = divmod(int(np.argmax(gain)), m - 1)
+    if not gain[f, k] > 0:
         return None
-    return best[1], best[2], best[0]
+    return f, float((v[f, k] + v[f, k + 1]) / 2.0), float(gain[f, k])
 
 
-def _build_tree(X, g, h, row_idx, depth, params: GbdtParams) -> TreeNode:
+def _build_tree(X, g, h, row_idx, order, depth, params: GbdtParams) -> TreeNode:
     gs = float(g[row_idx].sum())
     hs = float(h[row_idx].sum())
     if depth >= params.max_depth:
         return TreeNode(weight=params.learning_rate * leaf_weight(gs, hs, params))
-    split = best_split(X, g, h, params, row_idx)
+    split = best_split(X, g, h, params, row_idx, order)
     if split is None:
         return TreeNode(weight=params.learning_rate * leaf_weight(gs, hs, params))
     f, thr, _ = split
-    go_left = X[row_idx, f] < thr
+    go_left = _goes_left(X[row_idx, f], thr, "left")
+    left, right = row_idx[go_left], row_idx[~go_left]
     return TreeNode(
         feature_id=f,
         threshold=thr,
-        left=_build_tree(X, g, h, row_idx[go_left], depth + 1, params),
-        right=_build_tree(X, g, h, row_idx[~go_left], depth + 1, params),
+        left=_build_tree(X, g, h, left, _restrict(order, left, len(X)), depth + 1, params),
+        right=_build_tree(X, g, h, right, _restrict(order, right, len(X)), depth + 1, params),
     )
 
 
@@ -160,7 +194,7 @@ def _predict_tree_batch(root: TreeNode, X) -> np.ndarray:
         if node.is_leaf:
             out[idx] = node.weight
             continue
-        go_left = X[idx, node.feature_id] < node.threshold
+        go_left = _goes_left(X[idx, node.feature_id], node.threshold, node.default_direction)
         stack.append((node.left, idx[go_left]))
         stack.append((node.right, idx[~go_left]))
     return out
@@ -219,6 +253,7 @@ def train(
     logits = np.full(n, base_logit)
     rng = np.random.default_rng(params.seed)
     m = int(math.ceil(params.subsample * n))
+    order = _presort(X)
 
     trees = []
     loss_history = [log_loss(logits, y)] if record_loss else None
@@ -229,7 +264,7 @@ def train(
         h = np.zeros(n)
         g[rows] = p - y[rows]
         h[rows] = p * (1.0 - p)
-        tree = _build_tree(X, g, h, rows, 0, params)
+        tree = _build_tree(X, g, h, rows, _restrict(order, rows, n), 0, params)
         trees.append(tree)
         logits += _predict_tree_batch(tree, X)
         if record_loss:
@@ -278,7 +313,8 @@ def _node_to_list(root: TreeNode) -> list:
 
 def _node_from_list(nodes: list, n_features: int) -> TreeNode:
     """Rebuild a tree from its node list, last node first; children must point
-    forward and stay in range, and split features must index the catalog."""
+    forward and stay in range, split features must index the catalog, and the
+    default direction must be left or right."""
     built = [None] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         d = nodes[i]
@@ -290,10 +326,13 @@ def _node_from_list(nodes: list, n_features: int) -> TreeNode:
             raise CorruptFile(f"node {i}: child index out of order or range")
         if f < 0 or (n_features and f >= n_features):
             raise CorruptFile(f"node {i}: feature {f} outside the {n_features}-feature catalog")
+        default = d.get("default", "left")
+        if default not in ("left", "right"):
+            raise CorruptFile(f"node {i}: default direction {default!r} is neither left nor right")
         built[i] = TreeNode(
             feature_id=f,
             threshold=float(d["threshold"]),
-            default_direction=d.get("default", "left"),
+            default_direction=default,
             left=built[left],
             right=built[right],
         )

@@ -88,6 +88,15 @@ class TestSpo2:
         assert len(read_rows(full)) - 1 == 1401
         assert len(read_rows(half)) - 1 == 1451
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--step", "0"), ("--step", "-3"), ("--window", "5")], ids=["step_zero", "step_negative", "window_short"]
+    )
+    def test_out_of_range_window_or_step_exits_config(self, clean_stream, tmp_path, capsys, flag, value):
+        out = tmp_path / "est.csv"
+        assert cli.main(["spo2", str(clean_stream), str(out), flag, value]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,red\n0,1\n")

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from naive_features import naive_feature
-from pulseox import features
+from pulseox import features, synth
 from pulseox.errors import SingleClass
 from pulseox.features import CHANNELS, FeatureSpec, WindowConfig, build_catalog
 from pulseox.signal_io import FrameSeries
+from pulseox.synth import ArtifactSegment, SynthConfig
 
 
 def make_series(n, gap_at=()):
@@ -97,6 +98,46 @@ class TestComputeFeature:
         assert features.compute_feature(mean, {"red": w["red"] + 11.0}) == pytest.approx(
             features.compute_feature(mean, w) + 11.0
         )
+
+
+def full_pinv_ar(X, k):
+    """Every AR(k) coefficient from the whole pseudo-inverse contraction: the
+    reference for the one-column contraction of ``_ar_coefficient``."""
+    n, w = X.shape
+    A = np.empty((n, w - k, k + 1))
+    A[:, :, 0] = 1.0
+    for lag in range(1, k + 1):
+        A[:, :, lag] = X[:, k - lag : w - lag]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    tol = s[:, :1] * max(A.shape[1], A.shape[2]) * np.finfo(float).eps
+    s_safe = np.where(s > tol, s, 1.0)
+    coeffs = np.einsum("nkj,nk,nik,ni->nj", Vt, 1.0 / s_safe, U, X[:, k:])
+    coeffs[~(s > tol).all(axis=1)] = 0.0
+    return coeffs
+
+
+class TestArCoefficient:
+    def test_bit_identical_to_full_contraction_on_wrist_stream(self):
+        # a wrist stream at the synthetic DC (5e4 red, 6e4 ir) whose contact
+        # loss flattens both optical channels to 0: rank-deficient designs
+        arts = (
+            ArtifactSegment(8.0, 6.0, "contact_loss"),
+            ArtifactSegment(18.0, 4.0, "motion"),
+            ArtifactSegment(24.0, 3.0, "ambient_spike"),
+        )
+        frames, _ = synth.gen_ppg(SynthConfig(duration_s=32.0, noise_sigma=0.001, seed=4, artifacts=arts))
+        ws = features.window_stream(frames, WindowConfig(100, 2))
+        k = 10
+        flat = (ws.channels["red"] == 0).all(axis=1)
+        assert 0 < flat.sum() < len(ws)
+        for ch in CHANNELS:
+            X = ws.channels[ch]
+            want = full_pinv_ar(X, k)
+            for j in range(k + 1):
+                got = features._ar_coefficient(X, {"coeff": j, "k": k})
+                np.testing.assert_array_equal(got, want[:, j], err_msg=f"{ch} coeff {j}")
+                if ch in ("red", "ir"):
+                    assert (got[flat] == 0).all()
 
 
 class TestCatalogAndMatrix:

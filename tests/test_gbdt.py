@@ -216,6 +216,21 @@ class TestPredict:
         assert model.predict_proba([0.0]) == pytest.approx(1 / (1 + math.exp(-0.4)))
         assert model.predict_proba([1.0]) == pytest.approx(1 / (1 + math.exp(0.1)))
 
+    @pytest.mark.parametrize("direction, weight", [("left", 0.3), ("right", -0.2)])
+    def test_nan_follows_default_direction(self, tmp_path, direction, weight):
+        tree = TreeNode(
+            feature_id=0,
+            threshold=0.5,
+            left=TreeNode(weight=0.3),
+            right=TreeNode(weight=-0.2),
+            default_direction=direction,
+        )
+        model = GbdtModel(trees=[tree], base_logit=0.0, params=GbdtParams(), feature_catalog=[])
+        gbdt.save(model, tmp_path / "m.json")
+        for m in (model, gbdt.load(tmp_path / "m.json")):
+            z = m.predict_logit_batch(np.array([[np.nan], [0.0], [1.0], [0.5]]))
+            np.testing.assert_array_equal(z, [weight, 0.3, -0.2, -0.2])
+
     def test_proba_in_unit_interval(self):
         X, y = blobs(seed=8)
         model = gbdt.train(X, y, GbdtParams(n_estimators=10, seed=0))
@@ -259,4 +274,17 @@ class TestSerialization:
         doc["version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaVersionMismatch):
+            gbdt.load(path)
+
+    def test_unknown_default_direction(self, tmp_path):
+        import json
+
+        model, _ = self.trained()
+        path = tmp_path / "m.json"
+        gbdt.save(model, path)
+        doc = json.loads(path.read_text())
+        split = next(d for d in doc["trees"][0]["nodes"] if "leaf" not in d)
+        split["default"] = "up"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFile):
             gbdt.load(path)

@@ -1,10 +1,11 @@
-"""Property tests of the windowing core and the clamped calibration."""
+"""Property tests of the windowing core, the clamped calibration and the
+presorted split search."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulseox import features, spo2
+from pulseox import features, gbdt, spo2
 from pulseox.signal_io import FrameSeries
 
 
@@ -57,3 +58,63 @@ def test_calibrate_is_the_scalar_clamp(ratios, y0, m):
         expected = min(100.0, max(0.0, raw))
         assert p == expected
         assert c == (expected != raw)
+
+
+def per_node_sort_split(X, g, h, params, row_idx):
+    """The split search that sorts every feature again at each node, with the
+    soft threshold written out case by case: the reference for the presorted
+    search."""
+    def score(G, H):
+        a = params.reg_alpha
+        t = np.where(G > a, G - a, np.where(G < -a, G + a, 0.0))
+        return t * t / (H + params.reg_lambda)
+
+    gs, hs = g[row_idx], h[row_idx]
+    G, H = gs.sum(), hs.sum()
+    parent = float(score(G, H))
+    best = None
+    for f in range(X.shape[1]):
+        vals = X[row_idx, f]
+        order = np.argsort(vals, kind="mergesort")
+        v = vals[order]
+        GL = np.cumsum(gs[order])[:-1]
+        HL = np.cumsum(hs[order])[:-1]
+        valid = (v[:-1] < v[1:]) & (HL >= params.min_child_weight) & (H - HL >= params.min_child_weight)
+        if not valid.any():
+            continue
+        gain = 0.5 * (score(GL, HL) + score(G - GL, H - HL) - parent)
+        gain[~valid] = -np.inf
+        k = int(np.argmax(gain))
+        if gain[k] > 0 and (best is None or gain[k] > best[0]):
+            best = (float(gain[k]), f, float((v[k] + v[k + 1]) / 2.0))
+    return None if best is None else (best[1], best[2], best[0])
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(1, 60))
+    n_features = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        X = rng.integers(0, draw(st.integers(1, 6)), (n, n_features)).astype(float)  # many ties
+    else:
+        X = rng.normal(0.0, 1.0, (n, n_features))
+    g = rng.uniform(-1.0, 1.0, n)
+    h = rng.uniform(1e-3, 0.25, n)
+    rows = np.flatnonzero(rng.random(n) < draw(st.floats(0.2, 1.0)))
+    if len(rows) == 0:
+        rows = np.array([int(rng.integers(n))])
+    params = gbdt.GbdtParams(
+        min_child_weight=draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
+        reg_alpha=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+    )
+    return X, g, h, params, rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(split_problems())
+def test_presorted_split_search_matches_per_node_sort(problem):
+    X, g, h, params, rows = problem
+    assert gbdt.best_split(X, g, h, params, rows) == per_node_sort_split(X, g, h, params, rows)
