@@ -33,20 +33,20 @@ calib = CalibrationCurve()  # SpO2 = 110 - 25 * R
 
 # Baseline: emit a reading for every window with usable DC levels.
 baseline = spo2.baseline_spo2(frames, calib, step=25)
-kept_b = spo2.emitted(baseline)
 
 # Enhanced: additionally require red/ir correlation >= 0.4 after detrending.
 enhanced = spo2.enhanced_spo2(frames, calib, step=25)
-kept_e = spo2.emitted(enhanced)
 
-print(f"baseline emitted {len(kept_b)}/{len(baseline)} windows")
-print(f"enhanced emitted {len(kept_e)}/{len(enhanced)} windows")
+# Each result holds one column entry per window; ``valid`` marks the windows
+# that carry a reading.
+print(f"baseline emitted {baseline.valid.sum()}/{len(baseline)} windows")
+print(f"enhanced emitted {enhanced.valid.sum()}/{len(enhanced)} windows")
 
 # Score each algorithm against the known truth.
-for name, kept in (("baseline", kept_b), ("enhanced", kept_e)):
-    idx = np.minimum((np.array([e.t_ms for e in kept]) * 25) // 1000,
+for name, est in (("baseline", baseline), ("enhanced", enhanced)):
+    idx = np.minimum((est.t_ms[est.valid] * 25) // 1000,
                      len(truth.true_spo2_pct) - 1)
-    err = np.array([e.spo2_pct for e in kept]) - truth.true_spo2_pct[idx]
+    err = est.spo2_pct[est.valid] - truth.true_spo2_pct[idx]
     print(f"{name:9s} rmse {np.sqrt(np.mean(err**2)):6.2f} pp, "
           f"worst {np.abs(err).max():6.2f} pp")
 

@@ -40,7 +40,7 @@ frames, _ = synth.gen_ppg(SynthConfig(
     duration_s=120.0, noise_sigma=0.0008, seed=99,
     artifacts=(synth.ArtifactSegment(40.0, 20.0, "motion", 1.5),),
 ))
-enhanced = spo2.emitted(spo2.enhanced_spo2(frames, settings.calibration, step=1))
+enhanced = spo2.enhanced_spo2(frames, settings.calibration, step=1)
 pruned = pipeline.prune(frames, model, settings)
-print(f"enhanced emitted {len(enhanced)} readings, "
+print(f"enhanced emitted {enhanced.valid.sum()} readings, "
       f"classifier kept {len(pruned)} of them")

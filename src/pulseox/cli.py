@@ -73,17 +73,20 @@ def cmd_spo2(args):
         raise ConfigOutOfRange(f"--window must be >= {spo2.MIN_WINDOW}, got {args.window}")
     if args.step < 1:
         raise ConfigOutOfRange(f"--step must be >= 1, got {args.step}")
-    frames, _ = signal_io.load_frames(args.stream, args.kind)
     calib = spo2.CalibrationCurve(args.y0, args.m)
+    frames, _ = signal_io.load_frames(args.stream, args.kind)
+    if len(frames) < args.window:
+        raise ConfigOutOfRange(f"--window {args.window} is longer than the stream ({len(frames)} samples): no complete window")
     if args.algo == "baseline":
         estimates = spo2.baseline_spo2(frames, calib, args.window, args.step)
     else:
         estimates = spo2.enhanced_spo2(frames, calib, window_len=args.window, step=args.step)
     spo2.estimates_to_csv(args.out, estimates)
-    valid = spo2.emitted(estimates)
-    rate = 1.0 - len(valid) / len(estimates) if estimates else 0.0
-    mean = float(np.mean([e.spo2_pct for e in valid])) if valid else float("nan")
-    print(f"windows={len(estimates)} emitted={len(valid)} rejection_rate={rate:.3f} mean_spo2={mean:.2f}")
+    valid = estimates.valid
+    n_valid = int(valid.sum())
+    rate = 1.0 - n_valid / len(estimates)
+    mean = float(np.mean(estimates.spo2_pct[valid])) if n_valid else float("nan")
+    print(f"windows={len(estimates)} emitted={n_valid} rejection_rate={rate:.3f} mean_spo2={mean:.2f}")
     return EXIT_OK
 
 
@@ -128,12 +131,12 @@ def cmd_evaluate(args):
 
 
 def cmd_prune(args):
-    frames, _ = signal_io.load_frames(args.stream, "wrist")
-    model = gbdt.load(args.model)
     settings = pipeline.PipelineSettings(
         calibration=spo2.CalibrationCurve(args.y0, args.m),
         decision_threshold=args.threshold,
     )
+    frames, _ = signal_io.load_frames(args.stream, "wrist")
+    model = gbdt.load(args.model)
     readings = pipeline.prune(frames, model, settings)
     spo2.estimates_to_csv(args.out, readings)
     print(f"emitted {len(readings)} readings")

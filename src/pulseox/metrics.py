@@ -126,10 +126,6 @@ def error_cdf(abs_errors):
     return np.column_stack([e, frac])
 
 
-def error_cdf_to_csv(path, table):
-    write_csv(path, ["abs_error", "cumulative_fraction"], np.asarray(table, dtype=float).tolist())
-
-
 def aggregate(values):
     """Mean over non-absent values plus skip count: ``(mean_or_none, n_skipped)``."""
     present = [v for v in values if v is not None]

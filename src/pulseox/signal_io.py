@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,20 +26,7 @@ SKIN_TONES = ("light", "medium", "dark", "unknown")
 #: Fraction of out-of-order rows above which a capture is considered corrupt.
 ORDER_TOLERANCE = 0.01
 
-
-@dataclass(frozen=True)
-class RawRecord:
-    """One timestamped multi-channel sample as read from disk."""
-
-    t_ms: int
-    red: float
-    ir: float
-    ax: float = 0.0
-    ay: float = 0.0
-    az: float = 0.0
-    gx: float = 0.0
-    gy: float = 0.0
-    gz: float = 0.0
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -133,20 +119,22 @@ def save_meta(stream_path, meta: StreamMeta):
 
 
 def parse_stream(path, kind: str):
-    """Parse a wrist or fingertip CSV into validated records.
+    """Parse a wrist or fingertip CSV into a :class:`FrameSeries`.
 
-    Returns ``(records, meta, n_dropped)`` where ``n_dropped`` counts malformed
-    rows (wrong field count, non-numeric fields, negative optical values).
-    Records are sorted by timestamp with duplicate timestamps collapsed to the
-    last occurrence. Raises :class:`NonMonotonicBeyondTolerance` when more than
-    1% of rows arrive out of order, which signals a corrupt capture rather
-    than ordinary jitter.
+    Returns ``(frames, meta, n_dropped)`` where ``n_dropped`` counts malformed
+    rows (wrong field count, non-numeric fields, a timestamp outside int64,
+    negative optical values, non-finite values). Frames are sorted by
+    timestamp with duplicate timestamps collapsed to the last occurrence, and
+    carry the motion magnitudes of the IMU axes (zero for a fingertip clip).
+    Raises :class:`NonMonotonicBeyondTolerance` when more than 1% of rows
+    arrive out of order, which signals a corrupt capture rather than ordinary
+    jitter.
     """
     if kind not in ("wrist", "fingertip"):
         raise ValueError(f"unknown stream kind {kind!r}")
     expected = WRIST_HEADER if kind == "wrist" else FINGERTIP_HEADER
 
-    rows = []
+    t, vals = [], []
     dropped = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -161,39 +149,44 @@ def parse_stream(path, kind: str):
                 dropped += 1
                 continue
             try:
-                t = int(raw[0])
-                vals = [float(v) for v in raw[1:]]
+                ti = int(raw[0])
+                row = list(map(float, raw[1:]))
             except ValueError:
                 dropped += 1
                 continue
-            if vals[0] < 0 or vals[1] < 0 or not all(math.isfinite(v) for v in vals):
+            if not _INT64_MIN <= ti <= _INT64_MAX:
                 dropped += 1
                 continue
-            rows.append((t, vals))
+            t.append(ti)
+            vals.extend(row)
 
-    out_of_order = sum(1 for a, b in zip(rows, rows[1:]) if b[0] < a[0])
-    if rows and out_of_order > ORDER_TOLERANCE * len(rows):
-        raise NonMonotonicBeyondTolerance(
-            f"{path}: {out_of_order}/{len(rows)} rows out of order"
-        )
+    t = np.array(t, dtype=np.int64)
+    vals = np.array(vals, dtype=float).reshape(len(t), len(expected) - 1)
+    ok = (vals[:, 0] >= 0) & (vals[:, 1] >= 0) & np.isfinite(vals).all(axis=1)
+    dropped += int(np.count_nonzero(~ok))
+    t, vals = t[ok], vals[ok]
+
+    out_of_order = int(np.count_nonzero(t[1:] < t[:-1]))
+    if len(t) and out_of_order > ORDER_TOLERANCE * len(t):
+        raise NonMonotonicBeyondTolerance(f"{path}: {out_of_order}/{len(t)} rows out of order")
 
     # Sort, then collapse duplicate timestamps keeping the last occurrence
     # (append-only capture semantics: later rows supersede earlier ones).
-    order = sorted(range(len(rows)), key=lambda i: (rows[i][0], i))
-    records = []
-    for i in order:
-        t, vals = rows[i]
-        if kind == "fingertip":
-            rec = RawRecord(t, vals[0], vals[1])
-        else:
-            rec = RawRecord(t, *vals)
-        if records and records[-1].t_ms == t:
-            records[-1] = rec
-        else:
-            records.append(rec)
+    order = np.argsort(t, kind="stable")
+    t, vals = t[order], vals[order]
+    last = np.ones(len(t), dtype=bool)
+    last[:-1] = t[1:] != t[:-1]
+    t = t[last]
+    red, ir, *imu = np.ascontiguousarray(vals[last].T)
+    if kind == "wrist":
+        ax, ay, az, gx, gy, gz = imu
+        with np.errstate(over="ignore"):
+            accel, gyro = np.sqrt(ax * ax + ay * ay + az * az), np.sqrt(gx * gx + gy * gy + gz * gz)
+    else:
+        accel, gyro = np.zeros(len(t)), np.zeros(len(t))
 
     meta = load_meta(path, default_site="fingertip" if kind == "fingertip" else "wrist_top")
-    return records, meta, dropped
+    return FrameSeries(t, red, ir, accel, gyro), meta, dropped
 
 
 def write_csv(path, header, rows):
@@ -223,7 +216,7 @@ def write_stream(path, series: FrameSeries, kind: str, meta: StreamMeta | None =
     """Write a frame series in the CSV format :func:`parse_stream` reads.
 
     Motion magnitudes are stored on the x axes with y/z zeroed, so the
-    round-trip through :func:`to_frames` reproduces the magnitudes exactly.
+    round-trip through :func:`parse_stream` reproduces the magnitudes exactly.
     Gap rows are omitted (a capture never writes samples it did not take).
     """
     ok = ~series.gap
@@ -236,25 +229,6 @@ def write_stream(path, series: FrameSeries, kind: str, meta: StreamMeta | None =
         write_csv(path, WRIST_HEADER, zip(*cols, accel, zero, zero, gyro, zero, zero))
     if meta is not None:
         save_meta(path, meta)
-
-
-def to_frames(records) -> FrameSeries:
-    """Compute motion-magnitude channels from validated records."""
-    n = len(records)
-    t = np.fromiter((r.t_ms for r in records), dtype=np.int64, count=n)
-    red = np.fromiter((r.red for r in records), dtype=float, count=n)
-    ir = np.fromiter((r.ir for r in records), dtype=float, count=n)
-    acc = np.fromiter(
-        (math.sqrt(r.ax * r.ax + r.ay * r.ay + r.az * r.az) for r in records),
-        dtype=float,
-        count=n,
-    )
-    gyr = np.fromiter(
-        (math.sqrt(r.gx * r.gx + r.gy * r.gy + r.gz * r.gz) for r in records),
-        dtype=float,
-        count=n,
-    )
-    return FrameSeries(t, red, ir, acc, gyr)
 
 
 def nearest_within(src_t, query_t, tolerance):
@@ -303,9 +277,8 @@ def regularize(series: FrameSeries, meta: StreamMeta) -> FrameSeries:
 
 
 def load_frames(path, kind: str, regular: bool = True):
-    """Convenience loader: parse, derive magnitudes, optionally regularize."""
-    records, meta, _ = parse_stream(path, kind)
-    frames = to_frames(records)
+    """Convenience loader: parse, optionally regularize."""
+    frames, meta, _ = parse_stream(path, kind)
     if regular:
         frames = regularize(frames, meta)
     return frames, meta

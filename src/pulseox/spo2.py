@@ -16,7 +16,8 @@ contract; constants are configuration, nominally supplied per sensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +30,11 @@ GATE_CORR_REJECTED = "corr_rejected"
 GATE_CLAMPED = "out_of_range_clamped"
 GATE_DC_INVALID = "dc_invalid"
 
-#: Gate flag sets indexed by bit code: 1 dc_invalid, 2 corr_rejected, 4 clamped.
+#: Gate flags by bit: a gate code holds 1 for dc_invalid, 2 for corr_rejected,
+#: 4 for out_of_range_clamped.
 _GATES = (GATE_DC_INVALID, GATE_CORR_REJECTED, GATE_CLAMPED)
-_GATE_SETS = [frozenset(g for bit, g in enumerate(_GATES) if code >> bit & 1) for code in range(8)]
+#: The ``gates`` CSV cell of each gate code: its flag names, sorted, ``|``-joined.
+_GATE_TEXT = ["|".join(sorted(g for bit, g in enumerate(_GATES) if code >> bit & 1)) for code in range(8)]
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class CalibrationCurve:
     m: float = 25.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.y0) and math.isfinite(self.m)):
+            raise ValueError(f"calibration y0 and m must be finite, got y0={self.y0}, m={self.m}")
         if self.m <= 0:
             raise ValueError("calibration slope m must be positive")
 
@@ -61,28 +66,33 @@ class EnhancedConfig:
             raise ValueError("corr_threshold must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
-class Spo2Estimate:
-    """One reading: window-end timestamp, ratio, calibrated percentage, flags.
+@dataclass
+class Spo2Estimates:
+    """Readings as columns, one entry per window: window-end timestamp, ratio,
+    calibrated percentage and gate code (1 ``dc_invalid``, 2 ``corr_rejected``,
+    4 ``out_of_range_clamped``).
 
-    ``spo2_pct`` is NaN when a gate flag suppressed the value
+    ``ratio_r`` and ``spo2_pct`` are NaN where a gate flag suppressed the value
     (``corr_rejected`` or ``dc_invalid``).
     """
 
-    t_ms: int
-    ratio_r: float
-    spo2_pct: float
+    t_ms: np.ndarray
+    ratio_r: np.ndarray
+    spo2_pct: np.ndarray
+    gates: np.ndarray
     algorithm: str
-    gates: frozenset = field(default_factory=frozenset)
+
+    def __len__(self):
+        return len(self.t_ms)
+
+    def flagged(self, gate: str) -> np.ndarray:
+        """Mask of the entries that carry ``gate``."""
+        return (self.gates >> _GATES.index(gate) & 1).astype(bool)
 
     @property
-    def valid(self) -> bool:
-        return GATE_CORR_REJECTED not in self.gates and GATE_DC_INVALID not in self.gates
-
-
-def emitted(estimates) -> list:
-    """Estimates that carry an actual reading (no suppressing gate flag)."""
-    return [e for e in estimates if e.valid]
+    def valid(self) -> np.ndarray:
+        """Mask of the entries that carry a reading (no suppressing flag)."""
+        return ~(self.flagged(GATE_DC_INVALID) | self.flagged(GATE_CORR_REJECTED))
 
 
 def _detrend(x: np.ndarray) -> np.ndarray:
@@ -224,8 +234,8 @@ def gate_pass(stats: WindowStats, cfg: EnhancedConfig) -> np.ndarray:
     return corr_pass(stats, cfg) & ~stats.dc_invalid
 
 
-def estimates_from_stats(stats: WindowStats, calib, algorithm, reject=False, emit=None) -> list:
-    """One :class:`Spo2Estimate` per window, or per ``emit`` window when given.
+def estimates_from_stats(stats: WindowStats, calib, algorithm, reject=False, emit=None) -> Spo2Estimates:
+    """The readings of every window, or of the ``emit`` windows when given.
 
     ``dc_invalid`` and ``reject`` (flagged ``corr_rejected``) windows carry no
     value; the others carry the clamped calibration of their ratio.
@@ -235,9 +245,8 @@ def estimates_from_stats(stats: WindowStats, calib, algorithm, reject=False, emi
     code = stats.dc_invalid + 2 * reject + 4 * (clamped & ~suppressed)
     ratio = np.where(suppressed, np.nan, stats.ratio)
     pct[suppressed] = np.nan
-    rows = slice(None) if emit is None else np.flatnonzero(emit)
-    cols = (stats.t_ms[rows].tolist(), ratio[rows].tolist(), pct[rows].tolist(), code[rows].tolist())
-    return [Spo2Estimate(t, r, p, algorithm, _GATE_SETS[c]) for t, r, p, c in zip(*cols)]
+    rows = slice(None) if emit is None else emit
+    return Spo2Estimates(stats.t_ms[rows], ratio[rows], pct[rows], code[rows], algorithm)
 
 
 def baseline_spo2(series, calib: CalibrationCurve, window_len: int = 100, step: int = 1):
@@ -297,6 +306,7 @@ def apply_offset(calib: CalibrationCurve, offset: float) -> CalibrationCurve:
     return CalibrationCurve(y0=calib.y0 + offset, m=calib.m)
 
 
-def estimates_to_csv(path, estimates):
-    rows = ([e.t_ms, e.algorithm, float(e.ratio_r), float(e.spo2_pct), "|".join(sorted(e.gates))] for e in estimates)
-    write_csv(path, ["t_ms", "algorithm", "ratio_r", "spo2_pct", "gates"], rows)
+def estimates_to_csv(path, est: Spo2Estimates):
+    gates = [_GATE_TEXT[c] for c in est.gates.tolist()]
+    cols = (est.t_ms.tolist(), [est.algorithm] * len(est), est.ratio_r.tolist(), est.spo2_pct.tolist(), gates)
+    write_csv(path, ["t_ms", "algorithm", "ratio_r", "spo2_pct", "gates"], zip(*cols))

@@ -97,6 +97,29 @@ class TestSpo2:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_window_longer_than_stream_exits_config(self, clean_stream, tmp_path, capsys):
+        out = tmp_path / "est.csv"
+        assert cli.main(["spo2", str(clean_stream), str(out), "--window", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "100000" in err and "1500 samples" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("spo2", "--y0", "nan"), ("spo2", "--m", "inf"), ("prune", "--y0", "nan")],
+        ids=["spo2_y0_nan", "spo2_m_inf", "prune_y0_nan"],
+    )
+    def test_nonfinite_calibration_exits_config(self, clean_stream, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "est.csv"
+        argv = ["spo2", str(clean_stream), str(out)]
+        if command == "prune":
+            model_path = tmp_path / "stub.json"
+            gbdt.save(GbdtModel([], 20.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
+            argv = ["prune", str(clean_stream), str(model_path), str(out)]
+        assert cli.main(argv + [flag, value]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,red\n0,1\n")

@@ -196,19 +196,21 @@ class TestPrune:
     def test_always_positive_equals_enhanced(self):
         frames = self.trace()
         pruned = pipeline.prune(frames, stub_model(True), FAST)
-        enhanced = spo2.emitted(spo2.enhanced_spo2(frames, FAST.calibration, step=1))
-        assert [e.t_ms for e in pruned] == [e.t_ms for e in enhanced]
-        assert [e.spo2_pct for e in pruned] == [e.spo2_pct for e in enhanced]
-        assert all(e.algorithm == "pruned" for e in pruned)
+        enhanced = spo2.enhanced_spo2(frames, FAST.calibration, step=1)
+        assert pruned.t_ms.tolist() == enhanced.t_ms[enhanced.valid].tolist()
+        assert pruned.spo2_pct.tolist() == enhanced.spo2_pct[enhanced.valid].tolist()
+        assert pruned.algorithm == "pruned"
 
     def test_always_negative_empty(self):
-        assert pipeline.prune(self.trace(), stub_model(False), FAST) == []
+        assert len(pipeline.prune(self.trace(), stub_model(False), FAST)) == 0
 
     def test_subset_chain(self):
         frames = self.trace()
-        base_t = {e.t_ms for e in spo2.emitted(spo2.baseline_spo2(frames, FAST.calibration, step=1))}
-        enh_t = {e.t_ms for e in spo2.emitted(spo2.enhanced_spo2(frames, FAST.calibration, step=1))}
-        pruned_t = {e.t_ms for e in pipeline.prune(frames, stub_model(True), FAST)}
+        base = spo2.baseline_spo2(frames, FAST.calibration, step=1)
+        enh = spo2.enhanced_spo2(frames, FAST.calibration, step=1)
+        base_t = set(base.t_ms[base.valid].tolist())
+        enh_t = set(enh.t_ms[enh.valid].tolist())
+        pruned_t = set(pipeline.prune(frames, stub_model(True), FAST).t_ms.tolist())
         assert pruned_t <= enh_t <= base_t
         assert len(enh_t) < len(base_t)
 

@@ -1,12 +1,144 @@
-"""Property tests of the windowing core, the clamped calibration and the
-presorted split search."""
+"""Property tests of the stream parser, the windowing core, the clamped
+calibration and the presorted split search."""
+
+import csv
+import math
+import pathlib
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulseox import features, gbdt, spo2
+from pulseox import features, gbdt, signal_io, spo2
+from pulseox.errors import MalformedHeader, NonMonotonicBeyondTolerance
 from pulseox.signal_io import FrameSeries
+
+
+def row_by_row_parse(path, kind):
+    """The parser that validates, sorts and de-duplicates one Python row at a
+    time and takes each motion magnitude with ``math.sqrt``: the reference
+    for the columnar :func:`signal_io.parse_stream`."""
+    expected = signal_io.WRIST_HEADER if kind == "wrist" else signal_io.FINGERTIP_HEADER
+    rows = []
+    dropped = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedHeader(f"{path}: empty file")
+        if [h.strip() for h in header] != expected:
+            raise MalformedHeader(f"{path}: expected header {expected}, got {header}")
+        for raw in reader:
+            if len(raw) != len(expected):
+                dropped += 1
+                continue
+            try:
+                t = int(raw[0])
+                vals = [float(v) for v in raw[1:]]
+            except ValueError:
+                dropped += 1
+                continue
+            if vals[0] < 0 or vals[1] < 0 or not all(math.isfinite(v) for v in vals):
+                dropped += 1
+                continue
+            rows.append((t, vals))
+
+    out_of_order = sum(1 for a, b in zip(rows, rows[1:]) if b[0] < a[0])
+    if rows and out_of_order > signal_io.ORDER_TOLERANCE * len(rows):
+        raise NonMonotonicBeyondTolerance(f"{path}: {out_of_order}/{len(rows)} rows out of order")
+
+    records = []
+    for i in sorted(range(len(rows)), key=lambda i: (rows[i][0], i)):
+        t, vals = rows[i]
+        rec = (t, *vals) if kind == "wrist" else (t, *vals, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        if records and records[-1][0] == t:
+            records[-1] = rec
+        else:
+            records.append(rec)
+
+    n = len(records)
+    t = np.fromiter((r[0] for r in records), dtype=np.int64, count=n)
+    red = np.fromiter((r[1] for r in records), dtype=float, count=n)
+    ir = np.fromiter((r[2] for r in records), dtype=float, count=n)
+    acc = np.fromiter((math.sqrt(r[3] * r[3] + r[4] * r[4] + r[5] * r[5]) for r in records), dtype=float, count=n)
+    gyr = np.fromiter((math.sqrt(r[6] * r[6] + r[7] * r[7] + r[8] * r[8]) for r in records), dtype=float, count=n)
+    meta = signal_io.load_meta(path, default_site="fingertip" if kind == "fingertip" else "wrist_top")
+    return FrameSeries(t, red, ir, acc, gyr), meta, dropped
+
+
+BAD_CELLS = ["x", "", "nan", "inf", "-inf", "1e400", "-5.0"]
+
+
+@st.composite
+def messy_stream_files(draw):
+    """A wrist or fingertip capture with malformed rows, negative and
+    non-finite values, padded and duplicate timestamps, and disorder below
+    and above the 1% tolerance."""
+    kind = draw(st.sampled_from(["wrist", "fingertip"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(0, 300))
+    p_bad = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    n_cols = len(signal_io.WRIST_HEADER if kind == "wrist" else signal_io.FINGERTIP_HEADER)
+    t = 40 * np.arange(n) + rng.integers(-8, 9, n)
+    dup = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    t[1:][dup[1:]] = t[:-1][dup[1:]]
+    for _ in range(rng.poisson(1.0)):  # an adjacent swap, or a late repeat of an earlier timestamp
+        if n > 5:
+            i = int(rng.integers(5, n))
+            if rng.random() < 0.5:
+                t[[i - 1, i]] = t[[i, i - 1]]
+            else:
+                t[i] = t[i - int(rng.integers(2, 6))]
+    lines = [",".join(signal_io.WRIST_HEADER if kind == "wrist" else signal_io.FINGERTIP_HEADER)]
+    if draw(st.booleans()):
+        lines[0] = lines[0].replace(",", ", ")
+    for i in range(n):
+        cells = [str(t[i])] + [repr(float(v)) for v in rng.normal(3e4, 2e4, n_cols - 1)]
+        if kind == "wrist":
+            cells[3:] = [repr(float(v)) for v in rng.normal(0.0, 2.0, 6)]
+        if rng.random() < p_bad:
+            what = rng.integers(4)
+            if what == 0:
+                cells = cells[:-1] if rng.random() < 0.5 else cells + ["0"]
+            elif what == 1:
+                cells[int(rng.integers(n_cols))] = BAD_CELLS[int(rng.integers(len(BAD_CELLS)))]
+            elif what == 2:
+                cells[0] = f" {cells[0]} " if rng.random() < 0.5 else cells[0] + ".0"
+            else:
+                cells[1 + int(rng.integers(2))] = "-0.0" if rng.random() < 0.3 else "-1.5"
+        lines.append(",".join(cells))
+    if rng.random() < 0.05:
+        lines[0] = "time,red,ir"
+    return kind, "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, path, kind):
+    try:
+        return parse(path, kind)
+    except Exception as e:  # the outcome under test is the exception type
+        return type(e)
+
+
+@settings(deadline=None, max_examples=200)
+@given(messy_stream_files())
+def test_columnar_parse_matches_row_by_row_parse(case):
+    kind, text = case
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d) / "s.csv"
+        path.write_text(text, encoding="utf-8")
+        got = parse_outcome(signal_io.parse_stream, path, kind)
+        want = parse_outcome(row_by_row_parse, path, kind)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want
+        return
+    (frames, meta, dropped), (ref, ref_meta, ref_dropped) = got, want
+    assert (meta, dropped) == (ref_meta, ref_dropped)
+    for name in ("t_ms", "red", "ir", "accel_mag", "gyro_mag", "gap"):
+        a, b = getattr(frames, name), getattr(ref, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
 
 
 @st.composite

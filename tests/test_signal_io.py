@@ -3,7 +3,7 @@ import pytest
 
 from pulseox import signal_io, synth
 from pulseox.errors import EmptyStream, MalformedHeader, NonMonotonicBeyondTolerance
-from pulseox.signal_io import FrameSeries, RawRecord, StreamMeta
+from pulseox.signal_io import FrameSeries, StreamMeta
 
 
 def write_csv(path, lines):
@@ -17,16 +17,23 @@ class TestParseStream:
     def test_well_formed(self, tmp_path):
         p = tmp_path / "s.csv"
         write_csv(p, [WRIST_HDR, "0,1,2,0,0,0,0,0,0", "40,1,2,0,0,0,0,0,0", "80,1,2,0,0,0,0,0,0"])
-        records, meta, dropped = signal_io.parse_stream(p, "wrist")
-        assert len(records) == 3
+        frames, meta, dropped = signal_io.parse_stream(p, "wrist")
+        assert len(frames) == 3
         assert dropped == 0
 
     def test_non_numeric_field_dropped(self, tmp_path):
         p = tmp_path / "s.csv"
         write_csv(p, [WRIST_HDR, "0,1,2,0,0,0,0,0,0", "40,oops,2,0,0,0,0,0,0", "80,1,2,0,0,0,0,0,0"])
-        records, _, dropped = signal_io.parse_stream(p, "wrist")
-        assert len(records) == 2
+        frames, _, dropped = signal_io.parse_stream(p, "wrist")
+        assert len(frames) == 2
         assert dropped == 1
+
+    def test_timestamp_beyond_int64_dropped(self, tmp_path):
+        p = tmp_path / "s.csv"
+        write_csv(p, ["t_ms,red,ir", "0,1,2", f"{2**63},1,2", f"{-2**63 - 1},1,2", "40,1,2"])
+        frames, _, dropped = signal_io.parse_stream(p, "fingertip")
+        assert frames.t_ms.tolist() == [0, 40]
+        assert dropped == 2
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -37,9 +44,9 @@ class TestParseStream:
     def test_duplicate_timestamp_keeps_last(self, tmp_path):
         p = tmp_path / "s.csv"
         write_csv(p, ["t_ms,red,ir", "0,1,2", "40,5,6", "40,7,8"])
-        records, _, _ = signal_io.parse_stream(p, "fingertip")
-        assert [r.t_ms for r in records] == [0, 40]
-        assert records[1].red == 7
+        frames, _, _ = signal_io.parse_stream(p, "fingertip")
+        assert frames.t_ms.tolist() == [0, 40]
+        assert frames.red[1] == 7
 
     def test_heavily_out_of_order_rejected(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -53,8 +60,7 @@ class TestParseStream:
         frames, _ = synth.gen_ppg(synth.SynthConfig(duration_s=20, seed=3, noise_sigma=0.001))
         p = tmp_path / "w.csv"
         signal_io.write_stream(p, frames, "wrist", StreamMeta(subject_id="x"))
-        records, meta, dropped = signal_io.parse_stream(p, "wrist")
-        back = signal_io.to_frames(records)
+        back, meta, dropped = signal_io.parse_stream(p, "wrist")
         assert dropped == 0
         assert meta.subject_id == "x"
         np.testing.assert_array_equal(back.t_ms, frames.t_ms)
@@ -65,25 +71,36 @@ class TestParseStream:
 
 
 class TestToFrames:
-    def test_3_4_5(self):
-        frames = signal_io.to_frames([RawRecord(0, 1, 1, ax=3, ay=4, az=0)])
+    """Motion magnitudes as :func:`signal_io.parse_stream` derives them."""
+
+    def parse_imu(self, tmp_path, imu_rows):
+        p = tmp_path / "s.csv"
+        rows = [",".join([str(40 * i), "1", "1"] + [repr(float(v)) for v in imu]) for i, imu in enumerate(imu_rows)]
+        write_csv(p, [WRIST_HDR] + rows)
+        frames, _, dropped = signal_io.parse_stream(p, "wrist")
+        assert dropped == 0
+        return frames
+
+    def test_3_4_5(self, tmp_path):
+        frames = self.parse_imu(tmp_path, [(3, 4, 0, 0, 0, 0)])
         assert frames.accel_mag[0] == 5.0
 
-    def test_zero_imu(self):
-        frames = signal_io.to_frames([RawRecord(0, 1, 1)])
+    def test_zero_imu(self, tmp_path):
+        frames = self.parse_imu(tmp_path, [(0, 0, 0, 0, 0, 0)])
         assert frames.accel_mag[0] == 0.0
         assert frames.gyro_mag[0] == 0.0
+        p = tmp_path / "f.csv"
+        write_csv(p, ["t_ms,red,ir", "0,1,1"])
+        finger, _, _ = signal_io.parse_stream(p, "fingertip")
+        assert finger.accel_mag.tolist() == finger.gyro_mag.tolist() == [0.0]
 
-    def test_matches_per_row_norm(self):
+    def test_matches_per_row_norm(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = [
-            RawRecord(40 * i, 1, 1, *rng.normal(size=6))
-            for i in range(50)
-        ]
-        frames = signal_io.to_frames(records)
-        for i, r in enumerate(records):
-            acc = np.linalg.norm([r.ax, r.ay, r.az])
-            gyr = np.linalg.norm([r.gx, r.gy, r.gz])
+        imu = rng.normal(size=(50, 6))
+        frames = self.parse_imu(tmp_path, imu)
+        for i, (ax, ay, az, gx, gy, gz) in enumerate(imu):
+            acc = np.linalg.norm([ax, ay, az])
+            gyr = np.linalg.norm([gx, gy, gz])
             assert abs(frames.accel_mag[i] - acc) <= 1e-12 * max(1.0, acc)
             assert abs(frames.gyro_mag[i] - gyr) <= 1e-12 * max(1.0, gyr)
 

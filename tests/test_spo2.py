@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -126,12 +127,13 @@ class TestBaseline:
     def test_clean_synth_recovery(self):
         cfg = synth.SynthConfig(duration_s=60.0, target_spo2_pct=97.0, seed=2)
         frames, _ = synth.gen_ppg(cfg)
-        for est in spo2.baseline_spo2(frames, CalibrationCurve(), step=25):
-            assert abs(est.spo2_pct - 97.0) <= 0.5
+        est = spo2.baseline_spo2(frames, CalibrationCurve(), step=25)
+        assert len(est) > 0
+        assert (np.abs(est.spo2_pct - 97.0) <= 0.5).all()
 
     def test_short_trace_empty(self):
         s = sine_series(n=50)
-        assert spo2.baseline_spo2(s, CalibrationCurve()) == []
+        assert len(spo2.baseline_spo2(s, CalibrationCurve())) == 0
 
     def test_step_equals_window(self):
         s = sine_series(n=300)
@@ -141,17 +143,17 @@ class TestBaseline:
 class TestEnhanced:
     def test_identical_waveform_kept(self):
         ests = spo2.enhanced_spo2(sine_series(), CalibrationCurve(), step=100)
-        assert all(e.valid for e in ests)
+        assert len(ests) == 3 and ests.valid.all()
 
     def test_anticorrelated_rejected(self):
         ests = spo2.enhanced_spo2(sine_series(flip_red=True), CalibrationCurve(), step=100)
-        assert all(GATE_CORR_REJECTED in e.gates for e in ests)
+        assert len(ests) == 3 and ests.flagged(GATE_CORR_REJECTED).all()
 
     def test_zero_variance_rejected(self):
         z = np.zeros(100)
         s = FrameSeries(40 * np.arange(100), np.full(100, 7.0), np.full(100, 9.0), z, z)
         ests = spo2.enhanced_spo2(s, CalibrationCurve())
-        assert all(GATE_CORR_REJECTED in e.gates for e in ests)
+        assert len(ests) == 1 and ests.flagged(GATE_CORR_REJECTED).all()
 
     def test_white_noise_rejection_rate(self):
         # independent channels: |r| > 0.4 at n=100 is vanishingly unlikely
@@ -172,12 +174,12 @@ class TestEnhanced:
         frames, _ = synth.gen_ppg(cfg)
         base = spo2.baseline_spo2(frames, CalibrationCurve(), step=10)
         enh = spo2.enhanced_spo2(frames, CalibrationCurve(), step=10)
-        base_by_t = {e.t_ms: e for e in spo2.emitted(base)}
-        enh_emitted = spo2.emitted(enh)
+        base_by_t = dict(zip(base.t_ms[base.valid].tolist(), base.spo2_pct[base.valid].tolist()))
+        enh_emitted = list(zip(enh.t_ms[enh.valid].tolist(), enh.spo2_pct[enh.valid].tolist()))
         assert 0 < len(enh_emitted) < len(base_by_t)
-        for e in enh_emitted:
-            assert e.t_ms in base_by_t
-            assert e.spo2_pct == base_by_t[e.t_ms].spo2_pct
+        for t, pct in enh_emitted:
+            assert t in base_by_t
+            assert pct == base_by_t[t]
 
     def test_pearson_matches_naive(self):
         rng = np.random.default_rng(11)
@@ -189,6 +191,78 @@ class TestEnhanced:
             rd = red[i] - np.polyval(np.polyfit(k, red[i], 1), k)
             id_ = ir[i] - np.polyval(np.polyfit(k, ir[i], 1), k)
             assert abs(stats.corr[i] - naive_pearson(list(rd), list(id_))) <= 1e-12
+
+
+def reference_rows(stats, calib, algorithm, reject, emit):
+    """One CSV row per window, cell by cell, as the per-window estimate
+    objects wrote them: ``float(...)`` cells and sorted ``|``-joined flags."""
+    rows = []
+    for i in range(len(stats)):
+        if not emit[i]:
+            continue
+        gates = set()
+        if stats.dc_invalid[i]:
+            gates.add(spo2.GATE_DC_INVALID)
+        if reject[i]:
+            gates.add(GATE_CORR_REJECTED)
+        if gates:
+            ratio = pct = math.nan
+        else:
+            ratio = float(stats.ratio[i])
+            raw = calib.y0 - calib.m * ratio
+            pct = raw if math.isnan(raw) else min(100.0, max(0.0, raw))
+            if pct != raw and not math.isnan(raw):
+                gates.add(GATE_CLAMPED)
+        rows.append([int(stats.t_ms[i]), algorithm, float(ratio), float(pct), "|".join(sorted(gates))])
+    return rows
+
+
+class TestEstimatesCsv:
+    def stats(self):
+        # ok, gapped, rejected, gapped and rejected, clamped at 0, clamped at
+        # 100, NaN ratio, ok, rejected and would clamp, ok
+        ratio = np.array([0.5, np.nan, 0.6, np.nan, 6.0, 0.1, np.nan, 0.52, 5.0, 0.4])
+        corr = np.array([0.9, np.nan, 0.1, np.nan, 0.8, 0.95, 0.7, 0.5, -0.3, 0.41])
+        dc_invalid = np.array([0, 1, 0, 1, 0, 0, 0, 0, 0, 0], dtype=bool)
+        n = len(ratio)
+        ones = np.ones(n)
+        return spo2.WindowStats(40 * np.arange(n) + 3960, np.arange(n), ones, ones, ones, ones, ratio, corr, dc_invalid)
+
+    C, D, R = GATE_CLAMPED, spo2.GATE_DC_INVALID, GATE_CORR_REJECTED
+
+    @pytest.mark.parametrize(
+        "algorithm, gates",
+        [
+            ("baseline", ["", D, "", D, C, C, "", "", C, ""]),
+            ("enhanced", ["", f"{R}|{D}", R, f"{R}|{D}", C, C, "", "", R, ""]),
+            ("pruned", ["", C, C, "", ""]),
+        ],
+    )
+    def test_bytes_match_per_window_rows(self, tmp_path, algorithm, gates):
+        stats = self.stats()
+        calib = CalibrationCurve()
+        cfg = EnhancedConfig()
+        every = np.ones(len(stats), dtype=bool)
+        reject = np.zeros(len(stats), dtype=bool)
+        if algorithm == "baseline":
+            emit = every
+            est = spo2.estimates_from_stats(stats, calib, algorithm)
+        elif algorithm == "enhanced":
+            reject, emit = ~spo2.corr_pass(stats, cfg), every
+            est = spo2.estimates_from_stats(stats, calib, algorithm, reject=reject)
+        else:
+            emit = spo2.gate_pass(stats, cfg) & (np.arange(len(stats)) != 7)  # a classifier veto on window 7
+            est = spo2.estimates_from_stats(stats, calib, algorithm, emit=emit)
+        rows = reference_rows(stats, calib, algorithm, reject, emit)
+        assert [r[4] for r in rows] == gates
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["t_ms", "algorithm", "ratio_r", "spo2_pct", "gates"])
+            w.writerows(rows)
+        out = tmp_path / "out.csv"
+        spo2.estimates_to_csv(out, est)
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestRecalibrate:
