@@ -8,7 +8,7 @@ screen to find which features actually separate the two classes.
 import numpy as np
 
 from pulseox import features, synth
-from pulseox.features import WindowConfig, build_catalog
+from pulseox.features import build_catalog
 from pulseox.synth import ArtifactSegment, SynthConfig
 
 catalog = build_catalog()
@@ -20,14 +20,14 @@ def windows_for(artifacts, seed):
     cfg = SynthConfig(duration_s=60.0, noise_sigma=0.0008, seed=seed,
                       artifacts=artifacts)
     frames, _ = synth.gen_ppg(cfg)
-    return features.window_stream(frames, WindowConfig(100, 100))
+    _, idx, _, has_gap = frames.windows(100, 100)
+    return features.extract_matrix(frames, idx[~has_gap], catalog)
 
 clean = windows_for((), seed=1)
 dirty = windows_for(tuple(ArtifactSegment(float(t), 4.0, "motion", 1.5)
                           for t in range(0, 56, 8)), seed=2)
 
-X = np.vstack([features.extract_matrix(clean, catalog),
-               features.extract_matrix(dirty, catalog)])
+X = np.vstack([clean, dirty])
 y = np.r_[np.ones(len(clean)), np.zeros(len(dirty))]
 print(f"matrix {X.shape}, {int(y.sum())} clean / {int((1 - y).sum())} corrupted")
 

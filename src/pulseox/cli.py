@@ -50,6 +50,11 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _require_complete_window(frames, window):
+    if len(frames) < window:
+        raise ConfigOutOfRange(f"window {window} is longer than the stream ({len(frames)} samples): no complete window")
+
+
 def cmd_simulate(args):
     cfg = _load_json(args.config)
     n = int(cfg.get("n_subjects", 10))
@@ -75,8 +80,7 @@ def cmd_spo2(args):
         raise ConfigOutOfRange(f"--step must be >= 1, got {args.step}")
     calib = spo2.CalibrationCurve(args.y0, args.m)
     frames, _ = signal_io.load_frames(args.stream, args.kind)
-    if len(frames) < args.window:
-        raise ConfigOutOfRange(f"--window {args.window} is longer than the stream ({len(frames)} samples): no complete window")
+    _require_complete_window(frames, args.window)
     if args.algo == "baseline":
         estimates = spo2.baseline_spo2(frames, calib, args.window, args.step)
     else:
@@ -136,6 +140,7 @@ def cmd_prune(args):
         decision_threshold=args.threshold,
     )
     frames, _ = signal_io.load_frames(args.stream, "wrist")
+    _require_complete_window(frames, settings.window.window_len)
     model = gbdt.load(args.model)
     readings = pipeline.prune(frames, model, settings)
     spo2.estimates_to_csv(args.out, readings)

@@ -83,26 +83,6 @@ class FeatureSpec:
         return cls(channel, name, tuple(params))
 
 
-@dataclass
-class WindowSet:
-    """Gap-free windows of a stream; one (n_windows, window_len) matrix per channel."""
-
-    t_ms: np.ndarray                 # window-end timestamps
-    start_idx: np.ndarray
-    channels: dict
-
-    def __len__(self):
-        return len(self.t_ms)
-
-
-def window_stream(series: FrameSeries, cfg: WindowConfig) -> WindowSet:
-    """Slice a regularized stream into windows, excluding any containing gaps."""
-    starts, idx, t_end, has_gap = series.windows(cfg.window_len, cfg.step)
-    ok = ~has_gap
-    idx = idx[ok]
-    return WindowSet(t_end[ok], starts[ok], {c: series.channel(c)[idx] for c in CHANNELS})
-
-
 # --- batched feature primitives; X has shape (n_windows, window_len) ---------
 
 
@@ -247,14 +227,10 @@ _FEATURE_FUNCS = {
 }
 
 
-def compute_feature(spec: FeatureSpec, window) -> float:
-    """Evaluate one catalog feature on a single window (dict channel -> array)."""
-    x = np.asarray(window[spec.channel], dtype=float)[None, :]
-    return float(_FEATURE_FUNCS[spec.name](x, spec.param_dict)[0])
-
-
-def compute_feature_batch(spec: FeatureSpec, windows: WindowSet) -> np.ndarray:
-    return _FEATURE_FUNCS[spec.name](windows.channels[spec.channel], spec.param_dict)
+def compute_feature_batch(spec: FeatureSpec, X) -> np.ndarray:
+    """``spec`` on every row of ``X``, the (n_windows, window_len) matrix of
+    ``spec.channel``."""
+    return _FEATURE_FUNCS[spec.name](X, spec.param_dict)
 
 
 def build_catalog(channels=CHANNELS) -> list:
@@ -279,34 +255,27 @@ def build_catalog(channels=CHANNELS) -> list:
     return catalog
 
 
-def extract_matrix(windows: WindowSet, catalog) -> np.ndarray:
-    """Feature matrix with one row per window, columns in catalog order."""
+def extract_matrix(series: FrameSeries, idx, catalog) -> np.ndarray:
+    """Feature matrix with one row per window, columns in catalog order.
+
+    ``idx`` holds one row of sample indices per window, as
+    :meth:`FrameSeries.windows` builds them. Only the channels the catalog
+    reads are gathered, one at a time.
+    """
     if not catalog:
         raise ValueError("catalog must be nonempty")
-    n = len(windows)
-    X = np.empty((n, len(catalog)))
-    for j, spec in enumerate(catalog):
-        X[:, j] = compute_feature_batch(spec, windows)
+    X = np.empty((len(idx), len(catalog)))
+    for channel in dict.fromkeys(spec.channel for spec in catalog):
+        W = series.channel(channel)[idx]
+        for j, spec in enumerate(catalog):
+            if spec.channel == channel:
+                X[:, j] = compute_feature_batch(spec, W)
     return X
 
 
 # --- significance testing and selection --------------------------------------
 
 EXACT_MW_MAX_N = 12
-
-
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(len(pooled))
-    sorted_vals = pooled[order]
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 def _u_statistic(ranks, mask0, n0):
@@ -331,7 +300,7 @@ def mann_whitney_p(values, labels) -> float:
     if n0 == 0 or n1 == 0:
         raise SingleClass("both classes must be nonempty")
     n = n0 + n1
-    ranks = _midranks(x)
+    ranks = _spstats.rankdata(x, method="average")
     u0 = _u_statistic(ranks, y == 0, n0)
     u1 = n0 * n1 - u0
     u_min = min(u0, u1)

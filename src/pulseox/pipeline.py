@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -108,9 +108,10 @@ class StreamAnalysis:
 
     Only gap-free windows appear. ``value`` is the ratio-of-ratios reading
     (NaN when DC is invalid), ``gate_pass`` the enhanced correlation gate,
-    ``reference`` the aligned fingertip reading (NaN when unmatched), and
+    ``reference`` the aligned fingertip reading (NaN when unmatched),
     ``label`` reliability where defined (entries without value or reference
-    have ``has_label`` False).
+    have ``has_label`` False), and ``idx`` the sample indices of each window
+    into the wrist stream, one row per window.
     """
 
     t_ms: np.ndarray
@@ -119,48 +120,44 @@ class StreamAnalysis:
     reference: np.ndarray
     label: np.ndarray
     has_label: np.ndarray
-    windows: feats.WindowSet
+    idx: np.ndarray
     span_ms: tuple
 
 
 def _gap_free_stats(series, window_len, step):
-    """Gap-free windows of a stream and their ratio-of-ratios statistics."""
-    ws = feats.window_stream(series, feats.WindowConfig(window_len, step))
-    return ws, spo2.matrix_stats(ws.channels["red"], ws.channels["ir"], ws.t_ms, ws.start_idx)
+    """``(idx, stats)``: the sample indices of the gap-free windows of a
+    stream, one row per window, and their ratio-of-ratios statistics."""
+    starts, idx, t_end, has_gap = series.windows(window_len, step)
+    ok = ~has_gap
+    idx = idx[ok]
+    return idx, spo2.matrix_stats(series.red[idx], series.ir[idx], t_end[ok], starts[ok])
 
 
 def analyze_stream(subject: SubjectData, settings: PipelineSettings, step: int) -> StreamAnalysis:
-    ws, stats = _gap_free_stats(subject.wrist, settings.window.window_len, step)
+    idx, stats = _gap_free_stats(subject.wrist, settings.window.window_len, step)
     value, _ = spo2.calibrate(stats.ratio, settings.calibration)
     ref_t, ref_v = reference_series(subject, settings)
-    reference = nearest_reference(ws.t_ms.astype(float), ref_t, ref_v, settings.label.alignment_tolerance_ms)
+    reference = nearest_reference(stats.t_ms.astype(float), ref_t, ref_v, settings.label.alignment_tolerance_ms)
     label, has_label = reliability_labels(value, reference, settings.label)
     span = (int(subject.wrist.t_ms[0]), int(subject.wrist.t_ms[-1]))
     gate_pass = spo2.gate_pass(stats, settings.enhanced)
-    return StreamAnalysis(ws.t_ms, value, gate_pass, reference, label, has_label, ws, span)
+    return StreamAnalysis(stats.t_ms, value, gate_pass, reference, label, has_label, idx, span)
 
 
 # --- training -----------------------------------------------------------------
 
 
-def subject_training_rows(subject: SubjectData, settings: PipelineSettings, catalog=None, max_ms=None):
+def subject_training_rows(subject: SubjectData, settings: PipelineSettings, max_ms=None):
     """Non-overlapping labeled feature rows for one subject.
 
     ``max_ms`` truncates to windows ending within the first ``max_ms`` of the
     stream (used for per-user calibration prefixes).
     """
-    catalog = settings.catalog if catalog is None else catalog
     analysis = analyze_stream(subject, settings, step=settings.window.window_len)
     keep = analysis.has_label
     if max_ms is not None:
         keep = keep & (analysis.t_ms <= analysis.span_ms[0] + max_ms)
-    ws = analysis.windows
-    sub = feats.WindowSet(
-        ws.t_ms[keep],
-        ws.start_idx[keep],
-        {c: m[keep] for c, m in ws.channels.items()},
-    )
-    X = feats.extract_matrix(sub, catalog)
+    X = feats.extract_matrix(subject.wrist, analysis.idx[keep], settings.catalog)
     y = analysis.label[keep].astype(int)
     return X, y
 
@@ -198,23 +195,27 @@ def train_model(X, y, settings: PipelineSettings, training_meta=None):
 # --- inference and evaluation -------------------------------------------------
 
 
-def _predict(windows: feats.WindowSet, model: gbdt.GbdtModel, settings: PipelineSettings):
-    X = feats.extract_matrix(windows, model.feature_catalog)
-    return model.predict_proba_batch(X) >= settings.decision_threshold
+def _emit(series, idx, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
+    """Windows that emit a reading: those that pass the correlation gate and
+    that the classifier trusts. A window that fails the gate never emits, so
+    only the gate-passing rows of ``idx`` get features and a prediction."""
+    emit = gate_pass.copy()
+    X = feats.extract_matrix(series, idx[gate_pass], model.feature_catalog)
+    emit[gate_pass] = model.predict_proba_batch(X) >= settings.decision_threshold
+    return emit
 
 
 def prune(series, model, settings: PipelineSettings):
     """Sliding-window pruned readings: emit the enhanced-algorithm value for
     windows that pass both the correlation gate and the classifier."""
-    ws, stats = _gap_free_stats(series, settings.window.window_len, 1)
-    emit = spo2.gate_pass(stats, settings.enhanced) & _predict(ws, model, settings)
+    idx, stats = _gap_free_stats(series, settings.window.window_len, 1)
+    emit = _emit(series, idx, spo2.gate_pass(stats, settings.enhanced), model, settings)
     return spo2.estimates_from_stats(stats, settings.calibration, "pruned", emit=emit)
 
 
 def evaluate_subject(subject: SubjectData, model, settings: PipelineSettings, group="") -> metrics.EvalReport:
     analysis = analyze_stream(subject, settings, step=1)
-    positive = _predict(analysis.windows, model, settings)
-    emit = positive & analysis.gate_pass
+    emit = _emit(subject.wrist, analysis.idx, analysis.gate_pass, model, settings)
 
     def pair_set(mask):
         mask = mask & ~np.isnan(analysis.value) & ~np.isnan(analysis.reference)
@@ -368,6 +369,9 @@ def load_experiment(config_path):
     params_d = cfg.get("gbdt_params", {})
     if "seed" in cfg and "seed" not in params_d:
         params_d["seed"] = cfg["seed"]
+    unknown = sorted(set(params_d) - {f.name for f in fields(gbdt.GbdtParams)})
+    if unknown:
+        raise ValueError(f"{config_path}: unknown gbdt_params key(s) {', '.join(unknown)}")
     settings = PipelineSettings(
         window=feats.WindowConfig(
             win_d.get("window_len", 100), win_d.get("step", 1)

@@ -26,6 +26,10 @@ SKIN_TONES = ("light", "medium", "dark", "unknown")
 #: Fraction of out-of-order rows above which a capture is considered corrupt.
 ORDER_TOLERANCE = 0.01
 
+#: Grid slots per non-gap row above which :func:`regularize` refuses a stream:
+#: a few stray timestamps must not size the grid of a whole run.
+MAX_SLOTS_PER_ROW = 10
+
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -245,7 +249,9 @@ def regularize(series: FrameSeries, meta: StreamMeta) -> FrameSeries:
 
     Grid slots with no source sample within half a sample period become gap
     markers (NaN values, ``gap=True``); values are never interpolated because
-    the downstream AC estimate assumes real samples.
+    the downstream AC estimate assumes real samples. A stream whose grid would
+    hold more than ``MAX_SLOTS_PER_ROW`` slots per frame raises
+    :class:`EmptyStream`.
     """
     if len(series) < 2:
         raise EmptyStream("need at least 2 frames to regularize")
@@ -255,6 +261,11 @@ def regularize(series: FrameSeries, meta: StreamMeta) -> FrameSeries:
         raise EmptyStream("need at least 2 non-gap frames to regularize")
     t0 = src_t[0]
     n_slots = int(round((src_t[-1] - t0) / period)) + 1
+    if n_slots > MAX_SLOTS_PER_ROW * len(src_t):
+        raise EmptyStream(
+            f"{len(src_t)} frames span {n_slots} grid slots at {meta.nominal_rate_hz:g} Hz, "
+            f"more than {MAX_SLOTS_PER_ROW} per frame"
+        )
     grid = t0 + period * np.arange(n_slots)
 
     pick, ok = nearest_within(src_t, grid, period / 2.0 + 1e-9)
@@ -276,9 +287,7 @@ def regularize(series: FrameSeries, meta: StreamMeta) -> FrameSeries:
     )
 
 
-def load_frames(path, kind: str, regular: bool = True):
-    """Convenience loader: parse, optionally regularize."""
+def load_frames(path, kind: str):
+    """Convenience loader: parse, then regularize."""
     frames, meta, _ = parse_stream(path, kind)
-    if regular:
-        frames = regularize(frames, meta)
-    return frames, meta
+    return regularize(frames, meta), meta

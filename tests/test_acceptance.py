@@ -79,11 +79,8 @@ def test_criterion_03_feature_oracle(announce):
         c: rng.uniform(-3, 3, (n, 100)) + rng.uniform(-5, 5, (n, 1))
         for c in feats.CHANNELS
     }
-    ws = feats.WindowSet(
-        t_ms=np.zeros(n, dtype=np.int64), start_idx=np.arange(n), channels=channels
-    )
     catalog = build_catalog()
-    fast = {s: feats.compute_feature_batch(s, ws) for s in catalog}
+    fast = {s: feats.compute_feature_batch(s, channels[s.channel]) for s in catalog}
     worst = 0.0
     for i in range(n):
         w = {c: channels[c][i] for c in feats.CHANNELS}
@@ -252,7 +249,7 @@ def test_criterion_08_calibration_mirroring(announce):
         user = _calibration_subject("u", 720.0, 100 * seed + 77, ("ambient_spike",))
         X, y = pipeline.build_training_set(base, settings)
         analysis = pipeline.analyze_stream(user, settings, step=1)
-        X_full = feats.extract_matrix(analysis.windows, settings.catalog)
+        X_full = feats.extract_matrix(user.wrist, analysis.idx, settings.catalog)
         tail = analysis.t_ms >= analysis.span_ms[0] + 600_000
 
         def pruned_rmse(model):

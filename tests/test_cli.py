@@ -120,6 +120,14 @@ class TestSpo2:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stray_timestamp_exits_io(self, tmp_path, capsys):
+        stream = tmp_path / "finger.csv"
+        stream.write_text("t_ms,red,ir\n0,1000,1200\n40,1001,1201\n80,1002,1202\n4000000,1003,1203\n")
+        out = tmp_path / "est.csv"
+        assert cli.main(["spo2", str(stream), str(out), "--kind", "fingertip", "--window", "8"]) == 1
+        assert capsys.readouterr().err.startswith("error: 4 frames span 100001 grid slots")
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,red\n0,1\n")
@@ -167,6 +175,28 @@ class TestTrainEvaluatePruneSweep:
         enhanced = [r for r in read_rows(enhanced_csv)[1:] if "corr_rejected" not in r[4] and "dc_invalid" not in r[4]]
         assert [r[0] for r in pruned] == [r[0] for r in enhanced]
         assert [r[3] for r in pruned] == [r[3] for r in enhanced]
+
+    def test_prune_stream_shorter_than_window_exits_config(self, tmp_path, capsys):
+        frames, _ = synth.gen_ppg(SynthConfig(duration_s=3.0, noise_sigma=0.0008, seed=1))
+        stream = tmp_path / "short.csv"
+        write_stream(stream, frames, "wrist", StreamMeta())
+        model_path = tmp_path / "stub.json"
+        gbdt.save(GbdtModel([], 20.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
+        out = tmp_path / "pruned.csv"
+        assert cli.main(["prune", str(stream), str(model_path), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "window 100" in err and "75 samples" in err
+        assert not out.exists()
+
+    def test_unknown_gbdt_params_key_exits_config(self, cohort_small_dir, tmp_path, capsys):
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        cfg["gbdt_params"] = {"n_trees": 5}
+        config = cohort_small_dir / "unknown_gbdt_param.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_trees" in err
+        assert not (tmp_path / "train").exists()
 
     @pytest.mark.parametrize(
         "field, value",

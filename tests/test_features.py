@@ -4,7 +4,7 @@ import pytest
 from naive_features import naive_feature
 from pulseox import features, synth
 from pulseox.errors import SingleClass
-from pulseox.features import CHANNELS, FeatureSpec, WindowConfig, build_catalog
+from pulseox.features import CHANNELS, FeatureSpec, build_catalog
 from pulseox.signal_io import FrameSeries
 from pulseox.synth import ArtifactSegment, SynthConfig
 
@@ -26,23 +26,32 @@ def random_window(rng, n=100):
     return {c: rng.uniform(-3, 3, n) + rng.uniform(-5, 5) for c in CHANNELS}
 
 
+def gap_free_windows(series, window_len, step):
+    """``(starts, idx)`` of the windows of ``series`` that hold no gap slot."""
+    starts, idx, _, has_gap = series.windows(window_len, step)
+    return starts[~has_gap], idx[~has_gap]
+
+
+def compute_feature(spec, window):
+    return float(features.compute_feature_batch(spec, np.asarray(window[spec.channel], dtype=float)[None, :])[0])
+
+
 class TestWindowStream:
     def test_nonoverlapping_count(self):
-        ws = features.window_stream(make_series(300), WindowConfig(100, 100))
-        assert len(ws) == 3
+        starts, _ = gap_free_windows(make_series(300), 100, 100)
+        assert len(starts) == 3
 
     def test_sliding_count(self):
-        ws = features.window_stream(make_series(300), WindowConfig(100, 1))
-        assert len(ws) == 201
+        starts, _ = gap_free_windows(make_series(300), 100, 1)
+        assert len(starts) == 201
 
     def test_gap_excludes_window(self):
-        ws = features.window_stream(make_series(300, gap_at=(150,)), WindowConfig(100, 100))
-        assert list(ws.start_idx) == [0, 200]
+        starts, _ = gap_free_windows(make_series(300, gap_at=(150,)), 100, 100)
+        assert list(starts) == [0, 200]
 
     def test_nonoverlapping_partitions_indices(self):
-        ws = features.window_stream(make_series(300), WindowConfig(100, 100))
-        covered = sorted(i for s in ws.start_idx for i in range(s, s + 100))
-        assert covered == list(range(300))
+        _, idx = gap_free_windows(make_series(300), 100, 100)
+        assert sorted(idx.ravel().tolist()) == list(range(300))
 
 
 class TestComputeFeature:
@@ -51,20 +60,20 @@ class TestComputeFeature:
 
     def test_fft_bin0_is_sum(self):
         spec = FeatureSpec("red", "fft_coefficient", (("attr", "real"), ("coeff", 0)))
-        assert features.compute_feature(spec, self.window_of([1, 2, 3, 4])) == pytest.approx(10.0)
+        assert compute_feature(spec, self.window_of([1, 2, 3, 4])) == pytest.approx(10.0)
 
     def test_autocorr_alternating(self):
         spec = FeatureSpec("red", "autocorrelation", (("lag", 1),))
         x = [1.0, -1.0] * 8
-        assert features.compute_feature(spec, self.window_of(x)) == pytest.approx(-1.0)
+        assert compute_feature(spec, self.window_of(x)) == pytest.approx(-1.0)
 
     def test_longest_strike(self):
         spec = FeatureSpec("ir", "longest_strike_below_mean")
-        assert features.compute_feature(spec, self.window_of([0, 0, 0, 10])) == 3.0
+        assert compute_feature(spec, self.window_of([0, 0, 0, 10])) == 3.0
 
     def test_cid_ce_constant(self):
         spec = FeatureSpec("ir", "cid_ce")
-        assert features.compute_feature(spec, self.window_of([4.0] * 10)) == 0.0
+        assert compute_feature(spec, self.window_of([4.0] * 10)) == 0.0
 
     def test_catalog_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
@@ -72,7 +81,7 @@ class TestComputeFeature:
         for _ in range(20):
             w = random_window(rng)
             for spec in catalog:
-                got = features.compute_feature(spec, w)
+                got = compute_feature(spec, w)
                 want = naive_feature(spec, w)
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), spec.spec_id
 
@@ -81,7 +90,7 @@ class TestComputeFeature:
         spec = FeatureSpec("red", "autocorrelation", (("lag", 0),))
         for _ in range(5):
             w = random_window(rng)
-            assert features.compute_feature(spec, w) == pytest.approx(1.0, abs=1e-12)
+            assert compute_feature(spec, w) == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(7)
@@ -91,12 +100,12 @@ class TestComputeFeature:
             FeatureSpec("red", "autocorrelation", (("lag", 5),)),
             FeatureSpec("red", "cid_ce"),
         ):
-            a = features.compute_feature(spec, w)
-            b = features.compute_feature(spec, w2)
+            a = compute_feature(spec, w)
+            b = compute_feature(spec, w2)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
         mean = FeatureSpec("red", "mean")
-        assert features.compute_feature(mean, {"red": w["red"] + 11.0}) == pytest.approx(
-            features.compute_feature(mean, w) + 11.0
+        assert compute_feature(mean, {"red": w["red"] + 11.0}) == pytest.approx(
+            compute_feature(mean, w) + 11.0
         )
 
 
@@ -126,12 +135,12 @@ class TestArCoefficient:
             ArtifactSegment(24.0, 3.0, "ambient_spike"),
         )
         frames, _ = synth.gen_ppg(SynthConfig(duration_s=32.0, noise_sigma=0.001, seed=4, artifacts=arts))
-        ws = features.window_stream(frames, WindowConfig(100, 2))
+        _, idx = gap_free_windows(frames, 100, 2)
         k = 10
-        flat = (ws.channels["red"] == 0).all(axis=1)
-        assert 0 < flat.sum() < len(ws)
+        flat = (frames.red[idx] == 0).all(axis=1)
+        assert 0 < flat.sum() < len(idx)
         for ch in CHANNELS:
-            X = ws.channels[ch]
+            X = frames.channel(ch)[idx]
             want = full_pinv_ar(X, k)
             for j in range(k + 1):
                 got = features._ar_coefficient(X, {"coeff": j, "k": k})
@@ -151,21 +160,24 @@ class TestCatalogAndMatrix:
             assert FeatureSpec.from_id(spec.spec_id) == spec
 
     def test_empty_matrix(self):
-        ws = features.window_stream(make_series(50), WindowConfig(100, 1))
-        X = features.extract_matrix(ws, build_catalog())
+        series = make_series(50)
+        _, idx = gap_free_windows(series, 100, 1)
+        X = features.extract_matrix(series, idx, build_catalog())
         assert X.shape == (0, 72)
 
     def test_single_window_small_catalog(self):
         catalog = build_catalog(channels=("ir",))[:15]
-        ws = features.window_stream(make_series(100), WindowConfig(100, 100))
-        X = features.extract_matrix(ws, catalog)
+        series = make_series(100)
+        _, idx = gap_free_windows(series, 100, 100)
+        X = features.extract_matrix(series, idx, catalog)
         assert X.shape == (1, 15)
 
     def test_deterministic(self):
-        ws = features.window_stream(make_series(400), WindowConfig(100, 50))
+        series = make_series(400)
+        _, idx = gap_free_windows(series, 100, 50)
         catalog = build_catalog()
-        X1 = features.extract_matrix(ws, catalog)
-        X2 = features.extract_matrix(ws, catalog)
+        X1 = features.extract_matrix(series, idx, catalog)
+        X2 = features.extract_matrix(series, idx, catalog)
         np.testing.assert_array_equal(X1, X2)
 
 

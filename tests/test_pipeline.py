@@ -1,14 +1,15 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from pulseox import gbdt, metrics, pipeline, spo2, synth
+from pulseox import features, gbdt, metrics, pipeline, signal_io, spo2, synth
 from pulseox.errors import EmptyGroup, InsufficientUserData
 from pulseox.features import FeatureSpec, WindowConfig
 from pulseox.gbdt import GbdtModel, GbdtParams
 from pulseox.pipeline import CohortSplit, LabelConfig, PipelineSettings
-from pulseox.signal_io import StreamMeta
+from pulseox.signal_io import FrameSeries, StreamMeta
 from pulseox.spo2 import CalibrationCurve
 from pulseox.synth import ArtifactSegment, SynthConfig
 
@@ -215,6 +216,68 @@ class TestPrune:
         assert len(enh_t) < len(base_t)
 
 
+def full_path_emit(series, idx, gate_pass, model, settings):
+    """Features and a prediction for every gap-free window, the gate applied
+    after: the reference for the gate-first ``pipeline._emit``."""
+    X = np.column_stack([features.compute_feature_batch(s, series.channel(s.channel)[idx]) for s in model.feature_catalog])
+    return (model.predict_proba_batch(X) >= settings.decision_threshold) & gate_pass
+
+
+class TestGateFirstEmit:
+    @pytest.fixture(scope="class")
+    def case(self):
+        base = [make_subject(f"b{i}", seed=10 + i, artifacts=SOME_ARTIFACTS) for i in range(2)]
+        model, _ = pipeline.train_model(*pipeline.build_training_set(base, FAST), FAST)
+        arts = (
+            ArtifactSegment(20.0, 6.0, "contact_loss"),
+            ArtifactSegment(50.0, 8.0, "motion", 1.5),
+            ArtifactSegment(80.0, 6.0, "ambient_spike", 1.5),
+            ArtifactSegment(110.0, 5.0, "motion", 1.0),
+        )
+        user = make_subject("u", duration_s=150.0, seed=31, artifacts=arts)
+        # dropped samples become gap slots, whose windows are left out
+        w = user.wrist
+        keep = np.ones(len(w), dtype=bool)
+        keep[[900, 1901, 1902, 3000]] = False
+        cols = (w.t_ms, w.red, w.ir, w.accel_mag, w.gyro_mag)
+        wrist = signal_io.regularize(FrameSeries(*(c[keep] for c in cols)), user.meta)
+        return pipeline.SubjectData("u", wrist, user.finger, user.meta), model
+
+    def outputs(self, emit_fn, subject, model, out):
+        """Emit masks, pruned estimate CSV and ``reports.csv`` of ``prune`` and
+        ``evaluate_subject`` with ``emit_fn`` in place of ``pipeline._emit``."""
+        masks = []
+
+        def recording(*args):
+            masks.append(emit_fn(*args))
+            return masks[-1]
+
+        out.mkdir()
+        with mock.patch.object(pipeline, "_emit", recording):
+            spo2.estimates_to_csv(out / "pruned.csv", pipeline.prune(subject.wrist, model, FAST))
+            metrics.reports_to_csv(out / "reports.csv", [pipeline.evaluate_subject(subject, model, FAST)])
+        return masks, (out / "pruned.csv").read_bytes(), (out / "reports.csv").read_bytes()
+
+    def test_matches_full_path(self, case, tmp_path):
+        subject, model = case
+        analysis = pipeline.analyze_stream(subject, FAST, step=1)
+        gate = analysis.gate_pass
+        positive = full_path_emit(subject.wrist, analysis.idx, np.ones_like(gate), model, FAST)
+        # the gate rejects windows the classifier trusts, and the classifier
+        # rejects some gate-passing windows and keeps others
+        assert subject.wrist.gap.sum() == 4 and (~gate & positive).any()
+        assert (gate & positive).sum() > 100 and (gate & ~positive).sum() > 100
+
+        lazy_masks, lazy_csv, lazy_reports = self.outputs(pipeline._emit, subject, model, tmp_path / "lazy")
+        full_masks, full_csv, full_reports = self.outputs(full_path_emit, subject, model, tmp_path / "full")
+        assert len(lazy_masks) == len(full_masks) == 2  # prune, then evaluate_subject
+        for got, want in zip(lazy_masks, full_masks):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(lazy_masks[1], gate & positive)
+        assert lazy_csv == full_csv
+        assert lazy_reports == full_reports
+
+
 class TestSweep:
     def test_single_value_matches_loocv(self, cohort_small):
         subjects, settings = cohort_small
@@ -233,14 +296,9 @@ class TestSweep:
         assert all(r["rmse_pruned"] is not None for r in rows)
 
     def test_training_row_count_nonincreasing_in_window(self, cohort_small):
-        from pulseox import features
-
         subjects, _ = cohort_small
         counts = [
-            sum(
-                len(features.window_stream(s.wrist, WindowConfig(w, w)))
-                for s in subjects
-            )
+            sum(len(pipeline._gap_free_stats(s.wrist, w, w)[0]) for s in subjects)
             for w in (25, 50, 100)
         ]
         assert counts[0] >= counts[1] >= counts[2]

@@ -1,16 +1,17 @@
 """Property tests of the stream parser, the windowing core, the clamped
-calibration and the presorted split search."""
+calibration, the Mann-Whitney midranks and the presorted split search."""
 
 import csv
 import math
 import pathlib
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulseox import features, gbdt, signal_io, spo2
+from pulseox import features, gbdt, pipeline, signal_io, spo2
 from pulseox.errors import MalformedHeader, NonMonotonicBeyondTolerance
 from pulseox.signal_io import FrameSeries
 
@@ -160,10 +161,10 @@ def gapped_streams(draw):
 
 @settings(deadline=None)
 @given(gapped_streams())
-def test_window_stream_is_the_gap_free_part_of_window_stats(case):
+def test_gap_free_stats_are_the_gap_free_part_of_window_stats(case):
     series, window_len, step = case
     stats = spo2.window_stats(series, window_len, step)
-    ws = features.window_stream(series, features.WindowConfig(window_len, step))
+    idx, gap_free = pipeline._gap_free_stats(series, window_len, step)
 
     starts = np.arange(0, max(len(series) - window_len + 1, 0), step)
     np.testing.assert_array_equal(stats.start_idx, starts)
@@ -171,10 +172,9 @@ def test_window_stream_is_the_gap_free_part_of_window_stats(case):
     gapped = np.array([series.gap[s : s + window_len].any() for s in starts], dtype=bool)
     np.testing.assert_array_equal(stats.dc_invalid, gapped)
 
-    np.testing.assert_array_equal(ws.start_idx, stats.start_idx[~gapped])
-    np.testing.assert_array_equal(ws.t_ms, stats.t_ms[~gapped])
-    for c in features.CHANNELS:
-        assert ws.channels[c].shape == (len(ws), window_len)
+    np.testing.assert_array_equal(gap_free.start_idx, stats.start_idx[~gapped])
+    np.testing.assert_array_equal(gap_free.t_ms, stats.t_ms[~gapped])
+    np.testing.assert_array_equal(idx, gap_free.start_idx[:, None] + np.arange(window_len))
 
 
 @settings(deadline=None)
@@ -190,6 +190,44 @@ def test_calibrate_is_the_scalar_clamp(ratios, y0, m):
         expected = min(100.0, max(0.0, raw))
         assert p == expected
         assert c == (expected != raw)
+
+
+def loop_midranks(pooled):
+    """Midranks by a Python walk over the runs of equal sorted values: the
+    reference for the ``scipy.stats.rankdata`` ranks of the Mann-Whitney test."""
+    order = np.argsort(pooled, kind="mergesort")
+    ranks = np.empty(len(pooled))
+    sorted_vals = pooled[order]
+    i = 0
+    while i < len(pooled):
+        j = i
+        while j + 1 < len(pooled) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@st.composite
+def tied_samples(draw):
+    """A feature column drawn from at most four values, so most entries tie,
+    with binary labels of both classes; sizes span the exact test (n <= 12)
+    and the normal approximation."""
+    n = draw(st.integers(2, 40))
+    levels = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+    x = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda v: 0 < sum(v) < len(v)))
+    return np.array(x), np.array(y)
+
+
+@settings(deadline=None, max_examples=300)
+@given(tied_samples())
+def test_mann_whitney_midranks_match_the_loop(case):
+    x, y = case
+    np.testing.assert_array_equal(features._spstats.rankdata(x, method="average"), loop_midranks(x))
+    with mock.patch.object(features._spstats, "rankdata", lambda v, method: loop_midranks(v)):
+        want = features.mann_whitney_p(x, y)
+    assert features.mann_whitney_p(x, y) == want
 
 
 def per_node_sort_split(X, g, h, params, row_idx):

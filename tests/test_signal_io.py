@@ -152,3 +152,17 @@ class TestRegularize:
     def test_too_short(self):
         with pytest.raises(EmptyStream):
             signal_io.regularize(self.make([0]), self.meta)
+
+    def test_stray_timestamp_refused(self, tmp_path):
+        # one stray row would make a grid of 100,001 slots for 4 frames
+        p = tmp_path / "finger.csv"
+        write_csv(p, ["t_ms,red,ir", "0,1000,1200", "40,1001,1201", "80,1002,1202", "4000000,1003,1203"])
+        frames, _, _ = signal_io.parse_stream(p, "fingertip")
+        with pytest.raises(EmptyStream, match="4 frames span 100001 grid slots"):
+            signal_io.regularize(frames, self.meta)
+
+    def test_slots_per_row_bound(self):
+        limit = signal_io.MAX_SLOTS_PER_ROW
+        assert len(signal_io.regularize(self.make([0, 40 * (2 * limit - 1)]), self.meta)) == 2 * limit
+        with pytest.raises(EmptyStream):
+            signal_io.regularize(self.make([0, 40 * 2 * limit]), self.meta)
