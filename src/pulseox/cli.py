@@ -45,18 +45,13 @@ def _write_manifest(out_dir, command, config, seed):
     signal_io.write_json(out_dir / "manifest.json", doc)
 
 
-def _load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _require_complete_window(frames, window):
     if len(frames) < window:
         raise ConfigOutOfRange(f"window {window} is longer than the stream ({len(frames)} samples): no complete window")
 
 
 def cmd_simulate(args):
-    cfg = _load_json(args.config)
+    cfg = pipeline.load_config(args.config)
     n = int(cfg.get("n_subjects", 10))
     base = synth.SynthConfig(
         duration_s=float(cfg.get("duration_s", 720.0)),
@@ -102,7 +97,7 @@ def cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     gbdt.save(model, out / "model.json")
     signal_io.write_json(out / "selection.json", selection.to_json_dict())
-    _write_manifest(out, "train", _load_json(args.config), settings.gbdt_params.seed)
+    _write_manifest(out, "train", pipeline.load_config(args.config), settings.gbdt_params.seed)
     print(f"trained on {len(X)} rows; kept {len(model.feature_catalog)}/{len(settings.catalog)} features")
     return EXIT_OK
 
@@ -123,7 +118,7 @@ def cmd_evaluate(args):
     metrics.reports_to_csv(out / "reports.csv", reports)
     for r in reports:
         signal_io.write_json(out / f"report_{r.subject_id}.json", r.to_json_dict())
-    _write_manifest(out, "evaluate", _load_json(args.config), settings.gbdt_params.seed)
+    _write_manifest(out, "evaluate", pipeline.load_config(args.config), settings.gbdt_params.seed)
     prec, skipped = metrics.aggregate([r.precision for r in ok])
     rmse_p, _ = metrics.aggregate([r.rmse_pruned for r in ok])
     rmse_e, _ = metrics.aggregate([r.rmse_enhanced for r in ok])
@@ -140,7 +135,7 @@ def cmd_prune(args):
         decision_threshold=args.threshold,
     )
     frames, _ = signal_io.load_frames(args.stream, "wrist")
-    _require_complete_window(frames, settings.window.window_len)
+    _require_complete_window(frames, settings.window_len)
     model = gbdt.load(args.model)
     readings = pipeline.prune(frames, model, settings)
     spo2.estimates_to_csv(args.out, readings)
@@ -155,7 +150,7 @@ def cmd_sweep(args):
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.sweep_to_csv(out / "sweep.csv", rows)
-    _write_manifest(out, "sweep", {"axis": args.axis, "values": values, "config": _load_json(args.config)}, settings.gbdt_params.seed)
+    _write_manifest(out, "sweep", {"axis": args.axis, "values": values, "config": pipeline.load_config(args.config)}, settings.gbdt_params.seed)
     for r in rows:
         print(r)
     return EXIT_OK
@@ -217,7 +212,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError, ConfigOutOfRange) as e:
+    except (json.JSONDecodeError, KeyError, ValueError, ConfigOutOfRange) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, PulseoxError) as e:

@@ -23,14 +23,6 @@ class WindowTooShort(PulseoxError):
     pass
 
 
-class DcNonPositive(PulseoxError):
-    pass
-
-
-class DegenerateIr(PulseoxError):
-    pass
-
-
 class TooFewPairs(PulseoxError):
     pass
 

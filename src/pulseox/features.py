@@ -1,4 +1,4 @@
-"""Windowing, the time-series feature catalog, and feature selection.
+"""The time-series feature catalog and feature selection.
 
 Features are computed per fixed-length window over the four channels (red,
 ir, accel_mag, gyro_mag). Each feature is a total function: degenerate inputs
@@ -20,22 +20,10 @@ import numpy as np
 from scipy import signal as _sps
 from scipy import stats as _spstats
 
-from .errors import SingleClass
+from .errors import CatalogMismatch, SingleClass
 from .signal_io import FrameSeries
 
 CHANNELS = ("red", "ir", "accel_mag", "gyro_mag")
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    window_len: int = 100
-    step: int = 1
-
-    def __post_init__(self):
-        if self.window_len < 8:
-            raise ValueError("window_len must be >= 8")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,6 +109,8 @@ def _longest_strike_below_mean(X, p):
 def _autocorrelation(X, p):
     lag = int(p["lag"])
     n = X.shape[1]
+    if lag >= n:  # no pair of samples lag apart
+        return np.zeros(len(X))
     mu = X.mean(axis=1, keepdims=True)
     x0 = X - mu
     var = np.mean(x0 * x0, axis=1)
@@ -263,7 +253,7 @@ def extract_matrix(series: FrameSeries, idx, catalog) -> np.ndarray:
     reads are gathered, one at a time.
     """
     if not catalog:
-        raise ValueError("catalog must be nonempty")
+        raise CatalogMismatch("catalog must be nonempty")
     X = np.empty((len(idx), len(catalog)))
     for channel in dict.fromkeys(spec.channel for spec in catalog):
         W = series.channel(channel)[idx]

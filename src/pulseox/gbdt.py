@@ -79,9 +79,9 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
-def logistic_grad_hess(logit: float, label: int):
-    """Gradient and hessian of the log-loss at one logit: g = p - y, h = p(1-p)."""
-    p = 1.0 / (1.0 + math.exp(-logit))
+def logistic_grad_hess(logit, label):
+    """Gradient and hessian of the log-loss at each logit: g = p - y, h = p(1-p)."""
+    p = sigmoid(logit)
     return p - label, p * (1.0 - p)
 
 
@@ -222,13 +222,8 @@ class GbdtModel:
     def predict_proba_batch(self, X) -> np.ndarray:
         return sigmoid(self.predict_logit_batch(X))
 
-    def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(np.asarray(x, dtype=float)[None, :])[0])
 
-
-def train(
-    X, y, params: GbdtParams, feature_catalog=None, training_meta=None, record_loss=False
-) -> GbdtModel:
+def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) -> GbdtModel:
     """Fit the boosted ensemble.
 
     The base score is the log-odds of the training prior. Each round draws a
@@ -256,33 +251,18 @@ def train(
     order = _presort(X)
 
     trees = []
-    loss_history = [log_loss(logits, y)] if record_loss else None
     for _ in range(params.n_estimators):
         rows = np.sort(rng.permutation(n)[:m])
-        p = sigmoid(logits[rows])
         g = np.zeros(n)
         h = np.zeros(n)
-        g[rows] = p - y[rows]
-        h[rows] = p * (1.0 - p)
+        g[rows], h[rows] = logistic_grad_hess(logits[rows], y[rows])
         tree = _build_tree(X, g, h, rows, _restrict(order, rows, n), 0, params)
         trees.append(tree)
         logits += _predict_tree_batch(tree, X)
-        if record_loss:
-            loss_history.append(log_loss(logits, y))
 
     meta = dict(training_meta or {})
     meta.setdefault("n_rows", n)
-    if record_loss:
-        meta["loss_history"] = loss_history
     return GbdtModel(trees, base_logit, params, list(feature_catalog), meta)
-
-
-def log_loss(model_logits, y) -> float:
-    p = sigmoid(model_logits)
-    eps = 1e-15
-    p = np.clip(p, eps, 1 - eps)
-    y = np.asarray(y, dtype=float)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
 # --- serialization ------------------------------------------------------------

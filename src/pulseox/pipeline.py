@@ -19,7 +19,7 @@ import numpy as np
 
 from . import features as feats
 from . import gbdt, metrics, signal_io, spo2
-from .errors import EmptyGroup, InsufficientUserData, SingleClass
+from .errors import ConfigOutOfRange, EmptyGroup, InsufficientUserData, SingleClass
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class SubjectData:
 
 @dataclass
 class PipelineSettings:
-    window: feats.WindowConfig = feats.WindowConfig(window_len=100, step=1)
+    window_len: int = 100
     label: LabelConfig = LabelConfig()
     gbdt_params: gbdt.GbdtParams = gbdt.GbdtParams()
     calibration: spo2.CalibrationCurve = spo2.CalibrationCurve()
@@ -67,6 +67,10 @@ class PipelineSettings:
     fdr_q: float = 0.05
     decision_threshold: float = 0.5
     catalog: list = field(default_factory=feats.build_catalog)
+
+    def __post_init__(self):
+        if self.window_len < spo2.MIN_WINDOW:
+            raise ValueError(f"window_len must be >= {spo2.MIN_WINDOW}, got {self.window_len}")
 
 
 # --- alignment and labeling ---------------------------------------------------
@@ -96,10 +100,8 @@ def reference_series(subject: SubjectData, settings: PipelineSettings):
     that every wrist window finds a reference within the alignment tolerance."""
     period_ms = 1000.0 / subject.meta.nominal_rate_hz
     step = max(1, int(settings.label.alignment_tolerance_ms / period_ms))
-    stats = spo2.window_stats(subject.finger, settings.window.window_len, step)
-    keep = spo2.gate_pass(stats, settings.enhanced)
-    pct, _ = spo2.calibrate(stats.ratio, settings.calibration)
-    return stats.t_ms[keep].astype(float), pct[keep]
+    est = spo2.enhanced_spo2(subject.finger, settings.calibration, settings.enhanced, settings.window_len, step)
+    return est.t_ms[est.valid].astype(float), est.spo2_pct[est.valid]
 
 
 @dataclass
@@ -134,7 +136,7 @@ def _gap_free_stats(series, window_len, step):
 
 
 def analyze_stream(subject: SubjectData, settings: PipelineSettings, step: int) -> StreamAnalysis:
-    idx, stats = _gap_free_stats(subject.wrist, settings.window.window_len, step)
+    idx, stats = _gap_free_stats(subject.wrist, settings.window_len, step)
     value, _ = spo2.calibrate(stats.ratio, settings.calibration)
     ref_t, ref_v = reference_series(subject, settings)
     reference = nearest_reference(stats.t_ms.astype(float), ref_t, ref_v, settings.label.alignment_tolerance_ms)
@@ -153,7 +155,7 @@ def subject_training_rows(subject: SubjectData, settings: PipelineSettings, max_
     ``max_ms`` truncates to windows ending within the first ``max_ms`` of the
     stream (used for per-user calibration prefixes).
     """
-    analysis = analyze_stream(subject, settings, step=settings.window.window_len)
+    analysis = analyze_stream(subject, settings, step=settings.window_len)
     keep = analysis.has_label
     if max_ms is not None:
         keep = keep & (analysis.t_ms <= analysis.span_ms[0] + max_ms)
@@ -208,7 +210,7 @@ def _emit(series, idx, gate_pass, model: gbdt.GbdtModel, settings: PipelineSetti
 def prune(series, model, settings: PipelineSettings):
     """Sliding-window pruned readings: emit the enhanced-algorithm value for
     windows that pass both the correlation gate and the classifier."""
-    idx, stats = _gap_free_stats(series, settings.window.window_len, 1)
+    idx, stats = _gap_free_stats(series, settings.window_len, 1)
     emit = _emit(series, idx, spo2.gate_pass(stats, settings.enhanced), model, settings)
     return spo2.estimates_from_stats(stats, settings.calibration, "pruned", emit=emit)
 
@@ -321,7 +323,7 @@ def sweep(axis: str, values, subjects, settings: PipelineSettings):
     rows = []
     for v in values:
         if axis == "window_len":
-            s = replace(settings, window=replace(settings.window, window_len=int(v)))
+            s = replace(settings, window_len=int(v))
         else:
             s = replace(settings, label=replace(settings.label, reliability_threshold_pct=float(v)))
         reports = run_loocv(subjects, s)
@@ -352,6 +354,32 @@ def sweep_to_csv(path, rows):
 # --- experiment config --------------------------------------------------------
 
 
+def load_config(path):
+    """The JSON document of a config file; a missing or malformed file is a
+    config error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, json.JSONDecodeError) as e:
+        raise ConfigOutOfRange(f"{path}: {e}") from e
+
+
+def _config_object(cfg, name, allowed, config_path):
+    """The ``name`` object of an experiment config, or ``{}`` when absent; a
+    key outside ``allowed`` is a config error."""
+    d = cfg.get(name, {})
+    if not isinstance(d, dict):
+        raise ConfigOutOfRange(f"{config_path}: {name} must be a JSON object")
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigOutOfRange(f"{config_path}: unknown {name} key(s) {', '.join(unknown)}")
+    return dict(d)
+
+
+def _field_names(cls):
+    return {f.name for f in fields(cls)}
+
+
 def load_experiment(config_path):
     """Load an experiment config JSON plus its cohort streams.
 
@@ -359,33 +387,22 @@ def load_experiment(config_path):
     the config file's directory; stream metadata comes from the sidecars.
     """
     config_path = pathlib.Path(config_path)
-    with open(config_path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = load_config(config_path)
     base = config_path.parent
 
-    calib_d = cfg.get("calibration", {})
-    win_d = cfg.get("window", {})
-    lab_d = cfg.get("label", {})
-    params_d = cfg.get("gbdt_params", {})
-    if "seed" in cfg and "seed" not in params_d:
-        params_d["seed"] = cfg["seed"]
-    unknown = sorted(set(params_d) - {f.name for f in fields(gbdt.GbdtParams)})
-    if unknown:
-        raise ValueError(f"{config_path}: unknown gbdt_params key(s) {', '.join(unknown)}")
+    calib_d = _config_object(cfg, "calibration", _field_names(spo2.CalibrationCurve), config_path)
+    win_d = _config_object(cfg, "window", {"window_len"}, config_path)
+    lab_d = _config_object(cfg, "label", _field_names(LabelConfig), config_path)
+    params_d = _config_object(cfg, "gbdt_params", _field_names(gbdt.GbdtParams), config_path)
+    if "seed" in cfg:
+        params_d.setdefault("seed", cfg["seed"])
     settings = PipelineSettings(
-        window=feats.WindowConfig(
-            win_d.get("window_len", 100), win_d.get("step", 1)
-        ),
-        label=LabelConfig(
-            lab_d.get("reliability_threshold_pct", 2.0),
-            lab_d.get("alignment_tolerance_ms", 500),
-        ),
+        label=LabelConfig(**lab_d),
         gbdt_params=gbdt.GbdtParams(**params_d),
-        calibration=spo2.CalibrationCurve(
-            calib_d.get("y0", 110.0), calib_d.get("m", 25.0)
-        ),
+        calibration=spo2.CalibrationCurve(**calib_d),
         fdr_q=cfg.get("fdr_q", 0.05),
         decision_threshold=cfg.get("decision_threshold", 0.5),
+        **win_d,
     )
 
     subjects = []

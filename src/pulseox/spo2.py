@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DcNonPositive, DegenerateIr, TooFewPairs, WindowTooShort
+from .errors import TooFewPairs, WindowTooShort
 from .signal_io import FrameSeries, write_csv
 
 MIN_WINDOW = 8
@@ -35,12 +35,6 @@ GATE_DC_INVALID = "dc_invalid"
 _GATES = (GATE_DC_INVALID, GATE_CORR_REJECTED, GATE_CLAMPED)
 #: The ``gates`` CSV cell of each gate code: its flag names, sorted, ``|``-joined.
 _GATE_TEXT = ["|".join(sorted(g for bit, g in enumerate(_GATES) if code >> bit & 1)) for code in range(8)]
-
-
-@dataclass(frozen=True)
-class AcDc:
-    ac: float
-    dc: float
 
 
 @dataclass(frozen=True)
@@ -108,40 +102,6 @@ def _detrend(x: np.ndarray) -> np.ndarray:
     return x - mean[:, None] - slope[:, None] * k0[None, :]
 
 
-def extract_ac_dc(channel_window) -> AcDc:
-    """AC (RMS of detrended window) and DC (mean) of one channel window."""
-    x = np.asarray(channel_window, dtype=float)
-    if x.ndim != 1 or len(x) < MIN_WINDOW:
-        raise WindowTooShort(f"need at least {MIN_WINDOW} samples, got {x.shape}")
-    if np.isnan(x).any():
-        raise DcNonPositive("window contains gap samples")
-    dc = float(x.mean())
-    if dc <= 0:
-        raise DcNonPositive(f"dc={dc}")
-    ac = float(np.sqrt(np.mean(_detrend(x)[0] ** 2)))
-    return AcDc(ac=ac, dc=dc)
-
-
-def compute_r(red: AcDc, ir: AcDc) -> float:
-    """Ratio of ratios: (red.ac/red.dc) / (ir.ac/ir.dc)."""
-    if red.dc <= 0 or ir.dc <= 0:
-        raise DcNonPositive("dc must be positive for both channels")
-    if ir.ac == 0:
-        raise DegenerateIr("infrared channel has no pulsatile component")
-    return (red.ac / red.dc) / (ir.ac / ir.dc)
-
-
-def spo2_from_r(r: float, calib: CalibrationCurve):
-    """Calibrated percentage, clamped to [0, 100].
-
-    Returns ``(spo2_pct, gates)``; ``out_of_range_clamped`` is flagged instead
-    of rejecting so the reading cadence is preserved while physical
-    impossibility stays visible.
-    """
-    pct, clamped = calibrate(r, calib)
-    return float(pct), frozenset({GATE_CLAMPED}) if clamped else frozenset()
-
-
 def calibrate(ratio, calib: CalibrationCurve):
     """Vectorized clamped calibration of ratios.
 
@@ -172,10 +132,11 @@ class WindowStats:
 
 
 def matrix_stats(red, ir, t_ms, start_idx=None, has_gap=None) -> WindowStats:
-    """Per-window AC/DC, ratio, and correlation from (n, w) channel matrices.
+    """Per-window AC/DC, ratio, and correlation from (n, w) channel matrices,
+    one window per row.
 
-    Matches the scalar operations exactly; exists so that full-trace
-    processing over step-1 sliding windows stays fast.
+    A window is ``dc_invalid``, with a NaN ratio, when it holds a gap, when a
+    channel's DC is not positive, or when the infrared AC is zero.
     """
     red = np.atleast_2d(np.asarray(red, dtype=float))
     ir = np.atleast_2d(np.asarray(ir, dtype=float))

@@ -121,10 +121,12 @@ def test_criterion_04_gbdt_correctness(announce):
     # (c) training log-loss nonincreasing at subsample=1 over all 100 rounds
     Xc = np.vstack([rng.normal(0, 1, (200, 3)), rng.normal(1, 1, (200, 3))])
     yc = np.repeat([0, 1], 200)
-    model = gbdt.train(
-        Xc, yc, GbdtParams(n_estimators=100, subsample=1.0, seed=1), record_loss=True
-    )
-    hist = model.training_meta["loss_history"]
+    model = gbdt.train(Xc, yc, GbdtParams(n_estimators=100, subsample=1.0, seed=1))
+    hist = []
+    for k in range(len(model.trees) + 1):  # the base score, then each tree in training order
+        prefix = GbdtModel(model.trees[:k], model.base_logit, model.params, [])
+        p = np.clip(gbdt.sigmoid(prefix.predict_logit_batch(Xc)), 1e-15, 1 - 1e-15)
+        hist.append(float(-np.mean(yc * np.log(p) + (1 - yc) * np.log(1 - p))))
     ok_c = len(hist) == 101 and all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     # (d) 4-point split example selects threshold 2.5

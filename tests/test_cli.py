@@ -128,6 +128,13 @@ class TestSpo2:
         assert capsys.readouterr().err.startswith("error: 4 frames span 100001 grid slots")
         assert not out.exists()
 
+    def test_missing_stream_exits_io(self, tmp_path, capsys):
+        out = tmp_path / "est.csv"
+        assert cli.main(["spo2", str(tmp_path / "nope.csv"), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nope.csv" in err
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,red\n0,1\n")
@@ -197,6 +204,50 @@ class TestTrainEvaluatePruneSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "n_trees" in err
         assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("missing", ["stream", "model"])
+    def test_prune_missing_stream_or_model_exits_io(self, clean_stream, tmp_path, capsys, missing):
+        model_path = tmp_path / "stub.json"
+        gbdt.save(GbdtModel([], 20.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
+        paths = {"stream": clean_stream, "model": model_path}
+        paths[missing] = tmp_path / "nope"
+        out = tmp_path / "pruned.csv"
+        assert cli.main(["prune", str(paths["stream"]), str(paths["model"]), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nope" in err
+        assert not out.exists()
+
+    def test_prune_empty_catalog_model_exits_io(self, clean_stream, tmp_path, capsys):
+        split = TreeNode(feature_id=3, threshold=1.0, left=TreeNode(weight=1.0), right=TreeNode(weight=-1.0))
+        model_path = tmp_path / "model.json"
+        gbdt.save(GbdtModel([split], 0.0, GbdtParams(), []), model_path)
+        assert json.loads(model_path.read_text())["catalog"] == []
+        out = tmp_path / "pruned.csv"
+        assert cli.main(["prune", str(clean_stream), str(model_path), str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: catalog must be nonempty")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [("window", "step"), ("window", "windw_len"), ("label", "reliability_threshold"), ("calibration", "slope")],
+    )
+    def test_unknown_config_key_exits_config(self, cohort_small_dir, tmp_path, capsys, obj, key):
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        cfg.setdefault(obj, {})[key] = 7
+        config = cohort_small_dir / f"unknown_{obj}_{key}.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"unknown {obj} key(s) {key}" in err
+        assert not (tmp_path / "train").exists()
+
+    def test_config_object_not_an_object_exits_config(self, cohort_small_dir, tmp_path, capsys):
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        cfg["window"] = 50
+        config = cohort_small_dir / "window_not_object.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
+        assert "window must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value",

@@ -67,6 +67,13 @@ class TestComputeFeature:
         x = [1.0, -1.0] * 8
         assert compute_feature(spec, self.window_of(x)) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("w", [8, 9])
+    def test_autocorr_lag_past_window_is_zero(self, w):
+        # the catalog's lag 9 has no pair of samples in a window of 8 or 9
+        spec = FeatureSpec("red", "autocorrelation", (("lag", 9),))
+        x = np.sin(np.arange(w, dtype=float))
+        assert compute_feature(spec, self.window_of(x)) == 0.0
+
     def test_longest_strike(self):
         spec = FeatureSpec("ir", "longest_strike_below_mean")
         assert compute_feature(spec, self.window_of([0, 0, 0, 10])) == 3.0

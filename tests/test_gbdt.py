@@ -14,6 +14,18 @@ def log_loss_scalar(z, y):
     return -(y * math.log(p) + (1 - y) * math.log(1 - p))
 
 
+def loss_history(model, X, y):
+    """Mean training log-loss after each prefix of the trees, from the base
+    score alone to the full ensemble. ``predict_logit_batch`` adds the trees
+    in the order ``train`` added them to its logits."""
+    hist = []
+    for k in range(len(model.trees) + 1):
+        prefix = GbdtModel(model.trees[:k], model.base_logit, model.params, model.feature_catalog)
+        p = np.clip(gbdt.sigmoid(prefix.predict_logit_batch(X)), 1e-15, 1 - 1e-15)
+        hist.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
+    return hist
+
+
 def separable_set(seed=0, n=2000):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2, 2, (n, 2))
@@ -153,10 +165,8 @@ class TestTrain:
 
     def test_loss_nonincreasing_full_sample(self):
         X, y = blobs()
-        model = gbdt.train(
-            X, y, GbdtParams(n_estimators=30, subsample=1.0, seed=2), record_loss=True
-        )
-        hist = model.training_meta["loss_history"]
+        model = gbdt.train(X, y, GbdtParams(n_estimators=30, subsample=1.0, seed=2))
+        hist = loss_history(model, X, y)
         assert len(hist) == 31
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
@@ -203,7 +213,7 @@ class TestTrain:
 class TestPredict:
     def test_zero_trees_balanced_prior(self):
         model = GbdtModel(trees=[], base_logit=0.0, params=GbdtParams(), feature_catalog=[])
-        assert model.predict_proba([1.0, 2.0]) == 0.5
+        assert model.predict_proba_batch([[1.0, 2.0]])[0] == 0.5
 
     def test_hand_built_tree(self):
         tree = TreeNode(
@@ -213,8 +223,9 @@ class TestPredict:
             right=TreeNode(weight=-0.2),
         )
         model = GbdtModel(trees=[tree], base_logit=0.1, params=GbdtParams(), feature_catalog=[])
-        assert model.predict_proba([0.0]) == pytest.approx(1 / (1 + math.exp(-0.4)))
-        assert model.predict_proba([1.0]) == pytest.approx(1 / (1 + math.exp(0.1)))
+        p = model.predict_proba_batch([[0.0], [1.0]])
+        assert p[0] == pytest.approx(1 / (1 + math.exp(-0.4)))
+        assert p[1] == pytest.approx(1 / (1 + math.exp(0.1)))
 
     @pytest.mark.parametrize("direction, weight", [("left", 0.3), ("right", -0.2)])
     def test_nan_follows_default_direction(self, tmp_path, direction, weight):

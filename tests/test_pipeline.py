@@ -6,7 +6,7 @@ import pytest
 
 from pulseox import features, gbdt, metrics, pipeline, signal_io, spo2, synth
 from pulseox.errors import EmptyGroup, InsufficientUserData
-from pulseox.features import FeatureSpec, WindowConfig
+from pulseox.features import FeatureSpec
 from pulseox.gbdt import GbdtModel, GbdtParams
 from pulseox.pipeline import CohortSplit, LabelConfig, PipelineSettings
 from pulseox.signal_io import FrameSeries, StreamMeta
@@ -316,4 +316,4 @@ class TestLoadExperiment:
         assert settings.gbdt_params.n_estimators == 25
         assert settings.gbdt_params.seed == 11  # cohort seed flows into training
         assert settings.calibration == CalibrationCurve(110.0, 25.0)
-        assert settings.window == WindowConfig(100, 1)
+        assert settings.window_len == 100

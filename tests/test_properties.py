@@ -288,3 +288,49 @@ def split_problems(draw):
 def test_presorted_split_search_matches_per_node_sort(problem):
     X, g, h, params, rows = problem
     assert gbdt.best_split(X, g, h, params, rows) == per_node_sort_split(X, g, h, params, rows)
+
+
+#: Largest sample value drawn: a 24-bit ADC count. The catalog is finite on
+#: physical signals only; near 1e300 ``abs_energy`` (a sum of squares) already
+#: overflows to inf, so the bound is the sensor's range, not a float limit.
+ADC_MAX = float(2**24)
+WINDOW_SHAPES = ("zero", "constant", "contact_loss", "random")
+
+
+@st.composite
+def shaped_windows(draw):
+    """``(series, idx)``: back-to-back windows of a four-channel stream, each
+    channel of each window zero, constant, random with a drop to 0 inside
+    (contact loss), or random in [0, ADC_MAX]."""
+    w = draw(st.integers(8, 120))
+    n = draw(st.integers(1, 4))
+    value = st.floats(0.0, ADC_MAX)
+    channels = []
+    for _ in features.CHANNELS:
+        rows = []
+        for _ in range(n):
+            shape = draw(st.sampled_from(WINDOW_SHAPES))
+            if shape == "zero":
+                x = np.zeros(w)
+            elif shape == "constant":
+                x = np.full(w, draw(value))
+            else:
+                x = np.array(draw(st.lists(value, min_size=w, max_size=w)))
+            if shape == "contact_loss":
+                a = draw(st.integers(1, w - 1))
+                b = draw(st.integers(a + 1, w))
+                x[a:b] = 0.0
+            rows.append(x)
+        channels.append(np.concatenate(rows))
+    series = FrameSeries(40 * np.arange(n * w), *channels)
+    _, idx, _, _ = series.windows(w, w)
+    return series, idx
+
+
+@settings(deadline=None, max_examples=300)
+@given(shaped_windows())
+def test_every_catalog_feature_is_finite_on_degenerate_and_physical_windows(case):
+    series, idx = case
+    X = features.extract_matrix(series, idx, features.build_catalog())
+    assert X.shape == (len(idx), 72)
+    assert np.isfinite(X).all(), [s.spec_id for s, ok in zip(features.build_catalog(), np.isfinite(X).all(axis=0)) if not ok]

@@ -6,12 +6,11 @@ import pytest
 
 from naive_features import naive_pearson
 from pulseox import spo2, synth
-from pulseox.errors import DcNonPositive, DegenerateIr, TooFewPairs, WindowTooShort
+from pulseox.errors import TooFewPairs, WindowTooShort
 from pulseox.signal_io import FrameSeries
 from pulseox.spo2 import (
     GATE_CLAMPED,
     GATE_CORR_REJECTED,
-    AcDc,
     CalibrationCurve,
     EnhancedConfig,
 )
@@ -26,47 +25,63 @@ def sine_series(n=300, dc=1000.0, amp=10.0, flip_red=False):
     return FrameSeries(40 * k, red, ir, z, z)
 
 
+def one_row(red, ir=None):
+    """``matrix_stats`` of a single window; ``ir`` defaults to a unit-amplitude
+    sinusoid at DC 1000. One row keeps the sums exact: ``_detrend``'s matrix
+    product may sum a row differently at another row position."""
+    if ir is None:
+        ir = 1000.0 + math.sqrt(2) * np.sin(2 * np.pi * 5 * np.arange(len(red)) / len(red))
+    return spo2.matrix_stats([red], [ir], [0])
+
+
 class TestExtractAcDc:
+    """AC and DC of one channel window, as ``matrix_stats`` computes them."""
+
     def test_constant(self):
-        r = spo2.extract_ac_dc([5.0] * 20)
-        assert r.ac == 0.0
-        assert r.dc == 5.0
+        st = one_row([5.0] * 20)
+        assert st.ac_red[0] == 0.0
+        assert st.dc_red[0] == 5.0
 
     def test_ramp(self):
-        r = spo2.extract_ac_dc(np.arange(100.0))
-        assert r.dc == pytest.approx(49.5, abs=1e-12)
-        assert r.ac == pytest.approx(0.0, abs=1e-9)
+        st = one_row(np.arange(100.0))
+        assert st.dc_red[0] == pytest.approx(49.5, abs=1e-12)
+        assert st.ac_red[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_sinusoid(self):
         # integer periods, symmetric about the window center so the
         # least-squares line is exactly zero and only the RMS remains
         x = 10.0 + np.cos(2 * np.pi * 5 * (np.arange(100) - 49.5) / 100)
-        r = spo2.extract_ac_dc(x)
-        assert r.dc == pytest.approx(10.0, abs=1e-12)
-        assert r.ac == pytest.approx(1 / math.sqrt(2), abs=1e-6)
+        st = one_row(x)
+        assert st.dc_red[0] == pytest.approx(10.0, abs=1e-12)
+        assert st.ac_red[0] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
         # direct recomputation of the RMS of the detrended samples
         slope, intercept = np.polyfit(np.arange(100), x, 1)
         resid = x - (slope * np.arange(100) + intercept)
-        assert r.ac == pytest.approx(math.sqrt(np.mean(resid**2)), abs=1e-12)
+        assert st.ac_red[0] == pytest.approx(math.sqrt(np.mean(resid**2)), abs=1e-12)
 
     def test_errors(self):
+        z = np.zeros(20)
         with pytest.raises(WindowTooShort):
-            spo2.extract_ac_dc([1.0] * 7)
-        with pytest.raises(DcNonPositive):
-            spo2.extract_ac_dc([-5.0] * 20)
+            spo2.window_stats(FrameSeries(40 * np.arange(20), z + 1.0, z + 1.0, z, z), 7)
+        st = one_row([-5.0] * 20)
+        assert st.dc_invalid[0] and math.isnan(st.ratio[0])
 
 
 class TestComputeR:
+    """The ratio of ratios of one window, as ``matrix_stats`` computes it."""
+
     def test_identical(self):
-        a = AcDc(ac=0.5, dc=100.0)
-        assert spo2.compute_r(a, a) == 1.0
+        x = 100.0 + 0.5 * math.sqrt(2) * np.sin(2 * np.pi * 3 * np.arange(100) / 100)
+        assert one_row(x, x).ratio[0] == 1.0
 
     def test_two_to_one(self):
-        assert spo2.compute_r(AcDc(2.0, 100.0), AcDc(1.0, 100.0)) == pytest.approx(2.0)
+        s = np.sin(2 * np.pi * 3 * np.arange(100) / 100)
+        assert one_row(100.0 + 2.0 * s, 100.0 + s).ratio[0] == pytest.approx(2.0)
 
     def test_degenerate_ir(self):
-        with pytest.raises(DegenerateIr):
-            spo2.compute_r(AcDc(1.0, 100.0), AcDc(0.0, 100.0))
+        st = one_row(100.0 + np.sin(np.arange(100.0)), [100.0] * 100)
+        assert st.ac_ir[0] == 0.0
+        assert st.dc_invalid[0] and math.isnan(st.ratio[0])
 
     def test_synth_embeds_target_ratio(self):
         # target ratio 0.5 <=> saturation y0 - 0.5 m = 97.5 under defaults
@@ -81,46 +96,44 @@ class TestComputeR:
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.uniform(900, 1100, 100)
-            ir = AcDc(1.0, 1000.0)
-            r1 = spo2.compute_r(spo2.extract_ac_dc(x), ir)
-            r2 = spo2.compute_r(spo2.extract_ac_dc(3.7 * x), ir)
+            r1 = one_row(x).ratio[0]
+            r2 = one_row(3.7 * x).ratio[0]
             assert abs(r2 / r1 - 1.0) <= 1e-9
 
     def test_offset_covariance(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(900, 1100, 100)
-        ir = AcDc(1.0, 1000.0)
-        base = spo2.extract_ac_dc(x)
-        shifted = spo2.extract_ac_dc(x + 250.0)
-        assert shifted.ac == pytest.approx(base.ac, rel=1e-9)
-        assert shifted.dc == pytest.approx(base.dc + 250.0)
-        r1 = spo2.compute_r(base, ir)
-        r2 = spo2.compute_r(shifted, ir)
-        assert r2 == pytest.approx(r1 * base.dc / shifted.dc, rel=1e-12)
+        base = one_row(x)
+        shifted = one_row(x + 250.0)
+        assert shifted.ac_red[0] == pytest.approx(base.ac_red[0], rel=1e-9)
+        assert shifted.dc_red[0] == pytest.approx(base.dc_red[0] + 250.0)
+        r1, r2 = base.ratio[0], shifted.ratio[0]
+        assert r2 == pytest.approx(r1 * base.dc_red[0] / shifted.dc_red[0], rel=1e-12)
 
 
 class TestSpo2FromR:
+    """The clamped calibration of a ratio, ``spo2.calibrate``."""
+
     calib = CalibrationCurve(y0=110.0, m=25.0)
 
     def test_no_clamp(self):
-        pct, gates = spo2.spo2_from_r(0.4, self.calib)
+        pct, clamped = spo2.calibrate(0.4, self.calib)
         assert pct == 100.0
-        assert not gates
+        assert not clamped
 
     def test_clamped(self):
-        pct, gates = spo2.spo2_from_r(0.2, self.calib)
+        pct, clamped = spo2.calibrate(0.2, self.calib)
         assert pct == 100.0
-        assert gates == {GATE_CLAMPED}
+        assert clamped
 
     def test_arithmetic(self):
-        pct, gates = spo2.spo2_from_r(0.56, self.calib)
+        pct, clamped = spo2.calibrate(0.56, self.calib)
         assert pct == pytest.approx(96.0)
-        assert not gates
+        assert not clamped
 
     def test_monotone_nonincreasing(self):
-        rs = np.linspace(0.0, 5.0, 200)
-        vals = [spo2.spo2_from_r(r, self.calib)[0] for r in rs]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        vals, _ = spo2.calibrate(np.linspace(0.0, 5.0, 200), self.calib)
+        assert (np.diff(vals) <= 0).all()
 
 
 class TestBaseline:

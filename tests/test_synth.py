@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pulseox import signal_io, spo2, synth
-from pulseox.errors import ConfigOutOfRange, DegenerateIr
+from pulseox.errors import ConfigOutOfRange
 from pulseox.spo2 import GATE_DC_INVALID, CalibrationCurve
 from pulseox.synth import ArtifactSegment, SynthConfig
 
@@ -21,10 +21,9 @@ class TestGenPpg:
 
     def test_zero_perfusion_degenerate(self):
         frames, _ = synth.gen_ppg(SynthConfig(duration_s=8.0, perfusion_index=0.0))
-        with pytest.raises(DegenerateIr):
-            spo2.compute_r(
-                spo2.extract_ac_dc(frames.red[:100]), spo2.extract_ac_dc(frames.ir[:100])
-            )
+        stats = spo2.matrix_stats(frames.red[None, :100], frames.ir[None, :100], frames.t_ms[99:100])
+        assert stats.ac_ir[0] == 0.0
+        assert stats.dc_invalid[0] and np.isnan(stats.ratio[0])
 
     def test_same_seed_identical(self):
         cfg = SynthConfig(duration_s=20.0, noise_sigma=0.001, seed=42)
