@@ -57,8 +57,8 @@ def cmd_simulate(args):
         duration_s=float(cfg.get("duration_s", 720.0)),
         rate_hz=float(cfg.get("rate_hz", 25.0)),
     )
-    calib_d = cfg.get("calibration", {})
-    calib = spo2.CalibrationCurve(calib_d.get("y0", 110.0), calib_d.get("m", 25.0))
+    calib_d = pipeline._config_object(cfg, "calibration", pipeline._field_defaults(spo2.CalibrationCurve), args.config)
+    calib = spo2.CalibrationCurve(**calib_d)
     seed = int(cfg.get("seed", args.seed))
     config = synth.gen_cohort(n, args.out_dir, base, variation_seed=seed, calib=calib)
     _write_manifest(args.out_dir, "simulate", cfg, seed)
@@ -157,6 +157,7 @@ def cmd_sweep(args):
 
 
 def build_parser():
+    calib = spo2.CalibrationCurve()
     p = argparse.ArgumentParser(prog="pulseox", description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, default=0, help="global seed fallback")
     sub = p.add_subparsers(dest="command", required=True)
@@ -171,10 +172,10 @@ def build_parser():
     s.add_argument("out")
     s.add_argument("--algo", choices=["baseline", "enhanced"], default="enhanced")
     s.add_argument("--kind", choices=["wrist", "fingertip"], default="wrist")
-    s.add_argument("--window", type=int, default=100)
+    s.add_argument("--window", type=int, default=pipeline.PipelineSettings.window_len)
     s.add_argument("--step", type=int, default=1)
-    s.add_argument("--y0", type=float, default=110.0)
-    s.add_argument("--m", type=float, default=25.0)
+    s.add_argument("--y0", type=float, default=calib.y0)
+    s.add_argument("--m", type=float, default=calib.m)
     s.set_defaults(func=cmd_spo2)
 
     s = sub.add_parser("train", help="train a reliability classifier from an experiment config")
@@ -192,9 +193,9 @@ def build_parser():
     s.add_argument("stream")
     s.add_argument("model")
     s.add_argument("out")
-    s.add_argument("--threshold", type=float, default=0.5)
-    s.add_argument("--y0", type=float, default=110.0)
-    s.add_argument("--m", type=float, default=25.0)
+    s.add_argument("--threshold", type=float, default=pipeline.PipelineSettings.decision_threshold)
+    s.add_argument("--y0", type=float, default=calib.y0)
+    s.add_argument("--m", type=float, default=calib.m)
     s.set_defaults(func=cmd_prune)
 
     s = sub.add_parser("sweep", help="scan window length or reliability threshold")

@@ -12,8 +12,11 @@ features at once scores every candidate threshold. The sort is stable, so
 tied values stay in row order exactly as a per-node stable sort leaves them,
 and the prefix sums and chosen splits are the same bits.
 
-A split sends ``x < threshold`` left; a NaN goes to the node's saved
-``default_direction``. The split search assumes finite features, which the
+A tree is the list of its nodes in preorder, in memory as in ``model.json``:
+a split is ``{"default", "feature", "left", "right", "threshold"}``, where
+``left`` and ``right`` are the ids of its children, which come after it, and a
+leaf is ``{"leaf": weight}``. A split sends ``x < threshold`` left; a NaN goes
+to the ``default`` side. The split search assumes finite features, which the
 feature catalog guarantees: it would score a NaN on the right of every
 threshold while training sends it left.
 """
@@ -57,22 +60,6 @@ class GbdtParams:
             raise ValueError("regularization terms must be nonnegative")
         if self.objective != "logistic_binary":
             raise ValueError(f"unsupported objective {self.objective!r}")
-
-
-@dataclass
-class TreeNode:
-    """Either a split (feature/threshold with children) or a leaf (weight)."""
-
-    feature_id: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    default_direction: str = "left"
-    weight: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def sigmoid(z):
@@ -165,44 +152,46 @@ def best_split(X, g, h, params: GbdtParams, row_idx=None, order=None):
     return f, float((v[f, k] + v[f, k + 1]) / 2.0), float(gain[f, k])
 
 
-def _build_tree(X, g, h, row_idx, order, depth, params: GbdtParams) -> TreeNode:
-    gs = float(g[row_idx].sum())
-    hs = float(h[row_idx].sum())
-    if depth >= params.max_depth:
-        return TreeNode(weight=params.learning_rate * leaf_weight(gs, hs, params))
-    split = best_split(X, g, h, params, row_idx, order)
+def _build_tree(X, g, h, row_idx, order, depth, params: GbdtParams, nodes) -> list:
+    """Append the subtree of ``row_idx`` to the node list ``nodes`` in preorder
+    and return ``nodes``."""
+    split = best_split(X, g, h, params, row_idx, order) if depth < params.max_depth else None
     if split is None:
-        return TreeNode(weight=params.learning_rate * leaf_weight(gs, hs, params))
+        w = leaf_weight(float(g[row_idx].sum()), float(h[row_idx].sum()), params)
+        nodes.append({"leaf": params.learning_rate * w})
+        return nodes
     f, thr, _ = split
+    node = {"default": "left", "feature": f, "threshold": thr}
+    nodes.append(node)
     go_left = _goes_left(X[row_idx, f], thr, "left")
     left, right = row_idx[go_left], row_idx[~go_left]
-    return TreeNode(
-        feature_id=f,
-        threshold=thr,
-        left=_build_tree(X, g, h, left, _restrict(order, left, len(X)), depth + 1, params),
-        right=_build_tree(X, g, h, right, _restrict(order, right, len(X)), depth + 1, params),
-    )
+    node["left"] = len(nodes)
+    _build_tree(X, g, h, left, _restrict(order, left, len(X)), depth + 1, params, nodes)
+    node["right"] = len(nodes)
+    _build_tree(X, g, h, right, _restrict(order, right, len(X)), depth + 1, params, nodes)
+    return nodes
 
 
-def _predict_tree_batch(root: TreeNode, X) -> np.ndarray:
+def _predict_tree_batch(nodes: list, X) -> np.ndarray:
     out = np.empty(len(X))
-    stack = [(root, np.arange(len(X)))]
+    stack = [(0, np.arange(len(X)))]
     while stack:
-        node, idx = stack.pop()
+        i, idx = stack.pop()
         if len(idx) == 0:
             continue
-        if node.is_leaf:
-            out[idx] = node.weight
+        node = nodes[i]
+        if "leaf" in node:
+            out[idx] = node["leaf"]
             continue
-        go_left = _goes_left(X[idx, node.feature_id], node.threshold, node.default_direction)
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
+        go_left = _goes_left(X[idx, node["feature"]], node["threshold"], node["default"])
+        stack.append((node["left"], idx[go_left]))
+        stack.append((node["right"], idx[~go_left]))
     return out
 
 
 @dataclass
 class GbdtModel:
-    trees: list
+    trees: list                               # one node list per tree, as model.json stores it
     base_logit: float
     params: GbdtParams
     feature_catalog: list                     # ordered FeatureSpec list
@@ -256,7 +245,7 @@ def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) ->
         g = np.zeros(n)
         h = np.zeros(n)
         g[rows], h[rows] = logistic_grad_hess(logits[rows], y[rows])
-        tree = _build_tree(X, g, h, rows, _restrict(order, rows, n), 0, params)
+        tree = _build_tree(X, g, h, rows, _restrict(order, rows, n), 0, params, [])
         trees.append(tree)
         logits += _predict_tree_batch(tree, X)
 
@@ -268,38 +257,16 @@ def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) ->
 # --- serialization ------------------------------------------------------------
 
 
-def _node_to_list(root: TreeNode) -> list:
-    nodes = []
-
-    def rec(node):
-        i = len(nodes)
-        nodes.append(None)
-        if node.is_leaf:
-            nodes[i] = {"leaf": node.weight}
-        else:
-            d = {
-                "feature": node.feature_id,
-                "threshold": node.threshold,
-                "default": node.default_direction,
-            }
-            nodes[i] = d
-            d["left"] = rec(node.left)
-            d["right"] = rec(node.right)
-        return i
-
-    rec(root)
-    return nodes
-
-
-def _node_from_list(nodes: list, n_features: int) -> TreeNode:
-    """Rebuild a tree from its node list, last node first; children must point
-    forward and stay in range, split features must index the catalog, and the
-    default direction must be left or right."""
-    built = [None] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        d = nodes[i]
+def _typed_nodes(nodes: list, n_features: int) -> list:
+    """A tree's node list read from a file, with every field typed; children
+    must point forward and stay in range, split features must index the
+    catalog, and the default direction must be left or right."""
+    if not nodes:
+        raise CorruptFile("empty node list")
+    typed = []
+    for i, d in enumerate(nodes):
         if "leaf" in d:
-            built[i] = TreeNode(weight=float(d["leaf"]))
+            typed.append({"leaf": float(d["leaf"])})
             continue
         f, left, right = int(d["feature"]), int(d["left"]), int(d["right"])
         if not (i < left < len(nodes) and i < right < len(nodes)):
@@ -309,14 +276,9 @@ def _node_from_list(nodes: list, n_features: int) -> TreeNode:
         default = d.get("default", "left")
         if default not in ("left", "right"):
             raise CorruptFile(f"node {i}: default direction {default!r} is neither left nor right")
-        built[i] = TreeNode(
-            feature_id=f,
-            threshold=float(d["threshold"]),
-            default_direction=default,
-            left=built[left],
-            right=built[right],
-        )
-    return built[0]
+        threshold = float(d["threshold"])
+        typed.append({"default": default, "feature": f, "left": left, "right": right, "threshold": threshold})
+    return typed
 
 
 def save(model: GbdtModel, path):
@@ -326,7 +288,7 @@ def save(model: GbdtModel, path):
         "base_logit": model.base_logit,
         "catalog": [s.spec_id for s in model.feature_catalog],
         "training_meta": model.training_meta,
-        "trees": [{"nodes": _node_to_list(t)} for t in model.trees],
+        "trees": [{"nodes": t} for t in model.trees],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -345,7 +307,7 @@ def load(path) -> GbdtModel:
     try:
         params = GbdtParams(**doc["params"])
         catalog = [FeatureSpec.from_id(s) for s in doc["catalog"]]
-        trees = [_node_from_list(t["nodes"], len(catalog)) for t in doc["trees"]]
+        trees = [_typed_nodes(t["nodes"], len(catalog)) for t in doc["trees"]]
         return GbdtModel(
             trees=trees,
             base_logit=float(doc["base_logit"]),
@@ -353,5 +315,5 @@ def load(path) -> GbdtModel:
             feature_catalog=catalog,
             training_meta=doc.get("training_meta", {}),
         )
-    except (IndexError, KeyError, TypeError, ValueError) as e:
+    except (CorruptFile, IndexError, KeyError, TypeError, ValueError) as e:
         raise CorruptFile(f"{path}: {e}")

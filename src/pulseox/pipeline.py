@@ -364,20 +364,31 @@ def load_config(path):
         raise ConfigOutOfRange(f"{path}: {e}") from e
 
 
-def _config_object(cfg, name, allowed, config_path):
-    """The ``name`` object of an experiment config, or ``{}`` when absent; a
-    key outside ``allowed`` is a config error."""
+def _config_value(d, key, default, where):
+    """``d[key]``, or ``default`` when absent; a value whose JSON type differs
+    from the default's is a config error (an integer passes for a float)."""
+    v = d.get(key, default)
+    allowed = (int, float) if type(default) is float else (type(default),)
+    if type(v) not in allowed:
+        raise ConfigOutOfRange(f"{where}{key} must be of type {type(default).__name__}, got {v!r}")
+    return v
+
+
+def _config_object(cfg, name, defaults, config_path):
+    """The ``name`` object of a config, or ``{}`` when absent; a key outside
+    ``defaults`` or a value of another type than its default is a config
+    error."""
     d = cfg.get(name, {})
     if not isinstance(d, dict):
         raise ConfigOutOfRange(f"{config_path}: {name} must be a JSON object")
-    unknown = sorted(set(d) - set(allowed))
+    unknown = sorted(set(d) - set(defaults))
     if unknown:
         raise ConfigOutOfRange(f"{config_path}: unknown {name} key(s) {', '.join(unknown)}")
-    return dict(d)
+    return {k: _config_value(d, k, defaults[k], f"{config_path}: {name}.") for k in d}
 
 
-def _field_names(cls):
-    return {f.name for f in fields(cls)}
+def _field_defaults(cls):
+    return {f.name: f.default for f in fields(cls)}
 
 
 def load_experiment(config_path):
@@ -390,18 +401,19 @@ def load_experiment(config_path):
     cfg = load_config(config_path)
     base = config_path.parent
 
-    calib_d = _config_object(cfg, "calibration", _field_names(spo2.CalibrationCurve), config_path)
-    win_d = _config_object(cfg, "window", {"window_len"}, config_path)
-    lab_d = _config_object(cfg, "label", _field_names(LabelConfig), config_path)
-    params_d = _config_object(cfg, "gbdt_params", _field_names(gbdt.GbdtParams), config_path)
+    calib_d = _config_object(cfg, "calibration", _field_defaults(spo2.CalibrationCurve), config_path)
+    win_d = _config_object(cfg, "window", {"window_len": PipelineSettings.window_len}, config_path)
+    lab_d = _config_object(cfg, "label", _field_defaults(LabelConfig), config_path)
+    params_d = _config_object(cfg, "gbdt_params", _field_defaults(gbdt.GbdtParams), config_path)
+    where = f"{config_path}: "
     if "seed" in cfg:
-        params_d.setdefault("seed", cfg["seed"])
+        params_d.setdefault("seed", _config_value(cfg, "seed", gbdt.GbdtParams.seed, where))
     settings = PipelineSettings(
         label=LabelConfig(**lab_d),
         gbdt_params=gbdt.GbdtParams(**params_d),
         calibration=spo2.CalibrationCurve(**calib_d),
-        fdr_q=cfg.get("fdr_q", 0.05),
-        decision_threshold=cfg.get("decision_threshold", 0.5),
+        fdr_q=_config_value(cfg, "fdr_q", PipelineSettings.fdr_q, where),
+        decision_threshold=_config_value(cfg, "decision_threshold", PipelineSettings.decision_threshold, where),
         **win_d,
     )
 

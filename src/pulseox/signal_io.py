@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyStream, MalformedHeader, NonMonotonicBeyondTolerance
+from .errors import CorruptFile, EmptyStream, MalformedHeader, NonMonotonicBeyondTolerance
 
 WRIST_HEADER = ["t_ms", "red", "ir", "ax", "ay", "az", "gx", "gy", "gz"]
 FINGERTIP_HEADER = ["t_ms", "red", "ir"]
@@ -41,8 +41,8 @@ class StreamMeta:
     skin_tone: str = "unknown"
 
     def __post_init__(self):
-        if self.nominal_rate_hz <= 0:
-            raise ValueError("nominal_rate_hz must be positive")
+        if not 0 < self.nominal_rate_hz < np.inf:
+            raise ValueError(f"nominal_rate_hz must be positive and finite, got {self.nominal_rate_hz}")
         if self.site not in SITES:
             raise ValueError(f"unknown site {self.site!r}")
         if self.skin_tone not in SKIN_TONES:
@@ -96,18 +96,24 @@ def meta_path(stream_path):
 
 
 def load_meta(stream_path, default_site="wrist_top") -> StreamMeta:
-    """Read the JSON sidecar next to a stream file, or fall back to defaults."""
+    """Read the JSON sidecar next to a stream file, or fall back to defaults;
+    a sidecar that is not a JSON object of valid metadata is a corrupt file."""
     p = meta_path(stream_path)
     if not p.exists():
         return StreamMeta(site=default_site)
-    with open(p, encoding="utf-8") as fh:
-        d = json.load(fh)
-    return StreamMeta(
-        nominal_rate_hz=float(d.get("rate_hz", 25.0)),
-        site=d.get("site", default_site),
-        subject_id=d.get("subject_id", ""),
-        skin_tone=d.get("skin_tone", "unknown"),
-    )
+    try:
+        with open(p, encoding="utf-8") as fh:
+            d = json.load(fh)
+        if not isinstance(d, dict):
+            raise TypeError("not a JSON object")
+        return StreamMeta(
+            nominal_rate_hz=float(d.get("rate_hz", 25.0)),
+            site=d.get("site", default_site),
+            subject_id=d.get("subject_id", ""),
+            skin_tone=d.get("skin_tone", "unknown"),
+        )
+    except (TypeError, ValueError) as e:
+        raise CorruptFile(f"{p}: {e}") from e
 
 
 def save_meta(stream_path, meta: StreamMeta):

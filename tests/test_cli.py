@@ -5,7 +5,7 @@ import pytest
 
 from pulseox import cli, gbdt, synth
 from pulseox.features import FeatureSpec
-from pulseox.gbdt import GbdtModel, GbdtParams, TreeNode
+from pulseox.gbdt import GbdtModel, GbdtParams
 from pulseox.signal_io import StreamMeta, write_stream
 from pulseox.synth import ArtifactSegment, SynthConfig
 
@@ -13,6 +13,15 @@ from pulseox.synth import ArtifactSegment, SynthConfig
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def stump(feature):
+    """A one-split tree: ``x[feature] < 1`` scores +1, anything else -1."""
+    return [
+        {"default": "left", "feature": feature, "left": 1, "right": 2, "threshold": 1.0},
+        {"leaf": 1.0},
+        {"leaf": -1.0},
+    ]
 
 
 @pytest.fixture()
@@ -53,6 +62,16 @@ class TestSimulate:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("calibration", [{"slope": 3}, {"m": "x"}], ids=["unknown_key", "wrong_type"])
+    def test_bad_calibration_exits_config(self, tmp_path, capsys, calibration):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0, "seed": 5, "calibration": calibration}))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(cfg), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfg) in err
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"
@@ -126,6 +145,18 @@ class TestSpo2:
         out = tmp_path / "est.csv"
         assert cli.main(["spo2", str(stream), str(out), "--kind", "fingertip", "--window", "8"]) == 1
         assert capsys.readouterr().err.startswith("error: 4 frames span 100001 grid slots")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sidecar", ["{bad", '{"site": "elbow"}', '{"rate_hz": Infinity}'], ids=["not_json", "unknown_site", "infinite_rate"]
+    )
+    def test_broken_sidecar_exits_io(self, clean_stream, tmp_path, capsys, sidecar):
+        meta = clean_stream.with_suffix(".meta")
+        meta.write_text(sidecar)
+        out = tmp_path / "est.csv"
+        assert cli.main(["spo2", str(clean_stream), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(meta) in err
         assert not out.exists()
 
     def test_missing_stream_exits_io(self, tmp_path, capsys):
@@ -218,7 +249,7 @@ class TestTrainEvaluatePruneSweep:
         assert not out.exists()
 
     def test_prune_empty_catalog_model_exits_io(self, clean_stream, tmp_path, capsys):
-        split = TreeNode(feature_id=3, threshold=1.0, left=TreeNode(weight=1.0), right=TreeNode(weight=-1.0))
+        split = stump(feature=3)
         model_path = tmp_path / "model.json"
         gbdt.save(GbdtModel([split], 0.0, GbdtParams(), []), model_path)
         assert json.loads(model_path.read_text())["catalog"] == []
@@ -241,6 +272,21 @@ class TestTrainEvaluatePruneSweep:
         assert err.startswith("config error:") and f"unknown {obj} key(s) {key}" in err
         assert not (tmp_path / "train").exists()
 
+    @pytest.mark.parametrize(
+        "obj, key, value",
+        [("window", "window_len", "100"), ("label", "reliability_threshold_pct", "2"), (None, "fdr_q", "0.05")],
+        ids=["window_len", "reliability_threshold_pct", "fdr_q"],
+    )
+    def test_wrong_type_config_value_exits_config(self, cohort_small_dir, tmp_path, capsys, obj, key, value):
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        (cfg.setdefault(obj, {}) if obj else cfg)[key] = value
+        config = cohort_small_dir / f"wrong_type_{key}.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}:") and f"{key} must be of type" in err
+        assert not (tmp_path / "train").exists()
+
     def test_config_object_not_an_object_exits_config(self, cohort_small_dir, tmp_path, capsys):
         cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
         cfg["window"] = 50
@@ -250,16 +296,21 @@ class TestTrainEvaluatePruneSweep:
         assert "window must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("left", 99), ("left", 0), ("feature", 1)],
-        ids=["child_out_of_range", "child_points_to_itself", "feature_past_catalog"],
+        "corrupt",
+        [
+            lambda nodes: nodes[0].update(left=99),
+            lambda nodes: nodes[0].update(left=0),
+            lambda nodes: nodes[0].update(feature=1),
+            lambda nodes: nodes.clear(),
+        ],
+        ids=["child_out_of_range", "child_points_to_itself", "feature_past_catalog", "empty_node_list"],
     )
-    def test_prune_corrupt_tree_exits_io(self, clean_stream, tmp_path, capsys, field, value):
-        split = TreeNode(feature_id=0, threshold=1.0, left=TreeNode(weight=1.0), right=TreeNode(weight=-1.0))
+    def test_prune_corrupt_tree_exits_io(self, clean_stream, tmp_path, capsys, corrupt):
+        split = stump(feature=0)
         model_path = tmp_path / "model.json"
         gbdt.save(GbdtModel([split], 0.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
         doc = json.loads(model_path.read_text())
-        doc["trees"][0]["nodes"][0][field] = value
+        corrupt(doc["trees"][0]["nodes"])
         model_path.write_text(json.dumps(doc))
         assert cli.main(["prune", str(clean_stream), str(model_path), str(tmp_path / "out.csv")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from pulseox import gbdt
 from pulseox.errors import CorruptFile, SchemaVersionMismatch, SingleClass
 from pulseox.features import FeatureSpec
-from pulseox.gbdt import GbdtModel, GbdtParams, TreeNode
+from pulseox.gbdt import GbdtModel, GbdtParams
 
 
 def log_loss_scalar(z, y):
@@ -185,8 +185,9 @@ class TestTrain:
         X, y = blobs(seed=5)
         model = gbdt.train(X, y, GbdtParams(n_estimators=10, max_depth=3, seed=0))
 
-        def depth(node):
-            return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+        def depth(nodes, i=0):
+            d = nodes[i]
+            return 0 if "leaf" in d else 1 + max(depth(nodes, d["left"]), depth(nodes, d["right"]))
 
         assert all(depth(t) <= 3 for t in model.trees)
 
@@ -199,15 +200,18 @@ class TestTrain:
         p = 1.0 / (1.0 + math.exp(-model.base_logit))
         h = np.full(len(X), p * (1 - p))
 
-        def walk(node, idx):
-            if node.is_leaf:
+        nodes = model.trees[0]
+
+        def walk(i, idx):
+            d = nodes[i]
+            if "leaf" in d:
                 assert h[idx].sum() >= params.min_child_weight - 1e-9
                 return
-            left = X[idx, node.feature_id] < node.threshold
-            walk(node.left, idx[left])
-            walk(node.right, idx[~left])
+            left = X[idx, d["feature"]] < d["threshold"]
+            walk(d["left"], idx[left])
+            walk(d["right"], idx[~left])
 
-        walk(model.trees[0], np.arange(len(X)))
+        walk(0, np.arange(len(X)))
 
 
 class TestPredict:
@@ -216,12 +220,11 @@ class TestPredict:
         assert model.predict_proba_batch([[1.0, 2.0]])[0] == 0.5
 
     def test_hand_built_tree(self):
-        tree = TreeNode(
-            feature_id=0,
-            threshold=0.5,
-            left=TreeNode(weight=0.3),
-            right=TreeNode(weight=-0.2),
-        )
+        tree = [
+            {"default": "left", "feature": 0, "left": 1, "right": 2, "threshold": 0.5},
+            {"leaf": 0.3},
+            {"leaf": -0.2},
+        ]
         model = GbdtModel(trees=[tree], base_logit=0.1, params=GbdtParams(), feature_catalog=[])
         p = model.predict_proba_batch([[0.0], [1.0]])
         assert p[0] == pytest.approx(1 / (1 + math.exp(-0.4)))
@@ -229,13 +232,11 @@ class TestPredict:
 
     @pytest.mark.parametrize("direction, weight", [("left", 0.3), ("right", -0.2)])
     def test_nan_follows_default_direction(self, tmp_path, direction, weight):
-        tree = TreeNode(
-            feature_id=0,
-            threshold=0.5,
-            left=TreeNode(weight=0.3),
-            right=TreeNode(weight=-0.2),
-            default_direction=direction,
-        )
+        tree = [
+            {"default": direction, "feature": 0, "left": 1, "right": 2, "threshold": 0.5},
+            {"leaf": 0.3},
+            {"leaf": -0.2},
+        ]
         model = GbdtModel(trees=[tree], base_logit=0.0, params=GbdtParams(), feature_catalog=[])
         gbdt.save(model, tmp_path / "m.json")
         for m in (model, gbdt.load(tmp_path / "m.json")):
@@ -266,6 +267,14 @@ class TestSerialization:
         np.testing.assert_array_equal(
             back.predict_proba_batch(X), model.predict_proba_batch(X)
         )
+
+    def test_save_load_save_same_bytes(self, tmp_path):
+        model, _ = self.trained()
+        gbdt.save(model, tmp_path / "a.json")
+        back = gbdt.load(tmp_path / "a.json")
+        assert back.trees == model.trees
+        gbdt.save(back, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_truncated_file(self, tmp_path):
         model, _ = self.trained()
