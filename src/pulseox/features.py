@@ -245,21 +245,34 @@ def build_catalog(channels=CHANNELS) -> list:
     return catalog
 
 
-def extract_matrix(series: FrameSeries, idx, catalog) -> np.ndarray:
+# Windows featurized at a time. Every feature is computed row by row, so the
+# block size changes no bit of the output; it bounds the working memory to
+# about 18 MB at window 100, most of it the AR design of one block and its SVD
+# factors.
+BLOCK_WINDOWS = 1024
+
+
+def extract_matrix(series: FrameSeries, idx, catalog, columns=None) -> np.ndarray:
     """Feature matrix with one row per window, columns in catalog order.
 
     ``idx`` holds one row of sample indices per window, as
-    :meth:`FrameSeries.windows` builds them. Only the channels the catalog
-    reads are gathered, one at a time.
+    :meth:`FrameSeries.windows` builds them. Only the catalog ``columns``
+    given (all by default) are computed; the others are NaN. Windows are
+    gathered from the stream one channel and one block of
+    ``BLOCK_WINDOWS`` at a time.
     """
     if not catalog:
         raise CatalogMismatch("catalog must be nonempty")
-    X = np.empty((len(idx), len(catalog)))
-    for channel in dict.fromkeys(spec.channel for spec in catalog):
-        W = series.channel(channel)[idx]
-        for j, spec in enumerate(catalog):
-            if spec.channel == channel:
-                X[:, j] = compute_feature_batch(spec, W)
+    by_channel = {}
+    for j in sorted(range(len(catalog)) if columns is None else columns):
+        by_channel.setdefault(catalog[j].channel, []).append(j)
+    X = np.full((len(idx), len(catalog)), np.nan)
+    for start in range(0, len(idx), BLOCK_WINDOWS):
+        block = idx[start : start + BLOCK_WINDOWS]
+        for channel, cols in by_channel.items():
+            W = series.channel(channel)[block]
+            for j in cols:
+                X[start : start + len(block), j] = compute_feature_batch(catalog[j], W)
     return X
 
 

@@ -197,12 +197,19 @@ def train_model(X, y, settings: PipelineSettings, training_meta=None):
 # --- inference and evaluation -------------------------------------------------
 
 
+def _split_columns(model: gbdt.GbdtModel) -> set:
+    """The catalog columns some tree of ``model`` splits on."""
+    return {d["feature"] for t in model.trees for d in t if "leaf" not in d}
+
+
 def _emit(series, idx, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
     """Windows that emit a reading: those that pass the correlation gate and
     that the classifier trusts. A window that fails the gate never emits, so
-    only the gate-passing rows of ``idx`` get features and a prediction."""
+    only the gate-passing rows of ``idx`` get features and a prediction, and
+    only the columns the trees split on are computed. The others stay NaN,
+    so a tree that read one would take its default branch."""
     emit = gate_pass.copy()
-    X = feats.extract_matrix(series, idx[gate_pass], model.feature_catalog)
+    X = feats.extract_matrix(series, idx[gate_pass], model.feature_catalog, _split_columns(model))
     emit[gate_pass] = model.predict_proba_batch(X) >= settings.decision_threshold
     return emit
 
@@ -355,13 +362,16 @@ def sweep_to_csv(path, rows):
 
 
 def load_config(path):
-    """The JSON document of a config file; a missing or malformed file is a
-    config error."""
+    """The JSON object of a config file; a missing or malformed file, or a
+    document that is not an object, is a config error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (FileNotFoundError, json.JSONDecodeError) as e:
         raise ConfigOutOfRange(f"{path}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigOutOfRange(f"{path}: the config must be a JSON object")
+    return cfg
 
 
 def _config_value(d, key, default, where):
@@ -385,6 +395,27 @@ def _config_object(cfg, name, defaults, config_path):
     if unknown:
         raise ConfigOutOfRange(f"{config_path}: unknown {name} key(s) {', '.join(unknown)}")
     return {k: _config_value(d, k, defaults[k], f"{config_path}: {name}.") for k in d}
+
+
+def _cohort_entries(cfg, config_path):
+    """The nonempty ``cohort`` list of an experiment config. Each entry must
+    be an object with string ``wrist_csv`` and ``finger_csv`` paths and may
+    name a string ``subject_id``; anything else is a config error."""
+    where = f"{config_path}: cohort"
+    if "cohort" not in cfg:
+        raise ConfigOutOfRange(f"{where} is missing")
+    cohort = cfg["cohort"]
+    if not isinstance(cohort, list) or not cohort:
+        raise ConfigOutOfRange(f"{where} must be a nonempty JSON list, got {cohort!r}")
+    for i, entry in enumerate(cohort):
+        if not isinstance(entry, dict):
+            raise ConfigOutOfRange(f"{where}[{i}] must be a JSON object, got {entry!r}")
+        for key in ("wrist_csv", "finger_csv"):
+            if key not in entry:
+                raise ConfigOutOfRange(f"{where}[{i}].{key} is missing")
+        for key in ("wrist_csv", "finger_csv", "subject_id"):
+            _config_value(entry, key, "", f"{where}[{i}].")
+    return cohort
 
 
 def _field_defaults(cls):
@@ -418,7 +449,7 @@ def load_experiment(config_path):
     )
 
     subjects = []
-    for entry in cfg["cohort"]:
+    for entry in _cohort_entries(cfg, config_path):
         wrist_path = base / entry["wrist_csv"]
         finger_path = base / entry["finger_csv"]
         wrist, meta = signal_io.load_frames(wrist_path, "wrist")

@@ -296,6 +296,33 @@ class TestTrainEvaluatePruneSweep:
         assert "window must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "cohort, field",
+        [
+            ([{"wrist_csv": 5, "finger_csv": "f.csv"}], "cohort[0].wrist_csv must be of type str"),
+            (3, "cohort must be a nonempty JSON list"),
+            ([], "cohort must be a nonempty JSON list"),
+            (["x"], "cohort[0] must be a JSON object"),
+            (None, "cohort is missing"),
+            ([{"finger_csv": "f.csv"}], "cohort[0].wrist_csv is missing"),
+        ],
+        ids=["path_not_a_string", "not_a_list", "empty_list", "entry_not_an_object", "missing", "entry_missing_wrist_csv"],
+    )
+    def test_bad_cohort_list_exits_config(self, tmp_path, capsys, cohort, field):
+        config = tmp_path / "cohort.json"
+        config.write_text(json.dumps({} if cohort is None else {"cohort": cohort}))
+        assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: {field}")
+        assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_config_not_an_object_exits_config(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        assert cli.main([command, str(config), str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {config}: the config must be a JSON object")
+
+    @pytest.mark.parametrize(
         "corrupt",
         [
             lambda nodes: nodes[0].update(left=99),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,69 @@ class TestCatalogAndMatrix:
         X1 = features.extract_matrix(series, idx, catalog)
         X2 = features.extract_matrix(series, idx, catalog)
         np.testing.assert_array_equal(X1, X2)
+
+    def test_columns_computes_only_those(self):
+        series = make_series(400)
+        _, idx = gap_free_windows(series, 100, 50)
+        catalog = build_catalog()
+        columns = {0, 17, 40, 71}
+        X = features.extract_matrix(series, idx, catalog, columns)
+        full = features.extract_matrix(series, idx, catalog)
+        rest = [j for j in range(len(catalog)) if j not in columns]
+        np.testing.assert_array_equal(X[:, sorted(columns)], full[:, sorted(columns)])
+        assert np.isnan(X[:, rest]).all() and np.isfinite(full).all()
+
+
+class TestBlocks:
+    """``extract_matrix`` walks the windows in blocks of ``BLOCK_WINDOWS``."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        # step-1 windows of a wrist stream at the synthetic DC (5e4 red, 6e4
+        # ir) whose contact loss flattens both optical channels to 0, more of
+        # them than one 4,096-window block holds
+        arts = (
+            ArtifactSegment(20.0, 8.0, "contact_loss"),
+            ArtifactSegment(60.0, 8.0, "motion", 1.5),
+            ArtifactSegment(120.0, 5.0, "ambient_spike", 1.5),
+        )
+        frames, _ = synth.gen_ppg(SynthConfig(duration_s=170.0, noise_sigma=0.001, seed=4, artifacts=arts))
+        _, idx = gap_free_windows(frames, 100, 1)
+        assert len(idx) > 4096 and 0 < (frames.red[idx] == 0).all(axis=1).sum() < len(idx)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "BLOCK_WINDOWS", len(idx))
+            one_block = features.extract_matrix(frames, idx, build_catalog())
+        return frames, idx, one_block
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_block_size_changes_no_bit(self, case, monkeypatch, block):
+        frames, idx, one_block = case
+        # one feature call per window per column is slow, so blocks of one
+        # window see every fifth window; each is still computed alone
+        rows = slice(None, None, 5 if block == 1 else 1)
+        monkeypatch.setattr(features, "BLOCK_WINDOWS", block)
+        X = features.extract_matrix(frames, idx[rows], build_catalog())
+        for j, spec in enumerate(build_catalog()):
+            np.testing.assert_array_equal(X[:, j], one_block[rows, j], err_msg=spec.spec_id)
+
+    def test_working_memory_does_not_grow_with_windows(self):
+        """Peak traced memory besides the output matrix is one block's worth,
+        the same for 4 and 16 blocks of windows."""
+        rng = np.random.default_rng(2)
+        overhead = []
+        for blocks in (4, 16):
+            n = blocks * features.BLOCK_WINDOWS + 99
+            chans = (rng.uniform(5.0e4, 5.1e4, n), rng.uniform(6.0e4, 6.1e4, n), rng.uniform(0.9, 1.1, n), rng.uniform(0, 0.2, n))
+            series = FrameSeries(40 * np.arange(n), *chans, np.zeros(n, dtype=bool))
+            _, idx = gap_free_windows(series, 100, 1)
+            tracemalloc.start()
+            try:
+                X = features.extract_matrix(series, idx, build_catalog())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            overhead.append(peak - X.nbytes)
+        assert abs(overhead[1] - overhead[0]) < 1e6, overhead
 
 
 class TestMannWhitney:

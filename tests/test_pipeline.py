@@ -277,6 +277,26 @@ class TestGateFirstEmit:
         assert lazy_csv == full_csv
         assert lazy_reports == full_reports
 
+    def test_split_set_is_what_the_trees_read(self, case, monkeypatch):
+        """The case model splits on few of its catalog columns, and leaving
+        out any one of them changes which windows emit at some decision
+        threshold, so the lazy path matching the full path at every threshold
+        shows that it computes every column the trees read."""
+        subject, model = case
+        split = pipeline._split_columns(model)
+        assert 0 < len(split) < len(model.feature_catalog)
+        analysis = pipeline.analyze_stream(subject, FAST, step=1)
+        thresholds = [replace(FAST, decision_threshold=q) for q in np.linspace(0.1, 0.9, 9)]
+
+        def masks(emit_fn):
+            return np.array([emit_fn(subject.wrist, analysis.idx, analysis.gate_pass, model, s) for s in thresholds])
+
+        want = masks(full_path_emit)
+        np.testing.assert_array_equal(masks(pipeline._emit), want)
+        for missed in sorted(split):
+            monkeypatch.setattr(pipeline, "_split_columns", lambda m, missed=missed: split - {missed})
+            assert (masks(pipeline._emit) != want).any(), model.feature_catalog[missed].spec_id
+
 
 class TestSweep:
     def test_single_value_matches_loocv(self, cohort_small):
