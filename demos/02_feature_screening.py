@@ -20,8 +20,8 @@ def windows_for(artifacts, seed):
     cfg = SynthConfig(duration_s=60.0, noise_sigma=0.0008, seed=seed,
                       artifacts=artifacts)
     frames, _ = synth.gen_ppg(cfg)
-    _, idx, _, has_gap = frames.windows(100, 100)
-    return features.extract_matrix(frames, idx[~has_gap], catalog)
+    starts, _, has_gap = frames.windows(100, 100)
+    return features.extract_matrix(frames, starts[~has_gap], 100, catalog)
 
 clean = windows_for((), seed=1)
 dirty = windows_for(tuple(ArtifactSegment(float(t), 4.0, "motion", 1.5)

@@ -50,16 +50,22 @@ def _require_complete_window(frames, window):
         raise ConfigOutOfRange(f"window {window} is longer than the stream ({len(frames)} samples): no complete window")
 
 
+#: The keys of a ``simulate`` config.
+SIMULATE_KEYS = ("n_subjects", "duration_s", "rate_hz", "seed", "calibration")
+
+
 def cmd_simulate(args):
     cfg = pipeline.load_config(args.config)
-    n = int(cfg.get("n_subjects", 10))
+    pipeline._reject_unknown_keys(cfg, SIMULATE_KEYS, args.config)
+    where = f"{args.config}: "
+    n = pipeline._config_value(cfg, "n_subjects", 10, where)
     base = synth.SynthConfig(
-        duration_s=float(cfg.get("duration_s", 720.0)),
-        rate_hz=float(cfg.get("rate_hz", 25.0)),
+        duration_s=float(pipeline._config_value(cfg, "duration_s", 720.0, where)),
+        rate_hz=float(pipeline._config_value(cfg, "rate_hz", 25.0, where)),
     )
     calib_d = pipeline._config_object(cfg, "calibration", pipeline._field_defaults(spo2.CalibrationCurve), args.config)
     calib = spo2.CalibrationCurve(**calib_d)
-    seed = int(cfg.get("seed", args.seed))
+    seed = pipeline._config_value(cfg, "seed", args.seed, where)
     config = synth.gen_cohort(n, args.out_dir, base, variation_seed=seed, calib=calib)
     _write_manifest(args.out_dir, "simulate", cfg, seed)
     print(f"wrote {n} subjects to {args.out_dir}")

@@ -21,7 +21,7 @@ from scipy import signal as _sps
 from scipy import stats as _spstats
 
 from .errors import CatalogMismatch, SingleClass
-from .signal_io import FrameSeries
+from .signal_io import FrameSeries, blocks
 
 CHANNELS = ("red", "ir", "accel_mag", "gyro_mag")
 
@@ -245,34 +245,25 @@ def build_catalog(channels=CHANNELS) -> list:
     return catalog
 
 
-# Windows featurized at a time. Every feature is computed row by row, so the
-# block size changes no bit of the output; it bounds the working memory to
-# about 18 MB at window 100, most of it the AR design of one block and its SVD
-# factors.
-BLOCK_WINDOWS = 1024
-
-
-def extract_matrix(series: FrameSeries, idx, catalog, columns=None) -> np.ndarray:
+def extract_matrix(series: FrameSeries, starts, window_len: int, catalog, columns=None) -> np.ndarray:
     """Feature matrix with one row per window, columns in catalog order.
 
-    ``idx`` holds one row of sample indices per window, as
-    :meth:`FrameSeries.windows` builds them. Only the catalog ``columns``
-    given (all by default) are computed; the others are NaN. Windows are
-    gathered from the stream one channel and one block of
-    ``BLOCK_WINDOWS`` at a time.
+    ``starts`` holds the first sample of each window of ``window_len``
+    samples. Only the catalog ``columns`` given (all by default) are
+    computed; the others are NaN. Windows are gathered from the stream one
+    channel and one block of ``BLOCK_WINDOWS`` at a time.
     """
     if not catalog:
         raise CatalogMismatch("catalog must be nonempty")
     by_channel = {}
     for j in sorted(range(len(catalog)) if columns is None else columns):
         by_channel.setdefault(catalog[j].channel, []).append(j)
-    X = np.full((len(idx), len(catalog)), np.nan)
-    for start in range(0, len(idx), BLOCK_WINDOWS):
-        block = idx[start : start + BLOCK_WINDOWS]
+    X = np.full((len(starts), len(catalog)), np.nan)
+    for b in blocks(len(starts)):
         for channel, cols in by_channel.items():
-            W = series.channel(channel)[block]
+            W = series.rows(channel, starts[b], window_len)
             for j in cols:
-                X[start : start + len(block), j] = compute_feature_batch(catalog[j], W)
+                X[b, j] = compute_feature_batch(catalog[j], W)
     return X
 
 

@@ -71,6 +71,10 @@ class PipelineSettings:
     def __post_init__(self):
         if self.window_len < spo2.MIN_WINDOW:
             raise ValueError(f"window_len must be >= {spo2.MIN_WINDOW}, got {self.window_len}")
+        if not 0.0 <= self.decision_threshold <= 1.0:
+            raise ValueError(f"decision_threshold must lie in [0, 1], got {self.decision_threshold}")
+        if not 0.0 < self.fdr_q < 1.0:
+            raise ValueError(f"fdr_q must lie in (0, 1), got {self.fdr_q}")
 
 
 # --- alignment and labeling ---------------------------------------------------
@@ -112,8 +116,8 @@ class StreamAnalysis:
     (NaN when DC is invalid), ``gate_pass`` the enhanced correlation gate,
     ``reference`` the aligned fingertip reading (NaN when unmatched),
     ``label`` reliability where defined (entries without value or reference
-    have ``has_label`` False), and ``idx`` the sample indices of each window
-    into the wrist stream, one row per window.
+    have ``has_label`` False), and ``starts`` the index of each window's first
+    sample in the wrist stream.
     """
 
     t_ms: np.ndarray
@@ -122,28 +126,26 @@ class StreamAnalysis:
     reference: np.ndarray
     label: np.ndarray
     has_label: np.ndarray
-    idx: np.ndarray
+    starts: np.ndarray
     span_ms: tuple
 
 
 def _gap_free_stats(series, window_len, step):
-    """``(idx, stats)``: the sample indices of the gap-free windows of a
-    stream, one row per window, and their ratio-of-ratios statistics."""
-    starts, idx, t_end, has_gap = series.windows(window_len, step)
+    """The ratio-of-ratios statistics of the gap-free windows of a stream."""
+    starts, t_end, has_gap = series.windows(window_len, step)
     ok = ~has_gap
-    idx = idx[ok]
-    return idx, spo2.matrix_stats(series.red[idx], series.ir[idx], t_end[ok], starts[ok])
+    return spo2.matrix_stats(series, starts[ok], window_len, t_end[ok], has_gap[ok])
 
 
 def analyze_stream(subject: SubjectData, settings: PipelineSettings, step: int) -> StreamAnalysis:
-    idx, stats = _gap_free_stats(subject.wrist, settings.window_len, step)
+    stats = _gap_free_stats(subject.wrist, settings.window_len, step)
     value, _ = spo2.calibrate(stats.ratio, settings.calibration)
     ref_t, ref_v = reference_series(subject, settings)
     reference = nearest_reference(stats.t_ms.astype(float), ref_t, ref_v, settings.label.alignment_tolerance_ms)
     label, has_label = reliability_labels(value, reference, settings.label)
     span = (int(subject.wrist.t_ms[0]), int(subject.wrist.t_ms[-1]))
     gate_pass = spo2.gate_pass(stats, settings.enhanced)
-    return StreamAnalysis(stats.t_ms, value, gate_pass, reference, label, has_label, idx, span)
+    return StreamAnalysis(stats.t_ms, value, gate_pass, reference, label, has_label, stats.start_idx, span)
 
 
 # --- training -----------------------------------------------------------------
@@ -159,7 +161,7 @@ def subject_training_rows(subject: SubjectData, settings: PipelineSettings, max_
     keep = analysis.has_label
     if max_ms is not None:
         keep = keep & (analysis.t_ms <= analysis.span_ms[0] + max_ms)
-    X = feats.extract_matrix(subject.wrist, analysis.idx[keep], settings.catalog)
+    X = feats.extract_matrix(subject.wrist, analysis.starts[keep], settings.window_len, settings.catalog)
     y = analysis.label[keep].astype(int)
     return X, y
 
@@ -202,14 +204,14 @@ def _split_columns(model: gbdt.GbdtModel) -> set:
     return {d["feature"] for t in model.trees for d in t if "leaf" not in d}
 
 
-def _emit(series, idx, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
+def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
     """Windows that emit a reading: those that pass the correlation gate and
     that the classifier trusts. A window that fails the gate never emits, so
-    only the gate-passing rows of ``idx`` get features and a prediction, and
+    only the gate-passing ``starts`` get features and a prediction, and
     only the columns the trees split on are computed. The others stay NaN,
     so a tree that read one would take its default branch."""
     emit = gate_pass.copy()
-    X = feats.extract_matrix(series, idx[gate_pass], model.feature_catalog, _split_columns(model))
+    X = feats.extract_matrix(series, starts[gate_pass], settings.window_len, model.feature_catalog, _split_columns(model))
     emit[gate_pass] = model.predict_proba_batch(X) >= settings.decision_threshold
     return emit
 
@@ -217,14 +219,14 @@ def _emit(series, idx, gate_pass, model: gbdt.GbdtModel, settings: PipelineSetti
 def prune(series, model, settings: PipelineSettings):
     """Sliding-window pruned readings: emit the enhanced-algorithm value for
     windows that pass both the correlation gate and the classifier."""
-    idx, stats = _gap_free_stats(series, settings.window_len, 1)
-    emit = _emit(series, idx, spo2.gate_pass(stats, settings.enhanced), model, settings)
+    stats = _gap_free_stats(series, settings.window_len, 1)
+    emit = _emit(series, stats.start_idx, spo2.gate_pass(stats, settings.enhanced), model, settings)
     return spo2.estimates_from_stats(stats, settings.calibration, "pruned", emit=emit)
 
 
 def evaluate_subject(subject: SubjectData, model, settings: PipelineSettings, group="") -> metrics.EvalReport:
     analysis = analyze_stream(subject, settings, step=1)
-    emit = _emit(subject.wrist, analysis.idx, analysis.gate_pass, model, settings)
+    emit = _emit(subject.wrist, analysis.starts, analysis.gate_pass, model, settings)
 
     def pair_set(mask):
         mask = mask & ~np.isnan(analysis.value) & ~np.isnan(analysis.reference)
@@ -384,6 +386,14 @@ def _config_value(d, key, default, where):
     return v
 
 
+def _reject_unknown_keys(d, allowed, config_path, kind="top-level"):
+    """A key of the ``kind`` object ``d`` outside ``allowed`` is a config
+    error naming it."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigOutOfRange(f"{config_path}: unknown {kind} key(s) {', '.join(unknown)}")
+
+
 def _config_object(cfg, name, defaults, config_path):
     """The ``name`` object of a config, or ``{}`` when absent; a key outside
     ``defaults`` or a value of another type than its default is a config
@@ -391,9 +401,7 @@ def _config_object(cfg, name, defaults, config_path):
     d = cfg.get(name, {})
     if not isinstance(d, dict):
         raise ConfigOutOfRange(f"{config_path}: {name} must be a JSON object")
-    unknown = sorted(set(d) - set(defaults))
-    if unknown:
-        raise ConfigOutOfRange(f"{config_path}: unknown {name} key(s) {', '.join(unknown)}")
+    _reject_unknown_keys(d, defaults, config_path, name)
     return {k: _config_value(d, k, defaults[k], f"{config_path}: {name}.") for k in d}
 
 
@@ -422,15 +430,23 @@ def _field_defaults(cls):
     return {f.name: f.default for f in fields(cls)}
 
 
+#: The top-level keys of an experiment config; ``simulate`` writes ``version``.
+EXPERIMENT_KEYS = (
+    "cohort", "calibration", "window", "label", "gbdt_params", "seed", "fdr_q", "decision_threshold", "version",
+)
+
+
 def load_experiment(config_path):
     """Load an experiment config JSON plus its cohort streams.
 
     Returns ``(subjects, settings)``. Stream paths are resolved relative to
-    the config file's directory; stream metadata comes from the sidecars.
+    the config file's directory; stream metadata comes from the sidecars. A
+    top-level key outside ``EXPERIMENT_KEYS`` is a config error.
     """
     config_path = pathlib.Path(config_path)
     cfg = load_config(config_path)
     base = config_path.parent
+    _reject_unknown_keys(cfg, EXPERIMENT_KEYS, config_path)
 
     calib_d = _config_object(cfg, "calibration", _field_defaults(spo2.CalibrationCurve), config_path)
     win_d = _config_object(cfg, "window", {"window_len": PipelineSettings.window_len}, config_path)
@@ -439,14 +455,17 @@ def load_experiment(config_path):
     where = f"{config_path}: "
     if "seed" in cfg:
         params_d.setdefault("seed", _config_value(cfg, "seed", gbdt.GbdtParams.seed, where))
-    settings = PipelineSettings(
-        label=LabelConfig(**lab_d),
-        gbdt_params=gbdt.GbdtParams(**params_d),
-        calibration=spo2.CalibrationCurve(**calib_d),
-        fdr_q=_config_value(cfg, "fdr_q", PipelineSettings.fdr_q, where),
-        decision_threshold=_config_value(cfg, "decision_threshold", PipelineSettings.decision_threshold, where),
-        **win_d,
-    )
+    try:
+        settings = PipelineSettings(
+            label=LabelConfig(**lab_d),
+            gbdt_params=gbdt.GbdtParams(**params_d),
+            calibration=spo2.CalibrationCurve(**calib_d),
+            fdr_q=_config_value(cfg, "fdr_q", PipelineSettings.fdr_q, where),
+            decision_threshold=_config_value(cfg, "decision_threshold", PipelineSettings.decision_threshold, where),
+            **win_d,
+        )
+    except ValueError as e:  # an out-of-range value
+        raise ConfigOutOfRange(f"{where}{e}") from e
 
     subjects = []
     for entry in _cohort_entries(cfg, config_path):

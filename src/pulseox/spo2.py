@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewPairs, WindowTooShort
-from .signal_io import FrameSeries, write_csv
+from .signal_io import FrameSeries, blocks, write_csv
 
 MIN_WINDOW = 8
 
@@ -89,19 +89,6 @@ class Spo2Estimates:
         return ~(self.flagged(GATE_DC_INVALID) | self.flagged(GATE_CORR_REJECTED))
 
 
-def _detrend(x: np.ndarray) -> np.ndarray:
-    """Remove the least-squares line from each row of a (n, w) matrix."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    w = x.shape[1]
-    k = np.arange(w, dtype=float)
-    k0 = k - k.mean()
-    denom = np.dot(k0, k0)
-    # BLAS dgemv: its sums vary with the BLAS thread count (ratio/corr by <= 1.1e-16 at 1 vs 2 threads).
-    slope = x @ k0 / denom
-    mean = x.mean(axis=1)
-    return x - mean[:, None] - slope[:, None] * k0[None, :]
-
-
 def calibrate(ratio, calib: CalibrationCurve):
     """Vectorized clamped calibration of ratios.
 
@@ -131,39 +118,66 @@ class WindowStats:
         return len(self.t_ms)
 
 
-def matrix_stats(red, ir, t_ms, start_idx=None, has_gap=None) -> WindowStats:
-    """Per-window AC/DC, ratio, and correlation from (n, w) channel matrices,
-    one window per row.
+def _slopes(series: FrameSeries, name: str, starts, window_len: int, k0: np.ndarray) -> np.ndarray:
+    """Least-squares slope of each window of one channel, gaps read as 0.
 
-    A window is ``dc_invalid``, with a NaN ratio, when it holds a gap, when a
-    channel's DC is not positive, or when the infrared AC is zero.
+    The product is one BLAS dgemv over all the windows at once: its sums
+    depend on how many rows it sees and on the BLAS thread count, so splitting
+    it into blocks would move ratio/corr bits, and with them the recorded
+    output digests. It stays whole-matrix, one channel at a time, until a
+    digest epoch swaps in a row-independent product.
     """
-    red = np.atleast_2d(np.asarray(red, dtype=float))
-    ir = np.atleast_2d(np.asarray(ir, dtype=float))
-    if start_idx is None:
-        start_idx = np.arange(len(red))
-    if has_gap is None:
-        has_gap = np.isnan(red).any(axis=1) | np.isnan(ir).any(axis=1)
+    x = series.rows(name, starts, window_len)
+    for b in blocks(len(x)):
+        np.nan_to_num(x[b], copy=False)
+    return x @ k0 / np.dot(k0, k0)
 
-    dc_red = red.mean(axis=1)
-    dc_ir = ir.mean(axis=1)
-    red_d = _detrend(np.nan_to_num(red))
-    ir_d = _detrend(np.nan_to_num(ir))
-    ac_red = np.sqrt(np.mean(red_d**2, axis=1))
-    ac_ir = np.sqrt(np.mean(ir_d**2, axis=1))
 
+def matrix_stats(series: FrameSeries, starts, window_len: int, t_end, has_gap) -> WindowStats:
+    """Per-window AC/DC, ratio, and correlation of the windows of
+    ``window_len`` samples at ``starts``, which end at ``t_end``.
+
+    A window is ``dc_invalid``, with a NaN ratio, when it holds a gap
+    (``has_gap``), when a channel's DC is not positive, or when the infrared
+    AC is zero. AC is the RMS of the window, gaps read as 0, less its
+    least-squares line. After the slopes, windows are walked
+    ``BLOCK_WINDOWS`` at a time into per-window sums.
+    """
+    n, w = len(starts), window_len
+    k = np.arange(w, dtype=float)
+    k0 = k - k.mean()
+    slope = {ch: _slopes(series, ch, starts, w, k0) for ch in ("red", "ir")}
+    dc = {ch: np.empty(n) for ch in slope}
+    sq_sum = {ch: np.empty(n) for ch in slope}
+    cross = np.empty(n)
+    for b in blocks(n):
+        detrended = {}
+        for ch in slope:
+            x = series.rows(ch, starts[b], w)
+            dc[ch][b] = x.mean(axis=1)
+            np.nan_to_num(x, copy=False)
+            x -= x.mean(axis=1)[:, None]
+            x -= slope[ch][b, None] * k0
+            detrended[ch] = x
+        cross[b] = np.sum(detrended["red"] * detrended["ir"], axis=1)
+        for ch, x in detrended.items():
+            x *= x
+            sq_sum[ch][b] = x.sum(axis=1)
+
+    dc_red, dc_ir = dc["red"], dc["ir"]
+    ac_red, ac_ir = np.sqrt(sq_sum["red"] / w), np.sqrt(sq_sum["ir"] / w)
     bad = has_gap | ~(dc_red > 0) | ~(dc_ir > 0) | (ac_ir == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (ac_red / dc_red) / (ac_ir / dc_ir)
-        denom = np.sqrt(np.sum(red_d**2, axis=1) * np.sum(ir_d**2, axis=1))
-        corr = np.sum(red_d * ir_d, axis=1) / denom
+        denom = np.sqrt(sq_sum["red"] * sq_sum["ir"])
+        corr = cross / denom
     ratio[bad] = np.nan
     corr[denom == 0] = np.nan
     corr[has_gap] = np.nan
 
     return WindowStats(
-        t_ms=np.asarray(t_ms, dtype=np.int64),
-        start_idx=np.asarray(start_idx),
+        t_ms=np.asarray(t_end, dtype=np.int64),
+        start_idx=np.asarray(starts),
         dc_red=dc_red,
         dc_ir=dc_ir,
         ac_red=ac_red,
@@ -179,8 +193,8 @@ def window_stats(series: FrameSeries, window_len: int = 100, step: int = 1) -> W
     holding a gap slot are kept and flagged ``dc_invalid``."""
     if window_len < MIN_WINDOW:
         raise WindowTooShort(f"window_len must be >= {MIN_WINDOW}")
-    starts, idx, t_end, has_gap = series.windows(window_len, step)
-    return matrix_stats(series.red[idx], series.ir[idx], t_end, start_idx=starts, has_gap=has_gap)
+    starts, t_end, has_gap = series.windows(window_len, step)
+    return matrix_stats(series, starts, window_len, t_end, has_gap)
 
 
 def corr_pass(stats: WindowStats, cfg: EnhancedConfig) -> np.ndarray:

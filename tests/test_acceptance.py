@@ -251,7 +251,7 @@ def test_criterion_08_calibration_mirroring(announce):
         user = _calibration_subject("u", 720.0, 100 * seed + 77, ("ambient_spike",))
         X, y = pipeline.build_training_set(base, settings)
         analysis = pipeline.analyze_stream(user, settings, step=1)
-        X_full = feats.extract_matrix(user.wrist, analysis.idx, settings.catalog)
+        X_full = feats.extract_matrix(user.wrist, analysis.starts, settings.window_len, settings.catalog)
         tail = analysis.t_ms >= analysis.span_ms[0] + 600_000
 
         def pruned_rmse(model):

@@ -1,9 +1,10 @@
 import csv
 import json
+from unittest import mock
 
 import pytest
 
-from pulseox import cli, gbdt, synth
+from pulseox import cli, gbdt, signal_io, synth
 from pulseox.features import FeatureSpec
 from pulseox.gbdt import GbdtModel, GbdtParams
 from pulseox.signal_io import StreamMeta, write_stream
@@ -71,6 +72,26 @@ class TestSimulate:
         assert cli.main(["simulate", str(cfg), str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(cfg) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n_subjects": [1]}, "n_subjects must be of type int, got [1]"),
+            ({"n_subjects": 2.0}, "n_subjects must be of type int"),
+            ({"duration_s": "30"}, "duration_s must be of type float"),
+            ({"rate_hz": None}, "rate_hz must be of type float"),
+            ({"seed": 5.5}, "seed must be of type int"),
+            ({"n_subjests": 2}, "unknown top-level key(s) n_subjests"),
+        ],
+        ids=["n_subjects_list", "n_subjects_float", "duration_string", "rate_null", "seed_float", "misspelt_key"],
+    )
+    def test_bad_value_or_unknown_key_exits_config(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0, "seed": 5, **doc}))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(cfg), str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
         assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
@@ -270,6 +291,44 @@ class TestTrainEvaluatePruneSweep:
         assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"unknown {obj} key(s) {key}" in err
+        assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("key", ["decision_treshold", "window_len"])
+    def test_unknown_top_level_key_exits_config(self, cohort_small_dir, tmp_path, capsys, key):
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        cfg[key] = 0.99
+        config = cohort_small_dir / f"unknown_top_{key}.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {config}: unknown top-level key(s) {key}")
+        assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.1"])
+    def test_prune_threshold_outside_unit_interval_exits_config(self, clean_stream, tmp_path, capsys, value):
+        model_path = tmp_path / "stub.json"
+        gbdt.save(GbdtModel([], 20.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
+        out = tmp_path / "pruned.csv"
+        assert cli.main(["prune", str(clean_stream), str(model_path), str(out), "--threshold", value]) == 2
+        assert capsys.readouterr().err.startswith("config error: decision_threshold must lie in [0, 1]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("decision_threshold", 1.5, "decision_threshold must lie in [0, 1]"),
+            ("decision_threshold", -0.1, "decision_threshold must lie in [0, 1]"),
+            ("fdr_q", 1.5, "fdr_q must lie in (0, 1)"),
+            ("fdr_q", 0, "fdr_q must lie in (0, 1)"),
+        ],
+    )
+    def test_config_value_out_of_range_exits_config(self, cohort_small_dir, tmp_path, capsys, key, value, message):
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        cfg[key] = value
+        config = cohort_small_dir / f"{key}_{value}.json"
+        config.write_text(json.dumps(cfg))
+        with mock.patch.object(signal_io, "load_frames", side_effect=AssertionError("streams read before the settings were checked")):
+            assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {config}: {message}")
         assert not (tmp_path / "train").exists()
 
     @pytest.mark.parametrize(

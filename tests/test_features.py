@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from naive_features import naive_feature
-from pulseox import features, synth
+from pulseox import features, signal_io, synth
 from pulseox.errors import SingleClass
 from pulseox.features import CHANNELS, FeatureSpec, build_catalog
 from pulseox.signal_io import FrameSeries
@@ -29,9 +29,11 @@ def random_window(rng, n=100):
 
 
 def gap_free_windows(series, window_len, step):
-    """``(starts, idx)`` of the windows of ``series`` that hold no gap slot."""
-    starts, idx, _, has_gap = series.windows(window_len, step)
-    return starts[~has_gap], idx[~has_gap]
+    """``(starts, idx)`` of the windows of ``series`` that hold no gap slot:
+    their first samples, and their sample indices one row per window."""
+    starts, _, has_gap = series.windows(window_len, step)
+    starts = starts[~has_gap]
+    return starts, starts[:, None] + np.arange(window_len)
 
 
 def compute_feature(spec, window):
@@ -170,32 +172,32 @@ class TestCatalogAndMatrix:
 
     def test_empty_matrix(self):
         series = make_series(50)
-        _, idx = gap_free_windows(series, 100, 1)
-        X = features.extract_matrix(series, idx, build_catalog())
+        starts, _ = gap_free_windows(series, 100, 1)
+        X = features.extract_matrix(series, starts, 100, build_catalog())
         assert X.shape == (0, 72)
 
     def test_single_window_small_catalog(self):
         catalog = build_catalog(channels=("ir",))[:15]
         series = make_series(100)
-        _, idx = gap_free_windows(series, 100, 100)
-        X = features.extract_matrix(series, idx, catalog)
+        starts, _ = gap_free_windows(series, 100, 100)
+        X = features.extract_matrix(series, starts, 100, catalog)
         assert X.shape == (1, 15)
 
     def test_deterministic(self):
         series = make_series(400)
-        _, idx = gap_free_windows(series, 100, 50)
+        starts, _ = gap_free_windows(series, 100, 50)
         catalog = build_catalog()
-        X1 = features.extract_matrix(series, idx, catalog)
-        X2 = features.extract_matrix(series, idx, catalog)
+        X1 = features.extract_matrix(series, starts, 100, catalog)
+        X2 = features.extract_matrix(series, starts, 100, catalog)
         np.testing.assert_array_equal(X1, X2)
 
     def test_columns_computes_only_those(self):
         series = make_series(400)
-        _, idx = gap_free_windows(series, 100, 50)
+        starts, _ = gap_free_windows(series, 100, 50)
         catalog = build_catalog()
         columns = {0, 17, 40, 71}
-        X = features.extract_matrix(series, idx, catalog, columns)
-        full = features.extract_matrix(series, idx, catalog)
+        X = features.extract_matrix(series, starts, 100, catalog, columns)
+        full = features.extract_matrix(series, starts, 100, catalog)
         rest = [j for j in range(len(catalog)) if j not in columns]
         np.testing.assert_array_equal(X[:, sorted(columns)], full[:, sorted(columns)])
         assert np.isnan(X[:, rest]).all() and np.isfinite(full).all()
@@ -215,21 +217,21 @@ class TestBlocks:
             ArtifactSegment(120.0, 5.0, "ambient_spike", 1.5),
         )
         frames, _ = synth.gen_ppg(SynthConfig(duration_s=170.0, noise_sigma=0.001, seed=4, artifacts=arts))
-        _, idx = gap_free_windows(frames, 100, 1)
+        starts, idx = gap_free_windows(frames, 100, 1)
         assert len(idx) > 4096 and 0 < (frames.red[idx] == 0).all(axis=1).sum() < len(idx)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(features, "BLOCK_WINDOWS", len(idx))
-            one_block = features.extract_matrix(frames, idx, build_catalog())
-        return frames, idx, one_block
+            mp.setattr(signal_io, "BLOCK_WINDOWS", len(idx))
+            one_block = features.extract_matrix(frames, starts, 100, build_catalog())
+        return frames, starts, one_block
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_block_size_changes_no_bit(self, case, monkeypatch, block):
-        frames, idx, one_block = case
+        frames, starts, one_block = case
         # one feature call per window per column is slow, so blocks of one
         # window see every fifth window; each is still computed alone
         rows = slice(None, None, 5 if block == 1 else 1)
-        monkeypatch.setattr(features, "BLOCK_WINDOWS", block)
-        X = features.extract_matrix(frames, idx[rows], build_catalog())
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", block)
+        X = features.extract_matrix(frames, starts[rows], 100, build_catalog())
         for j, spec in enumerate(build_catalog()):
             np.testing.assert_array_equal(X[:, j], one_block[rows, j], err_msg=spec.spec_id)
 
@@ -239,13 +241,13 @@ class TestBlocks:
         rng = np.random.default_rng(2)
         overhead = []
         for blocks in (4, 16):
-            n = blocks * features.BLOCK_WINDOWS + 99
+            n = blocks * signal_io.BLOCK_WINDOWS + 99
             chans = (rng.uniform(5.0e4, 5.1e4, n), rng.uniform(6.0e4, 6.1e4, n), rng.uniform(0.9, 1.1, n), rng.uniform(0, 0.2, n))
             series = FrameSeries(40 * np.arange(n), *chans, np.zeros(n, dtype=bool))
-            _, idx = gap_free_windows(series, 100, 1)
+            starts, _ = gap_free_windows(series, 100, 1)
             tracemalloc.start()
             try:
-                X = features.extract_matrix(series, idx, build_catalog())
+                X = features.extract_matrix(series, starts, 100, build_catalog())
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

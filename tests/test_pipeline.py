@@ -216,9 +216,10 @@ class TestPrune:
         assert len(enh_t) < len(base_t)
 
 
-def full_path_emit(series, idx, gate_pass, model, settings):
+def full_path_emit(series, starts, gate_pass, model, settings):
     """Features and a prediction for every gap-free window, the gate applied
     after: the reference for the gate-first ``pipeline._emit``."""
+    idx = starts[:, None] + np.arange(settings.window_len)
     X = np.column_stack([features.compute_feature_batch(s, series.channel(s.channel)[idx]) for s in model.feature_catalog])
     return (model.predict_proba_batch(X) >= settings.decision_threshold) & gate_pass
 
@@ -262,7 +263,7 @@ class TestGateFirstEmit:
         subject, model = case
         analysis = pipeline.analyze_stream(subject, FAST, step=1)
         gate = analysis.gate_pass
-        positive = full_path_emit(subject.wrist, analysis.idx, np.ones_like(gate), model, FAST)
+        positive = full_path_emit(subject.wrist, analysis.starts, np.ones_like(gate), model, FAST)
         # the gate rejects windows the classifier trusts, and the classifier
         # rejects some gate-passing windows and keeps others
         assert subject.wrist.gap.sum() == 4 and (~gate & positive).any()
@@ -289,7 +290,7 @@ class TestGateFirstEmit:
         thresholds = [replace(FAST, decision_threshold=q) for q in np.linspace(0.1, 0.9, 9)]
 
         def masks(emit_fn):
-            return np.array([emit_fn(subject.wrist, analysis.idx, analysis.gate_pass, model, s) for s in thresholds])
+            return np.array([emit_fn(subject.wrist, analysis.starts, analysis.gate_pass, model, s) for s in thresholds])
 
         want = masks(full_path_emit)
         np.testing.assert_array_equal(masks(pipeline._emit), want)
@@ -318,7 +319,7 @@ class TestSweep:
     def test_training_row_count_nonincreasing_in_window(self, cohort_small):
         subjects, _ = cohort_small
         counts = [
-            sum(len(pipeline._gap_free_stats(s.wrist, w, w)[0]) for s in subjects)
+            sum(len(pipeline._gap_free_stats(s.wrist, w, w)) for s in subjects)
             for w in (25, 50, 100)
         ]
         assert counts[0] >= counts[1] >= counts[2]

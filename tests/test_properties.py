@@ -160,11 +160,33 @@ def gapped_streams(draw):
 
 
 @settings(deadline=None)
+@given(
+    st.lists(st.booleans(), max_size=200),
+    st.integers(1, 60),
+    st.integers(1, 16),
+)
+def test_windows_from_starts_match_the_index_matrix(gap, window_len, step):
+    """``has_gap`` from the prefix sum of gaps, and the windows ``rows``
+    gathers, equal what an (n, w) index matrix reads."""
+    n = len(gap)
+    k = np.arange(n, dtype=float)
+    series = FrameSeries(40 * np.arange(n), 1000.0 + k, 2000.0 - k, k % 7, k % 3, gap)
+    starts, t_end, has_gap = series.windows(window_len, step)
+    idx = starts[:, None] + np.arange(window_len)
+    np.testing.assert_array_equal(has_gap, series.gap[idx].any(axis=1))
+    np.testing.assert_array_equal(t_end, series.t_ms[idx[:, -1]] if len(idx) else [])
+    for name in features.CHANNELS:
+        got = series.rows(name, starts, window_len)
+        assert got.shape == idx.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, series.channel(name)[idx])
+
+
+@settings(deadline=None)
 @given(gapped_streams())
 def test_gap_free_stats_are_the_gap_free_part_of_window_stats(case):
     series, window_len, step = case
     stats = spo2.window_stats(series, window_len, step)
-    idx, gap_free = pipeline._gap_free_stats(series, window_len, step)
+    gap_free = pipeline._gap_free_stats(series, window_len, step)
 
     starts = np.arange(0, max(len(series) - window_len + 1, 0), step)
     np.testing.assert_array_equal(stats.start_idx, starts)
@@ -174,7 +196,6 @@ def test_gap_free_stats_are_the_gap_free_part_of_window_stats(case):
 
     np.testing.assert_array_equal(gap_free.start_idx, stats.start_idx[~gapped])
     np.testing.assert_array_equal(gap_free.t_ms, stats.t_ms[~gapped])
-    np.testing.assert_array_equal(idx, gap_free.start_idx[:, None] + np.arange(window_len))
 
 
 @settings(deadline=None)
@@ -299,9 +320,9 @@ WINDOW_SHAPES = ("zero", "constant", "contact_loss", "random")
 
 @st.composite
 def shaped_windows(draw):
-    """``(series, idx)``: back-to-back windows of a four-channel stream, each
-    channel of each window zero, constant, random with a drop to 0 inside
-    (contact loss), or random in [0, ADC_MAX]."""
+    """``(series, w)``: back-to-back windows of ``w`` samples of a
+    four-channel stream, each channel of each window zero, constant, random
+    with a drop to 0 inside (contact loss), or random in [0, ADC_MAX]."""
     w = draw(st.integers(8, 120))
     n = draw(st.integers(1, 4))
     value = st.floats(0.0, ADC_MAX)
@@ -322,15 +343,14 @@ def shaped_windows(draw):
                 x[a:b] = 0.0
             rows.append(x)
         channels.append(np.concatenate(rows))
-    series = FrameSeries(40 * np.arange(n * w), *channels)
-    _, idx, _, _ = series.windows(w, w)
-    return series, idx
+    return FrameSeries(40 * np.arange(n * w), *channels), w
 
 
 @settings(deadline=None, max_examples=300)
 @given(shaped_windows())
 def test_every_catalog_feature_is_finite_on_degenerate_and_physical_windows(case):
-    series, idx = case
-    X = features.extract_matrix(series, idx, features.build_catalog())
-    assert X.shape == (len(idx), 72)
+    series, w = case
+    starts, _, _ = series.windows(w, w)
+    X = features.extract_matrix(series, starts, w, features.build_catalog())
+    assert X.shape == (len(starts), 72)
     assert np.isfinite(X).all(), [s.spec_id for s, ok in zip(features.build_catalog(), np.isfinite(X).all(axis=0)) if not ok]

@@ -1,13 +1,14 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from naive_features import naive_pearson
-from pulseox import spo2, synth
+from pulseox import pipeline, signal_io, spo2, synth
 from pulseox.errors import TooFewPairs, WindowTooShort
-from pulseox.signal_io import FrameSeries
+from pulseox.signal_io import FrameSeries, StreamMeta
 from pulseox.spo2 import (
     GATE_CLAMPED,
     GATE_CORR_REJECTED,
@@ -25,13 +26,21 @@ def sine_series(n=300, dc=1000.0, amp=10.0, flip_red=False):
     return FrameSeries(40 * k, red, ir, z, z)
 
 
+def stats_of_rows(red, ir):
+    """``window_stats`` of a stream laid out as the rows of ``red`` and ``ir``
+    end to end, one window per row."""
+    red, ir = np.atleast_2d(red).astype(float), np.atleast_2d(ir).astype(float)
+    z = np.zeros(red.size)
+    return spo2.window_stats(FrameSeries(40 * np.arange(red.size), red.ravel(), ir.ravel(), z, z), red.shape[1], red.shape[1])
+
+
 def one_row(red, ir=None):
-    """``matrix_stats`` of a single window; ``ir`` defaults to a unit-amplitude
-    sinusoid at DC 1000. One row keeps the sums exact: ``_detrend``'s matrix
+    """The statistics of a single window; ``ir`` defaults to a unit-amplitude
+    sinusoid at DC 1000. One row keeps the sums exact: the slope's matrix
     product may sum a row differently at another row position."""
     if ir is None:
         ir = 1000.0 + math.sqrt(2) * np.sin(2 * np.pi * 5 * np.arange(len(red)) / len(red))
-    return spo2.matrix_stats([red], [ir], [0])
+    return stats_of_rows(red, ir)
 
 
 class TestExtractAcDc:
@@ -173,7 +182,7 @@ class TestEnhanced:
         rng = np.random.default_rng(0)
         red = 1000.0 + rng.standard_normal((1000, 100))
         ir = 1000.0 + rng.standard_normal((1000, 100))
-        stats = spo2.matrix_stats(red, ir, np.zeros(1000))
+        stats = stats_of_rows(red, ir)
         rejected = ~(stats.corr >= EnhancedConfig().corr_threshold)
         assert rejected.mean() >= 0.95
 
@@ -198,7 +207,7 @@ class TestEnhanced:
         rng = np.random.default_rng(11)
         red = rng.uniform(900, 1100, (20, 100))
         ir = rng.uniform(900, 1100, (20, 100))
-        stats = spo2.matrix_stats(red, ir, np.zeros(20))
+        stats = stats_of_rows(red, ir)
         k = np.arange(100)
         for i in range(20):
             rd = red[i] - np.polyval(np.polyfit(k, red[i], 1), k)
@@ -306,3 +315,96 @@ class TestRecalibrate:
         c = spo2.apply_offset(CalibrationCurve(), -1.46)
         assert c.y0 == pytest.approx(108.54)
         assert c.m == 25.0
+
+
+STAT_FIELDS = ("t_ms", "start_idx", "dc_red", "dc_ir", "ac_red", "ac_ir", "ratio", "corr", "dc_invalid")
+
+
+def index_matrix_stats(series, starts, window_len):
+    """The window statistics as the (n, w) index-matrix gather computed them:
+    every window gathered by ``series.red[idx]``, gaps read as 0 by
+    ``np.nan_to_num``, and ``x - mean - slope * k0`` with one whole-matrix
+    product for the slopes. The reference for ``spo2.matrix_stats``."""
+    idx = starts[:, None] + np.arange(window_len)
+    red, ir = series.red[idx], series.ir[idx]
+    k = np.arange(window_len, dtype=float)
+    k0 = k - k.mean()
+
+    def detrend(x):
+        x = np.nan_to_num(x)
+        slope = x @ k0 / np.dot(k0, k0)
+        return x - x.mean(axis=1)[:, None] - slope[:, None] * k0[None, :]
+
+    red_d, ir_d = detrend(red), detrend(ir)
+    dc_red, dc_ir = red.mean(axis=1), ir.mean(axis=1)
+    ac_red, ac_ir = np.sqrt(np.mean(red_d**2, axis=1)), np.sqrt(np.mean(ir_d**2, axis=1))
+    has_gap = series.gap[idx].any(axis=1)
+    bad = has_gap | ~(dc_red > 0) | ~(dc_ir > 0) | (ac_ir == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (ac_red / dc_red) / (ac_ir / dc_ir)
+        denom = np.sqrt(np.sum(red_d**2, axis=1) * np.sum(ir_d**2, axis=1))
+        corr = np.sum(red_d * ir_d, axis=1) / denom
+    ratio[bad] = np.nan
+    corr[denom == 0] = np.nan
+    corr[has_gap] = np.nan
+    t_ms = series.t_ms[starts + window_len - 1]
+    return dict(t_ms=t_ms, start_idx=starts, dc_red=dc_red, dc_ir=dc_ir, ac_red=ac_red, ac_ir=ac_ir,
+                ratio=ratio, corr=corr, dc_invalid=bad)
+
+
+class TestStatsFromStarts:
+    """``matrix_stats`` reads windows from their starts and walks them in
+    blocks of ``BLOCK_WINDOWS``, with the bits of the index-matrix gather."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        # the synthetic DC (5e4 red, 6e4 ir), contact loss that flattens both
+        # optical channels to 0, and dropped samples that become gap slots
+        arts = (
+            synth.ArtifactSegment(20.0, 6.0, "contact_loss"),
+            synth.ArtifactSegment(45.0, 8.0, "motion", 1.5),
+            synth.ArtifactSegment(70.0, 5.0, "ambient_spike", 1.5),
+        )
+        frames, _ = synth.gen_ppg(synth.SynthConfig(duration_s=90.0, noise_sigma=0.001, seed=4, artifacts=arts))
+        keep = np.ones(len(frames), dtype=bool)
+        keep[[300, 1000, 1001, 1900]] = False
+        cols = (frames.t_ms, frames.red, frames.ir, frames.accel_mag, frames.gyro_mag)
+        series = signal_io.regularize(FrameSeries(*(c[keep] for c in cols)), StreamMeta())
+        assert series.gap.sum() == 4 and np.nanmean(series.red) > 4e4
+        return series
+
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "all"])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_bit_identical_to_index_matrix_gather(self, stream, monkeypatch, block, step):
+        starts = np.arange(0, len(stream) - 99, step)
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", block or len(starts))
+        everything = spo2.window_stats(stream, 100, step)
+        want = index_matrix_stats(stream, starts, 100)
+        gapped = want["dc_invalid"] & np.isnan(want["dc_red"])
+        flat = want["dc_invalid"] & (want["dc_red"] == 0)
+        assert gapped.any() and flat.any() and not want["dc_invalid"].all()
+        gap_free = pipeline._gap_free_stats(stream, 100, step)
+        want_gap_free = index_matrix_stats(stream, starts[~gapped], 100)
+        for name in STAT_FIELDS:
+            assert getattr(everything, name).tobytes() == np.asarray(want[name]).tobytes(), name
+            assert getattr(gap_free, name).tobytes() == np.asarray(want_gap_free[name]).tobytes(), name
+
+    def test_working_memory_is_one_slope_matrix(self):
+        """Between 4 and 16 blocks of windows, the traced peak of the
+        statistics grows by one channel's (n, w) slope matrix and a few
+        vectors per window, not by the matrices of every step."""
+        rng = np.random.default_rng(3)
+        w = 100
+        peaks = []
+        for n_blocks in (4, 16):
+            n = n_blocks * signal_io.BLOCK_WINDOWS + w - 1
+            z = np.zeros(n)
+            series = FrameSeries(40 * np.arange(n), rng.uniform(5.0e4, 5.1e4, n), rng.uniform(6.0e4, 6.1e4, n), z, z)
+            tracemalloc.start()
+            try:
+                spo2.window_stats(series, w, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        more_windows = 12 * signal_io.BLOCK_WINDOWS
+        assert peaks[1] - peaks[0] <= more_windows * (w + 16) * 8, (peaks, more_windows * w * 8)

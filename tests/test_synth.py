@@ -21,7 +21,7 @@ class TestGenPpg:
 
     def test_zero_perfusion_degenerate(self):
         frames, _ = synth.gen_ppg(SynthConfig(duration_s=8.0, perfusion_index=0.0))
-        stats = spo2.matrix_stats(frames.red[None, :100], frames.ir[None, :100], frames.t_ms[99:100])
+        stats = spo2.matrix_stats(frames, np.array([0]), 100, frames.t_ms[99:100], np.array([False]))
         assert stats.ac_ir[0] == 0.0
         assert stats.dc_invalid[0] and np.isnan(stats.ratio[0])
 
