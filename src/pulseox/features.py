@@ -12,7 +12,9 @@ discovery rate across the catalog.
 
 from __future__ import annotations
 
-import math
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -137,6 +139,21 @@ def _cid_ce(X, p):
     return out
 
 
+# Worker count of the AR fit: every CPU this process may run on (so
+# ``taskset`` limits it), the calling thread included.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """The other ``_WORKERS - 1`` threads, started by the first split fit."""
+    return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="pulseox-ar")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _ar_coefficient(X, p):
     """OLS fit of an AR(k) model; coeff 0 is the intercept, j the lag-j weight.
 
@@ -148,12 +165,35 @@ def _ar_coefficient(X, p):
     Trained models split on AR features (16 of the 293 splits of the
     benchmark's model at its default seed), so their bytes and the recorded
     output digests of ``perfbench`` would change with it.
+
+    The rows are split into ``_WORKERS`` contiguous chunks: the calling
+    thread fits the first and a thread pool the others, each into its own
+    slice of the output (``np.linalg.svd`` releases the GIL). Each window's
+    design, SVD and contraction read only that window's row, so no output bit
+    depends on the chunk sizes or on the number of CPUs. The pool threads
+    call only numpy and ``_ar_fit``, never a public function of the package:
+    a tracer that wraps those keeps one span stack, for the calling thread.
     """
     j = int(p["coeff"])
     k = int(p["k"])
     n, w = X.shape
+    out = np.zeros(n)
     if j > k or w <= k:
-        return np.zeros(n)
+        return out
+    parts = max(1, min(_WORKERS, n))
+    chunks = [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+    futures = [_pool().submit(_ar_fit, X[c], j, k, out[c]) for c in chunks[1:]]
+    try:
+        _ar_fit(X[chunks[0]], j, k, out[chunks[0]])
+    finally:
+        for f in futures:
+            f.result()
+    return out
+
+
+def _ar_fit(X, j, k, out):
+    """``_ar_coefficient`` of the rows of ``X``, written into ``out``."""
+    n, w = X.shape
     # design [1, x_{t-1}, ..., x_{t-k}] predicting x_t for t = k..w-1, built
     # lag-major so every row write is contiguous; the SVD reads its transpose
     At = np.empty((n, k + 1, w - k))
@@ -166,9 +206,8 @@ def _ar_coefficient(X, p):
     tol = s[:, :1] * max(A.shape[1], A.shape[2]) * np.finfo(float).eps
     full_rank = (s > tol).all(axis=1)
     s_safe = np.where(s > tol, s, 1.0)
-    out = np.einsum("nk,nk,nik,ni->n", Vt[:, :, j], 1.0 / s_safe, U, y)
+    np.einsum("nk,nk,nik,ni->n", Vt[:, :, j], 1.0 / s_safe, U, y, out=out)
     out[~full_rank] = 0.0
-    return out
 
 
 def _spkt_welch_density(X, p):
@@ -282,8 +321,9 @@ def mann_whitney_p(values, labels) -> float:
     against a binary target.
 
     Exact enumeration of all label assignments when the pooled sample size is
-    at most 12; otherwise a tie-corrected normal approximation with continuity
-    correction.
+    at most 12, with ties at their midranks (scipy's exact test ignores
+    ties); otherwise scipy's tie-corrected normal approximation with
+    continuity correction.
     """
     x = np.asarray(values, dtype=float)
     y = np.asarray(labels)
@@ -294,35 +334,26 @@ def mann_whitney_p(values, labels) -> float:
     if n0 == 0 or n1 == 0:
         raise SingleClass("both classes must be nonempty")
     n = n0 + n1
+    if n > EXACT_MW_MAX_N:
+        test = _spstats.mannwhitneyu(x[y == 0], x[y == 1], alternative="two-sided", method="asymptotic", use_continuity=True)
+        return float(test.pvalue)
+
     ranks = _spstats.rankdata(x, method="average")
     u0 = _u_statistic(ranks, y == 0, n0)
-    u1 = n0 * n1 - u0
-    u_min = min(u0, u1)
-
-    if n <= EXACT_MW_MAX_N:
-        total = 0
-        lo = 0
-        hi = 0
-        idx = np.arange(n)
-        for comb in combinations(idx, n0):
-            mask = np.zeros(n, dtype=bool)
-            mask[list(comb)] = True
-            u = _u_statistic(ranks, mask, n0)
-            total += 1
-            if u <= u_min + 1e-12:
-                lo += 1
-            if u >= n0 * n1 - u_min - 1e-12:
-                hi += 1
-        return min(1.0, (lo + hi) / total)
-
-    mu = n0 * n1 / 2.0
-    _, counts = np.unique(x, return_counts=True)
-    tie_term = np.sum(counts.astype(float) ** 3 - counts)
-    var = n0 * n1 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if var <= 0:
-        return 1.0
-    z = (u_min - mu + 0.5) / math.sqrt(var)
-    return min(1.0, 2.0 * _spstats.norm.cdf(z))
+    u_min = min(u0, n0 * n1 - u0)
+    total = 0
+    lo = 0
+    hi = 0
+    for comb in combinations(range(n), n0):
+        mask = np.zeros(n, dtype=bool)
+        mask[list(comb)] = True
+        u = _u_statistic(ranks, mask, n0)
+        total += 1
+        if u <= u_min + 1e-12:
+            lo += 1
+        if u >= n0 * n1 - u_min - 1e-12:
+            hi += 1
+    return min(1.0, (lo + hi) / total)
 
 
 @dataclass

@@ -209,10 +209,17 @@ def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSe
     that the classifier trusts. A window that fails the gate never emits, so
     only the gate-passing ``starts`` get features and a prediction, and
     only the columns the trees split on are computed. The others stay NaN,
-    so a tree that read one would take its default branch."""
+    so a tree that read one would take its default branch. Features are
+    extracted and predicted one block of windows at a time, so no feature
+    matrix of the whole stream is built; rows are independent in both."""
+    starts, columns = starts[gate_pass], _split_columns(model)
+    proba = np.empty(len(starts))
+    # one call at least, so a catalog extract_matrix rejects fails on any stream
+    for b in signal_io.blocks(len(starts)) or [slice(0, 0)]:
+        X = feats.extract_matrix(series, starts[b], settings.window_len, model.feature_catalog, columns)
+        proba[b] = model.predict_proba_batch(X)
     emit = gate_pass.copy()
-    X = feats.extract_matrix(series, starts[gate_pass], settings.window_len, model.feature_catalog, _split_columns(model))
-    emit[gate_pass] = model.predict_proba_batch(X) >= settings.decision_threshold
+    emit[gate_pass] = proba >= settings.decision_threshold
     return emit
 
 

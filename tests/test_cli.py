@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from pulseox import cli, gbdt, signal_io, synth
+import pulseox
+from pulseox import cli, features, gbdt, signal_io, synth
 from pulseox.features import FeatureSpec
 from pulseox.gbdt import GbdtModel, GbdtParams
 from pulseox.signal_io import StreamMeta, write_stream
@@ -279,6 +285,20 @@ class TestTrainEvaluatePruneSweep:
         assert capsys.readouterr().err.startswith("error: catalog must be nonempty")
         assert not out.exists()
 
+    def test_prune_empty_catalog_model_exits_io_when_no_window_passes_the_gate(self, tmp_path, capsys):
+        n = 1500
+        rng = np.random.default_rng(0)
+        chans = (rng.uniform(5.0e4, 5.1e4, n), rng.uniform(6.0e4, 6.1e4, n), rng.uniform(0.9, 1.1, n), rng.uniform(0, 0.2, n))
+        stream = tmp_path / "noise.csv"
+        write_stream(stream, signal_io.FrameSeries(40 * np.arange(n), *chans, np.zeros(n, dtype=bool)), "wrist", StreamMeta())
+        assert cli.main(["spo2", str(stream), str(tmp_path / "est.csv"), "--algo", "enhanced"]) == 0
+        assert all("corr_rejected" in r[4] for r in read_rows(tmp_path / "est.csv")[1:])
+        model_path = tmp_path / "model.json"
+        gbdt.save(GbdtModel([stump(feature=3)], 0.0, GbdtParams(), []), model_path)
+        capsys.readouterr()
+        assert cli.main(["prune", str(stream), str(model_path), str(tmp_path / "pruned.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: catalog must be nonempty")
+
     @pytest.mark.parametrize(
         "obj, key",
         [("window", "step"), ("window", "windw_len"), ("label", "reliability_threshold"), ("calibration", "slope")],
@@ -414,3 +434,50 @@ class TestTrainEvaluatePruneSweep:
         with pytest.raises(SystemExit) as e:
             cli.main(["--help"])
         assert e.value.code == 0
+
+
+# runs ``pulseox.cli`` with the arguments after the first, which is ``all``
+# or the one CPU to pin the process to before anything is imported
+PINNED_CLI = """
+import os, runpy, sys
+cpu = sys.argv.pop(1)
+if cpu != "all":
+    os.sched_setaffinity(0, {int(cpu)})
+runpy.run_module("pulseox.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs CPU affinity and two CPUs"
+)
+class TestCpuCount:
+    def test_outputs_do_not_depend_on_cpu_count(self, clean_stream, tmp_path):
+        """``prune`` and ``spo2 --step 1`` write the same bytes on every CPU
+        the process may use and pinned to one, with a model whose every tree
+        splits on an AR feature at its median over the stream."""
+        frames, _ = signal_io.load_frames(clean_stream, "wrist")
+        catalog = features.build_catalog()
+        ar = [j for j, spec in enumerate(catalog) if spec.name == "ar_coefficient"]
+        starts, _, has_gap = frames.windows(100, 1)
+        X = features.extract_matrix(frames, starts[~has_gap], 100, catalog, ar)
+        split = {"default": "left", "left": 1, "right": 2}
+        trees = [[dict(split, feature=j, threshold=float(np.median(X[:, j]))), {"leaf": 1.0}, {"leaf": -1.0}] for j in ar]
+        model = tmp_path / "model.json"
+        gbdt.save(GbdtModel(trees, 0.0, GbdtParams(), catalog), model)
+        # one BLAS thread in both runs, so only the package's own threads vary
+        one_blas = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(pulseox.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **one_blas)
+        outputs = []
+        for cpu in ("all", str(min(os.sched_getaffinity(0)))):
+            out = tmp_path / f"cpu_{cpu}"
+            out.mkdir()
+            for args in (
+                ["prune", str(clean_stream), str(model), str(out / "pruned.csv")],
+                ["spo2", str(clean_stream), str(out / "spo2.csv"), "--step", "1"],
+            ):
+                subprocess.run([sys.executable, "-c", PINNED_CLI, cpu, *args], env=env, check=True, capture_output=True)
+            outputs.append([(out / name).read_bytes() for name in ("pruned.csv", "spo2.csv")])
+        assert outputs[0] == outputs[1]
+        pruned, spo2_rows = (len(b.splitlines()) - 1 for b in outputs[0])
+        assert 0 < pruned < spo2_rows

@@ -1,7 +1,13 @@
+import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from naive_features import naive_feature
 from pulseox import features, signal_io, synth
@@ -136,20 +142,26 @@ def full_pinv_ar(X, k):
     return coeffs
 
 
+def contact_loss_wrist():
+    """``(frames, idx, flat)``: the step-2 windows of a wrist stream at the
+    synthetic DC (5e4 red, 6e4 ir) whose contact loss flattens both optical
+    channels to 0, and which of them are flat, i.e. rank-deficient designs."""
+    arts = (
+        ArtifactSegment(8.0, 6.0, "contact_loss"),
+        ArtifactSegment(18.0, 4.0, "motion"),
+        ArtifactSegment(24.0, 3.0, "ambient_spike"),
+    )
+    frames, _ = synth.gen_ppg(SynthConfig(duration_s=32.0, noise_sigma=0.001, seed=4, artifacts=arts))
+    _, idx = gap_free_windows(frames, 100, 2)
+    flat = (frames.red[idx] == 0).all(axis=1)
+    assert 0 < flat.sum() < len(idx)
+    return frames, idx, flat
+
+
 class TestArCoefficient:
     def test_bit_identical_to_full_contraction_on_wrist_stream(self):
-        # a wrist stream at the synthetic DC (5e4 red, 6e4 ir) whose contact
-        # loss flattens both optical channels to 0: rank-deficient designs
-        arts = (
-            ArtifactSegment(8.0, 6.0, "contact_loss"),
-            ArtifactSegment(18.0, 4.0, "motion"),
-            ArtifactSegment(24.0, 3.0, "ambient_spike"),
-        )
-        frames, _ = synth.gen_ppg(SynthConfig(duration_s=32.0, noise_sigma=0.001, seed=4, artifacts=arts))
-        _, idx = gap_free_windows(frames, 100, 2)
+        frames, idx, flat = contact_loss_wrist()
         k = 10
-        flat = (frames.red[idx] == 0).all(axis=1)
-        assert 0 < flat.sum() < len(idx)
         for ch in CHANNELS:
             X = frames.channel(ch)[idx]
             want = full_pinv_ar(X, k)
@@ -158,6 +170,99 @@ class TestArCoefficient:
                 np.testing.assert_array_equal(got, want[:, j], err_msg=f"{ch} coeff {j}")
                 if ch in ("red", "ir"):
                     assert (got[flat] == 0).all()
+
+
+class TestArWorkers:
+    """``_ar_coefficient`` splits its rows among ``_WORKERS`` threads."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        return contact_loss_wrist()
+
+    @staticmethod
+    def fit(X, j, workers, monkeypatch):
+        monkeypatch.setattr(features, "_WORKERS", workers)
+        return features._ar_coefficient(X, {"coeff": j, "k": 10})
+
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_worker_count_changes_no_bit(self, case, monkeypatch, workers):
+        frames, idx, _ = case
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+        try:
+            for ch in CHANNELS:
+                X = frames.channel(ch)[idx]
+                # n = 0, 1, fewer rows than workers, and all rows
+                for rows in (X[:0], X[:1], X[:2], X[5:11], X):
+                    rows = np.ascontiguousarray(rows)
+                    for j in (0, 1, 10):
+                        want = self.fit(rows, j, 1, monkeypatch)
+                        got = self.fit(rows, j, workers, monkeypatch)
+                        assert got.shape == (len(rows),)
+                        assert got.tobytes() == want.tobytes(), (ch, len(rows), j)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pool_error_reaches_the_caller(self, monkeypatch):
+        X = np.random.default_rng(0).normal(size=(6, 100))
+        X[-1, 5] = np.nan  # in the last chunk, which a pool thread fits
+        with pytest.raises(np.linalg.LinAlgError):
+            self.fit(X, 1, 2, monkeypatch)
+
+    def test_rank_deficient_rows_across_a_chunk_boundary(self, case, monkeypatch):
+        frames, idx, flat = case
+        # rows centred on the first flat run, so the boundary of two chunks
+        # falls inside it
+        first = np.flatnonzero(flat)[0]
+        mid = (first + first + np.argmin(flat[first:])) // 2
+        rows = slice(first - 20, 2 * mid - first + 20)
+        X = np.ascontiguousarray(frames.red[idx][rows])
+        half = len(X) // 2
+        assert flat[rows][half - 1] and flat[rows][half] and not flat[rows].all()
+        for j in range(11):
+            got = self.fit(X, j, 2, monkeypatch)
+            assert (got[flat[rows]] == 0).all() and (got[~flat[rows]] != 0).any()
+            assert got.tobytes() == self.fit(X, j, 1, monkeypatch).tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        X = np.random.default_rng(0).normal(size=(60, 100))
+        want = self.fit(X, 1, 2, monkeypatch)  # the pool now runs here
+
+        def child():
+            assert features._ar_coefficient(X, {"coeff": 1, "k": 10}).tobytes() == want.tobytes()
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        if proc.is_alive():
+            proc.kill()
+        assert proc.exitcode == 0
+
+    def test_public_calls_stay_on_the_calling_thread(self, monkeypatch):
+        """Pool threads run only ``_ar_fit``: every public call that a tracer
+        wraps (``compute_feature_batch``, ``FrameSeries.rows``) is made by the
+        caller, over several blocks, while the pool fits AR rows."""
+        threads = {"public": [], "_ar_fit": []}
+
+        def spy(kind, fn):
+            def called(*args, **kwargs):
+                threads[kind].append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return called
+
+        monkeypatch.setattr(features, "_WORKERS", 3)
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
+        monkeypatch.setattr(features, "compute_feature_batch", spy("public", features.compute_feature_batch))
+        monkeypatch.setattr(FrameSeries, "rows", spy("public", FrameSeries.rows))
+        monkeypatch.setattr(features, "_ar_fit", spy("_ar_fit", features._ar_fit))
+        series = make_series(400)
+        starts, _ = gap_free_windows(series, 100, 1)
+        features.extract_matrix(series, starts, 100, build_catalog())
+        caller = threading.get_ident()
+        assert len(threads["public"]) == 5 * (4 + 72) and set(threads["public"]) == {caller}
+        assert caller in threads["_ar_fit"] and len(set(threads["_ar_fit"])) > 1
 
 
 class TestCatalogAndMatrix:
@@ -255,6 +360,24 @@ class TestBlocks:
         assert abs(overhead[1] - overhead[0]) < 1e6, overhead
 
 
+def tie_corrected_normal_p(x, y):
+    """Two-sided Mann-Whitney p-value by the normal approximation with the
+    tie-corrected variance and the continuity correction, written out: the
+    reference for the scipy call of ``mann_whitney_p``."""
+    n0, n1 = int(np.sum(y == 0)), int(np.sum(y == 1))
+    n = n0 + n1
+    ranks = sps.rankdata(x, method="average")
+    u0 = ranks[y == 0].sum() - n0 * (n0 + 1) / 2.0
+    u_min = min(u0, n0 * n1 - u0)
+    _, counts = np.unique(x, return_counts=True)
+    tie_term = np.sum(counts.astype(float) ** 3 - counts)
+    var = n0 * n1 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if var <= 0:
+        return 1.0
+    z = (u_min - n0 * n1 / 2.0 + 0.5) / math.sqrt(var)
+    return min(1.0, 2.0 * sps.norm.cdf(z))
+
+
 class TestMannWhitney:
     def test_exact_small(self):
         p = features.mann_whitney_p([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
@@ -271,8 +394,6 @@ class TestMannWhitney:
         assert features.mann_whitney_p(x, y) < 1e-10
 
     def test_matches_scipy_normal_approx(self):
-        from scipy import stats as sps
-
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = rng.normal(0, 1, 60)
@@ -284,6 +405,17 @@ class TestMannWhitney:
                 x[y == 0], x[y == 1], alternative="two-sided", method="asymptotic"
             ).pvalue
             assert got == pytest.approx(ref, abs=1e-9)
+
+    def test_matches_tie_corrected_normal_approx(self):
+        # above 12 samples, heavy ties included, the p-value has the bits of
+        # the tie-corrected normal approximation written out by hand
+        rng = np.random.default_rng(2)
+        for n in (13, 60, 445):
+            ties = (rng.integers(0, 4, n).astype(float), np.round(rng.normal(5e4, 1, n), 1), np.full(n, 5.0))
+            for x in (rng.normal(0, 1, n), *ties):
+                y = (rng.random(n) < 0.3).astype(int)
+                y[:2] = (0, 1)
+                assert features.mann_whitney_p(x, y) == tie_corrected_normal_p(x, y)
 
     def test_single_class(self):
         with pytest.raises(SingleClass):

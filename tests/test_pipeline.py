@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -297,6 +298,32 @@ class TestGateFirstEmit:
         for missed in sorted(split):
             monkeypatch.setattr(pipeline, "_split_columns", lambda m, missed=missed: split - {missed})
             assert (masks(pipeline._emit) != want).any(), model.feature_catalog[missed].spec_id
+
+    def test_working_memory_does_not_grow_with_windows(self):
+        """Peak traced memory of ``_emit`` besides its output mask is one
+        block's worth, the same for 4 and 16 blocks of gate-passing windows,
+        with the whole 72-column catalog in the model."""
+        catalog = features.build_catalog()
+        split = {"default": "left", "left": 1, "right": 2}
+        trees = [[dict(split, feature=j, threshold=float(t)), {"leaf": 1.0}, {"leaf": -1.0}] for j, t in ((8, 5.05e4), (22, 0.0), (40, 0.0))]
+        model = GbdtModel(trees, 0.0, GbdtParams(), catalog)
+        rng = np.random.default_rng(2)
+        overhead = []
+        for blocks in (4, 16):
+            n = blocks * signal_io.BLOCK_WINDOWS + 99
+            chans = (rng.uniform(5.0e4, 5.1e4, n), rng.uniform(6.0e4, 6.1e4, n), rng.uniform(0.9, 1.1, n), rng.uniform(0, 0.2, n))
+            series = FrameSeries(40 * np.arange(n), *chans, np.zeros(n, dtype=bool))
+            starts = np.arange(n - 99)
+            gate_pass = np.ones(len(starts), dtype=bool)
+            tracemalloc.start()
+            try:
+                emit = pipeline._emit(series, starts, gate_pass, model, FAST)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0 < emit.sum() < len(emit)
+            overhead.append(peak - emit.nbytes)
+        assert abs(overhead[1] - overhead[0]) < 1e6, overhead
 
 
 class TestSweep:
