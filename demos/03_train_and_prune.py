@@ -34,7 +34,7 @@ for r in reports:
 X, y = pipeline.build_training_set(subjects, settings)
 model, selection = pipeline.train_model(X, y, settings)
 print(f"\nfinal model keeps {len(model.feature_catalog)} features "
-      f"out of {len(settings.catalog)}")
+      f"out of {X.shape[1]}")
 
 frames, _ = synth.gen_ppg(SynthConfig(
     duration_s=120.0, noise_sigma=0.0008, seed=99,

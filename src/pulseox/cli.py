@@ -8,13 +8,14 @@ fixed model) over a cohort, ``prune`` emits classifier-filtered readings,
 its output directory recording the resolved config, seed, and component
 versions so the run can be reproduced exactly.
 
-Exit codes: 0 success, 1 I/O error, 2 config error.
+Exit codes: 0 success, 1 I/O error or malformed input file, 2 config error
+(a bad config file, config value or flag). Any other exception is a bug and
+ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -64,7 +65,8 @@ def cmd_simulate(args):
         rate_hz=float(pipeline._config_value(cfg, "rate_hz", 25.0, where)),
     )
     calib_d = pipeline._config_object(cfg, "calibration", pipeline._field_defaults(spo2.CalibrationCurve), args.config)
-    calib = spo2.CalibrationCurve(**calib_d)
+    with pipeline._config_range(where):
+        calib = spo2.CalibrationCurve(**calib_d)
     seed = pipeline._config_value(cfg, "seed", args.seed, where)
     config = synth.gen_cohort(n, args.out_dir, base, variation_seed=seed, calib=calib)
     _write_manifest(args.out_dir, "simulate", cfg, seed)
@@ -79,7 +81,8 @@ def cmd_spo2(args):
         raise ConfigOutOfRange(f"--window must be >= {spo2.MIN_WINDOW}, got {args.window}")
     if args.step < 1:
         raise ConfigOutOfRange(f"--step must be >= 1, got {args.step}")
-    calib = spo2.CalibrationCurve(args.y0, args.m)
+    with pipeline._config_range():
+        calib = spo2.CalibrationCurve(args.y0, args.m)
     frames, _ = signal_io.load_frames(args.stream, args.kind)
     _require_complete_window(frames, args.window)
     if args.algo == "baseline":
@@ -104,7 +107,7 @@ def cmd_train(args):
     gbdt.save(model, out / "model.json")
     signal_io.write_json(out / "selection.json", selection.to_json_dict())
     _write_manifest(out, "train", pipeline.load_config(args.config), settings.gbdt_params.seed)
-    print(f"trained on {len(X)} rows; kept {len(model.feature_catalog)}/{len(settings.catalog)} features")
+    print(f"trained on {len(X)} rows; kept {len(model.feature_catalog)}/{X.shape[1]} features")
     return EXIT_OK
 
 
@@ -114,7 +117,7 @@ def cmd_evaluate(args):
     out.mkdir(parents=True, exist_ok=True)
     if args.model:
         model = gbdt.load(args.model)
-        reports = [pipeline.evaluate_subject(s, model, settings) for s in subjects]
+        reports = [pipeline.evaluate_subject(s, pipeline.analyze_subject(s, settings), model, settings) for s in subjects]
     else:
         reports = pipeline.run_loocv(subjects, settings)
     ok = [r for r in reports if "skipped" not in r.extras]
@@ -136,10 +139,11 @@ def cmd_evaluate(args):
 
 
 def cmd_prune(args):
-    settings = pipeline.PipelineSettings(
-        calibration=spo2.CalibrationCurve(args.y0, args.m),
-        decision_threshold=args.threshold,
-    )
+    with pipeline._config_range():
+        settings = pipeline.PipelineSettings(
+            calibration=spo2.CalibrationCurve(args.y0, args.m),
+            decision_threshold=args.threshold,
+        )
     frames, _ = signal_io.load_frames(args.stream, "wrist")
     _require_complete_window(frames, settings.window_len)
     model = gbdt.load(args.model)
@@ -150,8 +154,9 @@ def cmd_prune(args):
 
 
 def cmd_sweep(args):
+    with pipeline._config_range("sweep values: "):
+        values = [float(v) for v in args.values]
     subjects, settings = pipeline.load_experiment(args.config)
-    values = [float(v) for v in args.values]
     rows = pipeline.sweep(args.axis, values, subjects, settings)
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -219,7 +224,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, KeyError, ValueError, ConfigOutOfRange) as e:
+    except ConfigOutOfRange as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, PulseoxError) as e:

@@ -262,11 +262,11 @@ def compute_feature_batch(spec: FeatureSpec, X) -> np.ndarray:
     return _FEATURE_FUNCS[spec.name](X, spec.param_dict)
 
 
-def build_catalog(channels=CHANNELS) -> list:
-    """The default feature catalog: the ranked statistic set instantiated over
-    every channel, plus a baseline descriptive set per channel."""
+def build_catalog() -> list:
+    """The feature catalog: the ranked statistic set instantiated over every
+    channel, plus a baseline descriptive set per channel."""
     catalog = []
-    for ch in channels:
+    for ch in CHANNELS:
         catalog.append(FeatureSpec(ch, "longest_strike_below_mean"))
         for lag in range(4, 10):
             catalog.append(FeatureSpec(ch, "autocorrelation", (("lag", lag),)))

@@ -36,7 +36,7 @@ from .errors import (
     SchemaVersionMismatch,
     SingleClass,
 )
-from .features import FeatureSpec
+from .features import FeatureSpec, compute_feature_batch
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -300,13 +300,15 @@ def load(path) -> GbdtModel:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         version = doc["version"]
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError) as e:  # TypeError: not an object
         raise CorruptFile(f"{path}: {e}")
     if version != MODEL_SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"{path}: schema version {version}")
     try:
         params = GbdtParams(**doc["params"])
         catalog = [FeatureSpec.from_id(s) for s in doc["catalog"]]
+        for spec in catalog:  # a feature name or parameter the feature code does not know raises here
+            compute_feature_batch(spec, np.empty((0, 100)))
         trees = [_typed_nodes(t["nodes"], len(catalog)) for t in doc["trees"]]
         return GbdtModel(
             trees=trees,

@@ -4,16 +4,18 @@ The flow mirrors the measurement protocol: a wrist stream produces one
 candidate reading per window; a fingertip stream processed with the enhanced
 algorithm provides the reference. A window is labeled reliable when its wrist
 reading lands within the reliability threshold of the time-aligned reference.
-Training uses non-overlapping windows so feature rows stay independent;
-inference slides the window one sample at a time and prunes to windows the
-classifier trusts (and which pass the correlation gate).
+Each subject is analyzed once, a window per sample; training keeps the labeled
+windows that start at a multiple of the window length, so rows do not overlap,
+and inference prunes to windows the classifier trusts and the gate passes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import pathlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,8 +30,8 @@ class LabelConfig:
     alignment_tolerance_ms: int = 500
 
     def __post_init__(self):
-        if self.reliability_threshold_pct <= 0:
-            raise ValueError("reliability threshold must be positive")
+        if not self.reliability_threshold_pct > 0:
+            raise ValueError(f"reliability threshold must be positive, got {self.reliability_threshold_pct}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,8 @@ class PipelineSettings:
     label: LabelConfig = LabelConfig()
     gbdt_params: gbdt.GbdtParams = gbdt.GbdtParams()
     calibration: spo2.CalibrationCurve = spo2.CalibrationCurve()
-    enhanced: spo2.EnhancedConfig = spo2.EnhancedConfig()
     fdr_q: float = 0.05
     decision_threshold: float = 0.5
-    catalog: list = field(default_factory=feats.build_catalog)
 
     def __post_init__(self):
         if self.window_len < spo2.MIN_WINDOW:
@@ -104,13 +104,13 @@ def reference_series(subject: SubjectData, settings: PipelineSettings):
     that every wrist window finds a reference within the alignment tolerance."""
     period_ms = 1000.0 / subject.meta.nominal_rate_hz
     step = max(1, int(settings.label.alignment_tolerance_ms / period_ms))
-    est = spo2.enhanced_spo2(subject.finger, settings.calibration, settings.enhanced, settings.window_len, step)
+    est = spo2.enhanced_spo2(subject.finger, settings.calibration, window_len=settings.window_len, step=step)
     return est.t_ms[est.valid].astype(float), est.spo2_pct[est.valid]
 
 
 @dataclass
 class StreamAnalysis:
-    """Per-window view of one wrist stream at a fixed step.
+    """Per-window view of one wrist stream, a window per sample.
 
     Only gap-free windows appear. ``value`` is the ratio-of-ratios reading
     (NaN when DC is invalid), ``gate_pass`` the enhanced correlation gate,
@@ -130,46 +130,47 @@ class StreamAnalysis:
     span_ms: tuple
 
 
-def _gap_free_stats(series, window_len, step):
-    """The ratio-of-ratios statistics of the gap-free windows of a stream."""
-    starts, t_end, has_gap = series.windows(window_len, step)
+def _gap_free_stats(series, window_len):
+    """The ratio-of-ratios statistics of the gap-free step-1 windows of a stream."""
+    starts, t_end, has_gap = series.windows(window_len, 1)
     ok = ~has_gap
     return spo2.matrix_stats(series, starts[ok], window_len, t_end[ok], has_gap[ok])
 
 
-def analyze_stream(subject: SubjectData, settings: PipelineSettings, step: int) -> StreamAnalysis:
-    stats = _gap_free_stats(subject.wrist, settings.window_len, step)
+def analyze_subject(subject: SubjectData, settings: PipelineSettings) -> StreamAnalysis:
+    """The analysis of a subject that its training rows and evaluation share."""
+    stats = _gap_free_stats(subject.wrist, settings.window_len)
     value, _ = spo2.calibrate(stats.ratio, settings.calibration)
     ref_t, ref_v = reference_series(subject, settings)
     reference = nearest_reference(stats.t_ms.astype(float), ref_t, ref_v, settings.label.alignment_tolerance_ms)
     label, has_label = reliability_labels(value, reference, settings.label)
     span = (int(subject.wrist.t_ms[0]), int(subject.wrist.t_ms[-1]))
-    gate_pass = spo2.gate_pass(stats, settings.enhanced)
+    gate_pass = spo2.gate_pass(stats, spo2.EnhancedConfig())
     return StreamAnalysis(stats.t_ms, value, gate_pass, reference, label, has_label, stats.start_idx, span)
 
 
 # --- training -----------------------------------------------------------------
 
 
-def subject_training_rows(subject: SubjectData, settings: PipelineSettings, max_ms=None):
-    """Non-overlapping labeled feature rows for one subject.
+def subject_training_rows(subject: SubjectData, analysis: StreamAnalysis, settings: PipelineSettings, max_ms=None):
+    """Labeled feature rows of one subject: the windows of its ``analysis``
+    that start at a multiple of the window length, so rows do not overlap.
 
     ``max_ms`` truncates to windows ending within the first ``max_ms`` of the
     stream (used for per-user calibration prefixes).
     """
-    analysis = analyze_stream(subject, settings, step=settings.window_len)
-    keep = analysis.has_label
+    keep = analysis.has_label & (analysis.starts % settings.window_len == 0)
     if max_ms is not None:
         keep = keep & (analysis.t_ms <= analysis.span_ms[0] + max_ms)
-    X = feats.extract_matrix(subject.wrist, analysis.starts[keep], settings.window_len, settings.catalog)
+    X = feats.extract_matrix(subject.wrist, analysis.starts[keep], settings.window_len, feats.build_catalog())
     y = analysis.label[keep].astype(int)
     return X, y
 
 
 def build_training_set(subjects, settings: PipelineSettings):
-    """Stack non-overlapping labeled rows across subjects -> (X, y)."""
-    blocks = [subject_training_rows(s, settings) for s in subjects]
-    X = np.vstack([b[0] for b in blocks]) if blocks else np.empty((0, len(settings.catalog)))
+    """Stack the labeled training rows of ``subjects`` -> (X, y)."""
+    blocks = [subject_training_rows(s, analyze_subject(s, settings), settings) for s in subjects]
+    X = np.vstack([b[0] for b in blocks]) if blocks else np.empty((0, len(feats.build_catalog())))
     y = np.concatenate([b[1] for b in blocks]) if blocks else np.empty(0, dtype=int)
     return X, y
 
@@ -180,9 +181,10 @@ def train_model(X, y, settings: PipelineSettings, training_meta=None):
     If selection keeps nothing, the full catalog is used; a classifier with no
     inputs is worse than one with unselected ones.
     """
-    selection = feats.select_features(X, y, settings.catalog, settings.fdr_q)
-    kept = selection.kept if selection.kept else list(settings.catalog)
-    cols = [settings.catalog.index(s) for s in kept]
+    catalog = feats.build_catalog()
+    selection = feats.select_features(X, y, catalog, settings.fdr_q)
+    kept = selection.kept if selection.kept else catalog
+    cols = [catalog.index(s) for s in kept]
     model = gbdt.train(
         X[:, cols],
         y,
@@ -226,13 +228,12 @@ def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSe
 def prune(series, model, settings: PipelineSettings):
     """Sliding-window pruned readings: emit the enhanced-algorithm value for
     windows that pass both the correlation gate and the classifier."""
-    stats = _gap_free_stats(series, settings.window_len, 1)
-    emit = _emit(series, stats.start_idx, spo2.gate_pass(stats, settings.enhanced), model, settings)
+    stats = _gap_free_stats(series, settings.window_len)
+    emit = _emit(series, stats.start_idx, spo2.gate_pass(stats, spo2.EnhancedConfig()), model, settings)
     return spo2.estimates_from_stats(stats, settings.calibration, "pruned", emit=emit)
 
 
-def evaluate_subject(subject: SubjectData, model, settings: PipelineSettings, group="") -> metrics.EvalReport:
-    analysis = analyze_stream(subject, settings, step=1)
+def evaluate_subject(subject: SubjectData, analysis: StreamAnalysis, model, settings: PipelineSettings, group=""):
     emit = _emit(subject.wrist, analysis.starts, analysis.gate_pass, model, settings)
 
     def pair_set(mask):
@@ -269,19 +270,19 @@ def evaluate_subject(subject: SubjectData, model, settings: PipelineSettings, gr
 def run_loocv(subjects, settings: PipelineSettings):
     """Leave-one-subject-out: train on all others, evaluate on the hold-out.
 
-    Folds that cannot train (single-class training set) are reported with a
-    diagnostic instead of aborting the run. Reports come back sorted by
-    subject id, independent of input order.
+    Each subject is analyzed once, for its training rows and its report. A
+    fold that cannot train (single-class training set) gets a diagnostic
+    report instead. Reports come sorted by subject id, whatever the input order.
     """
     subjects = sorted(subjects, key=lambda s: s.subject_id)
     if len(subjects) < 2:
         raise EmptyGroup("leave-one-out needs at least 2 subjects")
-    rows = {s.subject_id: subject_training_rows(s, settings) for s in subjects}
+    analyses = [analyze_subject(s, settings) for s in subjects]
+    rows = [subject_training_rows(s, a, settings) for s, a in zip(subjects, analyses)]
     reports = []
-    for held in subjects:
-        train_ids = [s.subject_id for s in subjects if s.subject_id != held.subject_id]
-        X = np.vstack([rows[i][0] for i in train_ids])
-        y = np.concatenate([rows[i][1] for i in train_ids])
+    for i, (held, analysis) in enumerate(zip(subjects, analyses)):
+        X = np.vstack([r[0] for j, r in enumerate(rows) if j != i])
+        y = np.concatenate([r[1] for j, r in enumerate(rows) if j != i])
         try:
             model, _ = train_model(X, y, settings, training_meta={"held_out": held.subject_id})
         except SingleClass as e:
@@ -289,7 +290,7 @@ def run_loocv(subjects, settings: PipelineSettings):
             r.extras["skipped"] = f"single-class training set: {e}"
             reports.append(r)
             continue
-        reports.append(evaluate_subject(held, model, settings))
+        reports.append(evaluate_subject(held, analysis, model, settings))
     return reports
 
 
@@ -305,19 +306,19 @@ def run_group_experiment(split: CohortSplit, subjects, settings: PipelineSetting
     X, y = build_training_set(train, settings)
     model, _ = train_model(X, y, settings)
     group = f"{split.train_site}->{split.test_site}"
-    return [evaluate_subject(s, model, settings, group=group) for s in test]
+    return [evaluate_subject(s, analyze_subject(s, settings), model, settings, group=group) for s in test]
 
 
 def calibrate_user(base_X, base_y, user: SubjectData, minutes: float, settings: PipelineSettings):
-    """Retrain from scratch with the user's first ``minutes`` of labeled
-    non-overlapping windows appended to the base training set."""
+    """Retrain from scratch with the user's training rows of the first
+    ``minutes`` appended to the base training set."""
     span_ms = int(user.wrist.t_ms[-1] - user.wrist.t_ms[0])
     if span_ms < minutes * 60_000:
         raise InsufficientUserData(
             f"user stream spans {span_ms / 60000:.1f} min < {minutes} min"
         )
     if minutes > 0:
-        Xu, yu = subject_training_rows(user, settings, max_ms=int(minutes * 60_000))
+        Xu, yu = subject_training_rows(user, analyze_subject(user, settings), settings, max_ms=int(minutes * 60_000))
         X = np.vstack([base_X, Xu])
         y = np.concatenate([base_y, yu])
     else:
@@ -326,22 +327,31 @@ def calibrate_user(base_X, base_y, user: SubjectData, minutes: float, settings: 
     return model
 
 
+def _swept(settings: PipelineSettings, axis: str, v):
+    """``settings`` with the swept knob at ``v``; a value outside the knob's
+    range, or a window length that is not an integer, is a config error."""
+    with _config_range(f"sweep {axis} value {v!r}: "):
+        if axis == "reliability_threshold":
+            return replace(settings, label=replace(settings.label, reliability_threshold_pct=float(v)))
+        if not float(v).is_integer():
+            raise ValueError("window_len must be an integer")
+        return replace(settings, window_len=int(v))
+
+
 def sweep(axis: str, values, subjects, settings: PipelineSettings):
     """One full leave-one-out run per value of the swept knob.
 
-    Returns rows of ``(value, mean precision, mean pruned RMSE, mean max
-    silent interval, mean enhanced RMSE, total training rows)``.
+    Every value is checked before the first run. Returns rows of ``(value,
+    mean precision, mean pruned RMSE, mean max silent interval, mean
+    enhanced RMSE, total training rows)``.
     """
     if axis not in ("window_len", "reliability_threshold"):
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    swept = [_swept(settings, axis, v) for v in values]
     rows = []
-    for v in values:
-        if axis == "window_len":
-            s = replace(settings, window_len=int(v))
-        else:
-            s = replace(settings, label=replace(settings.label, reliability_threshold_pct=float(v)))
+    for v, s in zip(values, swept):
         reports = run_loocv(subjects, s)
         prec, _ = metrics.aggregate([r.precision for r in reports])
         rmse_p, _ = metrics.aggregate([r.rmse_pruned for r in reports])
@@ -385,12 +395,26 @@ def load_config(path):
 
 def _config_value(d, key, default, where):
     """``d[key]``, or ``default`` when absent; a value whose JSON type differs
-    from the default's is a config error (an integer passes for a float)."""
+    from the default's (an integer passes for a float), or a ``NaN`` or
+    ``Infinity``, is a config error."""
     v = d.get(key, default)
     allowed = (int, float) if type(default) is float else (type(default),)
     if type(v) not in allowed:
         raise ConfigOutOfRange(f"{where}{key} must be of type {type(default).__name__}, got {v!r}")
+    if type(v) is float and not math.isfinite(v):
+        raise ConfigOutOfRange(f"{where}{key} must be finite, got {v!r}")
     return v
+
+
+@contextlib.contextmanager
+def _config_range(where=""):
+    """Report the ``ValueError`` that a settings constructor raises for an
+    out-of-range value as a config error. Wrap constructors only: an error
+    from a computation is a bug and keeps its traceback."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigOutOfRange(f"{where}{e}") from e
 
 
 def _reject_unknown_keys(d, allowed, config_path, kind="top-level"):
@@ -462,7 +486,7 @@ def load_experiment(config_path):
     where = f"{config_path}: "
     if "seed" in cfg:
         params_d.setdefault("seed", _config_value(cfg, "seed", gbdt.GbdtParams.seed, where))
-    try:
+    with _config_range(where):
         settings = PipelineSettings(
             label=LabelConfig(**lab_d),
             gbdt_params=gbdt.GbdtParams(**params_d),
@@ -471,8 +495,6 @@ def load_experiment(config_path):
             decision_threshold=_config_value(cfg, "decision_threshold", PipelineSettings.decision_threshold, where),
             **win_d,
         )
-    except ValueError as e:  # an out-of-range value
-        raise ConfigOutOfRange(f"{where}{e}") from e
 
     subjects = []
     for entry in _cohort_entries(cfg, config_path):

@@ -160,7 +160,7 @@ def parse_stream(path, kind: str):
     carry the motion magnitudes of the IMU axes (zero for a fingertip clip).
     Raises :class:`NonMonotonicBeyondTolerance` when more than 1% of rows
     arrive out of order, which signals a corrupt capture rather than ordinary
-    jitter.
+    jitter, and :class:`CorruptFile` when the file is not UTF-8 text.
     """
     if kind not in ("wrist", "fingertip"):
         raise ValueError(f"unknown stream kind {kind!r}")
@@ -168,29 +168,32 @@ def parse_stream(path, kind: str):
 
     t, vals = [], []
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedHeader(f"{path}: empty file")
-        if [h.strip() for h in header] != expected:
-            raise MalformedHeader(f"{path}: expected header {expected}, got {header}")
-        for raw in reader:
-            if len(raw) != len(expected):
-                dropped += 1
-                continue
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                ti = int(raw[0])
-                row = list(map(float, raw[1:]))
-            except ValueError:
-                dropped += 1
-                continue
-            if not _INT64_MIN <= ti <= _INT64_MAX:
-                dropped += 1
-                continue
-            t.append(ti)
-            vals.extend(row)
+                header = next(reader)
+            except StopIteration:
+                raise MalformedHeader(f"{path}: empty file")
+            if [h.strip() for h in header] != expected:
+                raise MalformedHeader(f"{path}: expected header {expected}, got {header}")
+            for raw in reader:
+                if len(raw) != len(expected):
+                    dropped += 1
+                    continue
+                try:
+                    ti = int(raw[0])
+                    row = list(map(float, raw[1:]))
+                except ValueError:
+                    dropped += 1
+                    continue
+                if not _INT64_MIN <= ti <= _INT64_MAX:
+                    dropped += 1
+                    continue
+                t.append(ti)
+                vals.extend(row)
+    except UnicodeDecodeError as e:
+        raise CorruptFile(f"{path}: not UTF-8 text: {e}") from e
 
     t = np.array(t, dtype=np.int64)
     vals = np.array(vals, dtype=float).reshape(len(t), len(expected) - 1)

@@ -250,12 +250,13 @@ def test_criterion_08_calibration_mirroring(announce):
         ]
         user = _calibration_subject("u", 720.0, 100 * seed + 77, ("ambient_spike",))
         X, y = pipeline.build_training_set(base, settings)
-        analysis = pipeline.analyze_stream(user, settings, step=1)
-        X_full = feats.extract_matrix(user.wrist, analysis.starts, settings.window_len, settings.catalog)
+        analysis = pipeline.analyze_subject(user, settings)
+        catalog = feats.build_catalog()
+        X_full = feats.extract_matrix(user.wrist, analysis.starts, settings.window_len, catalog)
         tail = analysis.t_ms >= analysis.span_ms[0] + 600_000
 
         def pruned_rmse(model):
-            cols = [settings.catalog.index(s) for s in model.feature_catalog]
+            cols = [catalog.index(s) for s in model.feature_catalog]
             positive = model.predict_proba_batch(X_full[:, cols]) >= settings.decision_threshold
             emit = positive & analysis.gate_pass & tail
             mask = emit & ~np.isnan(analysis.value) & ~np.isnan(analysis.reference)
@@ -295,7 +296,7 @@ def test_criterion_09_structural_subsets(announce, cohort10):
 
         # oracle-label pruning: emitting exactly the truly reliable windows
         # keeps every absolute error within the labeling threshold
-        analysis = pipeline.analyze_stream(subject, settings, step=1)
+        analysis = pipeline.analyze_subject(subject, settings)
         emit = analysis.gate_pass & analysis.label
         pairs = np.column_stack([analysis.value[emit], analysis.reference[emit]])
         ok &= len(pairs) > 0

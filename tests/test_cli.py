@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pulseox
-from pulseox import cli, features, gbdt, signal_io, synth
+from pulseox import cli, features, gbdt, pipeline, signal_io, synth
 from pulseox.features import FeatureSpec
 from pulseox.gbdt import GbdtModel, GbdtParams
 from pulseox.signal_io import StreamMeta, write_stream
@@ -70,7 +70,9 @@ class TestSimulate:
         cfg.write_text("{not json")
         assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("calibration", [{"slope": 3}, {"m": "x"}], ids=["unknown_key", "wrong_type"])
+    @pytest.mark.parametrize(
+        "calibration", [{"slope": 3}, {"m": "x"}, {"m": -1.0}], ids=["unknown_key", "wrong_type", "out_of_range"]
+    )
     def test_bad_calibration_exits_config(self, tmp_path, capsys, calibration):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0, "seed": 5, "calibration": calibration}))
@@ -99,6 +101,29 @@ class TestSimulate:
         assert cli.main(["simulate", str(cfg), str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ('"duration_s": Infinity', "duration_s"),
+            ('"rate_hz": NaN', "rate_hz"),
+            ('"calibration": {"y0": -Infinity}', "calibration.y0"),
+        ],
+        ids=["duration_infinite", "rate_nan", "calibration_infinite"],
+    )
+    def test_nonfinite_value_exits_config(self, tmp_path, doc, key):
+        """JSON ``NaN`` and ``Infinity`` parse as floats; an infinite duration
+        once made the schedule loops of ``synth`` run forever, so the command
+        runs in a child process with a timeout."""
+        cfg = tmp_path / "sim.json"
+        cfg.write_text('{"n_subjects": 2, "duration_s": 30.0, "seed": 5, ' + doc + "}")
+        src = str(Path(pulseox.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "pulseox.cli", "simulate", str(cfg), str(tmp_path / "out")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"config error: {cfg}: {key} must be finite")
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"
@@ -193,6 +218,22 @@ class TestSpo2:
         assert err.startswith("error:") and "nope.csv" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spo2", "prune"])
+    def test_stream_not_utf8_exits_io(self, tmp_path, capsys, command):
+        stream = tmp_path / "bad.csv"
+        stream.write_bytes(b"t_ms,red,ir\n1,\xff\xfe,3\n")
+        out = tmp_path / "o.csv"
+        if command == "spo2":
+            argv = ["spo2", str(stream), str(out), "--kind", "fingertip"]
+        else:
+            model_path = tmp_path / "stub.json"
+            gbdt.save(GbdtModel([], 20.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
+            argv = ["prune", str(stream), str(model_path), str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stream}: not UTF-8 text") and "0xff" in err
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,red\n0,1\n")
@@ -275,6 +316,26 @@ class TestTrainEvaluatePruneSweep:
         assert err.startswith("error:") and "nope" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.update(catalog=["red__bogus"]),
+            lambda doc: doc.update(catalog=["red__fft_coefficient__attr_bogus__coeff_0"]),
+            lambda doc: doc.update(catalog=["red__autocorrelation"]),
+            lambda doc: [1],
+        ],
+        ids=["unknown_feature", "unknown_fft_attr", "missing_param", "not_an_object"],
+    )
+    def test_prune_malformed_model_document_exits_io(self, clean_stream, tmp_path, capsys, corrupt):
+        model_path = tmp_path / "model.json"
+        gbdt.save(GbdtModel([stump(feature=0)], 0.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
+        doc = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps(corrupt(doc) or doc))
+        out = tmp_path / "pruned.csv"
+        assert cli.main(["prune", str(clean_stream), str(model_path), str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {model_path}:")
+        assert not out.exists()
+
     def test_prune_empty_catalog_model_exits_io(self, clean_stream, tmp_path, capsys):
         split = stump(feature=3)
         model_path = tmp_path / "model.json"
@@ -349,6 +410,21 @@ class TestTrainEvaluatePruneSweep:
         with mock.patch.object(signal_io, "load_frames", side_effect=AssertionError("streams read before the settings were checked")):
             assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {config}: {message}")
+        assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize(
+        "obj, key, value",
+        [("label", "reliability_threshold_pct", float("nan")), ("gbdt_params", "learning_rate", float("nan")), (None, "fdr_q", float("inf"))],
+        ids=["reliability_threshold_pct", "learning_rate", "fdr_q"],
+    )
+    def test_nonfinite_config_value_exits_config(self, cohort_small_dir, tmp_path, capsys, obj, key, value):
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        (cfg.setdefault(obj, {}) if obj else cfg)[key] = value
+        config = cohort_small_dir / f"nonfinite_{key}.json"
+        config.write_text(json.dumps(cfg))  # as JSON ``NaN`` / ``Infinity``
+        assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
+        where = f"{obj}." if obj else ""
+        assert capsys.readouterr().err.startswith(f"config error: {config}: {where}{key} must be finite, got {value!r}")
         assert not (tmp_path / "train").exists()
 
     @pytest.mark.parametrize(
@@ -429,6 +505,35 @@ class TestTrainEvaluatePruneSweep:
         assert rows[0][0] == "value"
         assert len(rows) == 2
         assert float(rows[1][0]) == 2.0
+
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("window_len", "abc", "sweep values: could not convert string to float: 'abc'"),
+            ("window_len", "5", "sweep window_len value 5.0: window_len must be >= 8"),
+            ("window_len", "50.5", "sweep window_len value 50.5: window_len must be an integer"),
+            ("reliability_threshold", "0", "sweep reliability_threshold value 0.0: reliability threshold must be positive"),
+            ("reliability_threshold", "nan", "sweep reliability_threshold value nan: reliability threshold must be positive"),
+        ],
+        ids=["not_a_number", "window_short", "window_not_integer", "threshold_zero", "threshold_nan"],
+    )
+    def test_bad_sweep_value_exits_config(self, cohort_small_dir, tmp_path, capsys, axis, value, message):
+        """Every value is checked before the first leave-one-out run."""
+        config = str(cohort_small_dir / "cohort.json")
+        out = tmp_path / "sweep"
+        with mock.patch.object(pipeline, "run_loocv", side_effect=AssertionError("ran before the values were checked")):
+            assert cli.main(["sweep", axis, config, str(out), "100", value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    def test_library_value_error_is_not_a_config_error(self, cohort_small_dir, tmp_path, capsys):
+        """Only typed config errors exit 2; a ``ValueError`` from inside the
+        library is a bug and keeps its traceback."""
+        config = str(cohort_small_dir / "cohort.json")
+        with mock.patch.object(pipeline, "train_model", side_effect=ValueError("a library bug")):
+            with pytest.raises(ValueError, match="a library bug"):
+                cli.main(["train", config, str(tmp_path / "train")])
+        assert "config error" not in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as e:

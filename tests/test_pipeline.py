@@ -37,7 +37,7 @@ def make_subject(sid="u00", duration_s=240.0, seed=0, artifacts=()):
 
 
 class TestAlignStreams:
-    """Wrist-to-reference alignment, as ``analyze_stream`` does it."""
+    """Wrist-to-reference alignment, as ``analyze_subject`` does it."""
 
     tol = LabelConfig().alignment_tolerance_ms
     grid = np.arange(0, 10_000, 1000, dtype=float)
@@ -65,7 +65,7 @@ class TestAlignStreams:
 
 
 class TestLabelWindows:
-    """Reliability labels, as ``analyze_stream`` computes them."""
+    """Reliability labels, as ``analyze_subject`` computes them."""
 
     cfg = LabelConfig(reliability_threshold_pct=2.0)
 
@@ -99,19 +99,19 @@ class TestLabelWindows:
 class TestTrainingRows:
     def test_twelve_minute_subject_row_cap(self, cohort10):
         subjects, settings = cohort10
-        X, y = pipeline.subject_training_rows(subjects[0], settings)
+        X, y = pipeline.subject_training_rows(subjects[0], pipeline.analyze_subject(subjects[0], settings), settings)
         assert len(X) <= 180
         assert len(X) == len(y)
 
     def test_clean_subject_balance(self):
         s = make_subject(seed=3)
-        X, y = pipeline.subject_training_rows(s, FAST)
+        X, y = pipeline.subject_training_rows(s, pipeline.analyze_subject(s, FAST), FAST)
         assert len(X) == 60  # 240 s / 4 s windows, none invalidated
         assert y.mean() > 0.9  # clean trace: almost everything reliable
 
     def test_calibration_prefix_row_count(self):
         s = make_subject(sid="u01", duration_s=720.0, seed=4)
-        X, _ = pipeline.subject_training_rows(s, FAST, max_ms=600_000)
+        X, _ = pipeline.subject_training_rows(s, pipeline.analyze_subject(s, FAST), FAST, max_ms=600_000)
         assert len(X) == 150  # 10 min * 25 Hz / 100-sample windows
 
 
@@ -125,6 +125,21 @@ class TestLoocv:
         for r in fwd:
             assert "skipped" not in r.extras
             assert r.n_emitted > 0
+
+    def test_one_analysis_per_subject(self, cohort_small):
+        """Each subject's fingertip reference and wrist statistics are
+        computed once, for its training rows and its held-out evaluation."""
+        subjects, settings = cohort_small
+        wrists = {id(s.wrist): s.subject_id for s in subjects}
+        with (
+            mock.patch.object(pipeline, "reference_series", wraps=pipeline.reference_series) as reference,
+            mock.patch.object(pipeline, "_gap_free_stats", wraps=pipeline._gap_free_stats) as stats,
+        ):
+            reports = pipeline.run_loocv(subjects, replace(settings, gbdt_params=GbdtParams(n_estimators=3)))
+        assert all("skipped" not in r.extras for r in reports)
+        ids = sorted(wrists.values())
+        assert sorted(c.args[0].subject_id for c in reference.call_args_list) == ids
+        assert sorted(wrists[id(c.args[0])] for c in stats.call_args_list) == ids
 
     def test_needs_two_subjects(self):
         with pytest.raises(EmptyGroup):
@@ -257,12 +272,13 @@ class TestGateFirstEmit:
         out.mkdir()
         with mock.patch.object(pipeline, "_emit", recording):
             spo2.estimates_to_csv(out / "pruned.csv", pipeline.prune(subject.wrist, model, FAST))
-            metrics.reports_to_csv(out / "reports.csv", [pipeline.evaluate_subject(subject, model, FAST)])
+            report = pipeline.evaluate_subject(subject, pipeline.analyze_subject(subject, FAST), model, FAST)
+            metrics.reports_to_csv(out / "reports.csv", [report])
         return masks, (out / "pruned.csv").read_bytes(), (out / "reports.csv").read_bytes()
 
     def test_matches_full_path(self, case, tmp_path):
         subject, model = case
-        analysis = pipeline.analyze_stream(subject, FAST, step=1)
+        analysis = pipeline.analyze_subject(subject, FAST)
         gate = analysis.gate_pass
         positive = full_path_emit(subject.wrist, analysis.starts, np.ones_like(gate), model, FAST)
         # the gate rejects windows the classifier trusts, and the classifier
@@ -287,7 +303,7 @@ class TestGateFirstEmit:
         subject, model = case
         split = pipeline._split_columns(model)
         assert 0 < len(split) < len(model.feature_catalog)
-        analysis = pipeline.analyze_stream(subject, FAST, step=1)
+        analysis = pipeline.analyze_subject(subject, FAST)
         thresholds = [replace(FAST, decision_threshold=q) for q in np.linspace(0.1, 0.9, 9)]
 
         def masks(emit_fn):
@@ -346,7 +362,7 @@ class TestSweep:
     def test_training_row_count_nonincreasing_in_window(self, cohort_small):
         subjects, _ = cohort_small
         counts = [
-            sum(len(pipeline._gap_free_stats(s.wrist, w, w)) for s in subjects)
+            sum(int((pipeline._gap_free_stats(s.wrist, w).start_idx % w == 0).sum()) for s in subjects)
             for w in (25, 50, 100)
         ]
         assert counts[0] >= counts[1] >= counts[2]

@@ -383,8 +383,10 @@ class TestStatsFromStarts:
         gapped = want["dc_invalid"] & np.isnan(want["dc_red"])
         flat = want["dc_invalid"] & (want["dc_red"] == 0)
         assert gapped.any() and flat.any() and not want["dc_invalid"].all()
-        gap_free = pipeline._gap_free_stats(stream, 100, step)
-        want_gap_free = index_matrix_stats(stream, starts[~gapped], 100)
+        # the windows of ``_gap_free_stats`` slide by one sample, whatever ``step`` is
+        gap_free = pipeline._gap_free_stats(stream, 100)
+        every = np.arange(len(stream) - 99)
+        want_gap_free = index_matrix_stats(stream, every[[not stream.gap[s : s + 100].any() for s in every]], 100)
         for name in STAT_FIELDS:
             assert getattr(everything, name).tobytes() == np.asarray(want[name]).tobytes(), name
             assert getattr(gap_free, name).tobytes() == np.asarray(want_gap_free[name]).tobytes(), name
