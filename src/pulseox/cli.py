@@ -22,7 +22,7 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__, features, gbdt, metrics, pipeline, signal_io, spo2, synth
+from . import __version__, gbdt, metrics, pipeline, signal_io, spo2, synth
 from .errors import ConfigOutOfRange, PulseoxError
 
 EXIT_OK = 0

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import signal as _sps
-from scipy import stats as _spstats
 
 from .errors import CatalogMismatch, SingleClass
 from .signal_io import FrameSeries, blocks
@@ -214,16 +212,25 @@ def _spkt_welch_density(X, p):
     """Welch PSD at one frequency-bin index: Hann window, single full segment.
 
     Frequencies are in cycles/sample (fs = 1); the bin index, not the physical
-    frequency, is the contract.
+    frequency, is the contract. This is ``scipy.signal.welch(X, fs=1,
+    window="hann", nperseg=n, noverlap=0, detrend="constant", axis=1)[1][:, c]``
+    of scipy 1.17 bit for bit, computed in the same steps: the periodic Hann
+    window as ``get_window`` builds it, scaled by the window norm that
+    ``ShortTimeFFT.fac_psd`` takes with Python's builtin ``sum`` (a sequential
+    sum, whose bits differ from numpy's pairwise one), and every bin but DC and
+    the unpaired Nyquist bin of an even ``n`` doubled.
     """
     c = int(p["coeff"])
     n = X.shape[1]
-    _, pxx = _sps.welch(
-        X, fs=1.0, window="hann", nperseg=n, noverlap=0, detrend="constant", axis=1
-    )
-    if c >= pxx.shape[1]:
+    if c >= n // 2 + 1:
         return np.zeros(len(X))
-    return pxx[:, c]
+    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]
+    w = w * (1 / np.sqrt(sum(w**2)))
+    col = np.fft.rfft((X - X.mean(axis=1, keepdims=True)) * w, axis=1)[:, c]
+    pxx = col.real**2 + col.imag**2
+    if 0 < c < n - n // 2:
+        pxx *= 2
+    return pxx
 
 
 def _fft_coefficient(X, p):
@@ -316,14 +323,31 @@ def _u_statistic(ranks, mask0, n0):
     return r0 - n0 * (n0 + 1) / 2.0
 
 
+def _midranks(x):
+    """The 1-based ranks of ``x`` with each run of tied values at the mean of
+    its positions, and the length of each run. The ranks are exact
+    half-integers, so they are ``scipy.stats.rankdata(x, method="average")``
+    bit for bit."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    edges = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1], [True])))
+    lo, hi = edges[:-1], edges[1:]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((lo + hi - 1) / 2 + 1, hi - lo)
+    return ranks, hi - lo
+
+
 def mann_whitney_p(values, labels) -> float:
     """Two-sided p-value of the Mann-Whitney U test of a real feature
     against a binary target.
 
     Exact enumeration of all label assignments when the pooled sample size is
     at most 12, with ties at their midranks (scipy's exact test ignores
-    ties); otherwise scipy's tie-corrected normal approximation with
-    continuity correction.
+    ties). Otherwise the normal approximation with the tie-corrected variance
+    and the continuity correction, computed in the steps of
+    ``scipy.stats.mannwhitneyu(x0, x1, method="asymptotic",
+    use_continuity=True)`` of scipy 1.17 and equal to it bit for bit; only
+    its normal tail ``scipy.special.ndtr`` comes from scipy.
     """
     x = np.asarray(values, dtype=float)
     y = np.asarray(labels)
@@ -334,12 +358,18 @@ def mann_whitney_p(values, labels) -> float:
     if n0 == 0 or n1 == 0:
         raise SingleClass("both classes must be nonempty")
     n = n0 + n1
-    if n > EXACT_MW_MAX_N:
-        test = _spstats.mannwhitneyu(x[y == 0], x[y == 1], alternative="two-sided", method="asymptotic", use_continuity=True)
-        return float(test.pvalue)
-
-    ranks = _spstats.rankdata(x, method="average")
+    ranks, ties = _midranks(x)
     u0 = _u_statistic(ranks, y == 0, n0)
+    if n > EXACT_MW_MAX_N:
+        from scipy.special import ndtr  # the one scipy import, paid only by training
+
+        tie_term = np.sum(ties.astype(float) ** 3 - ties)
+        var = n0 * n1 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
+        if var <= 0:  # every value tied
+            return 1.0
+        z = (max(u0, n0 * n1 - u0) - n0 * n1 / 2 - 0.5) / np.sqrt(var)
+        return float(min(1.0, 2 * ndtr(-z)))
+
     u_min = min(u0, n0 * n1 - u0)
     total = 0
     lo = 0

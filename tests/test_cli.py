@@ -586,3 +586,43 @@ class TestCpuCount:
         assert outputs[0] == outputs[1]
         pruned, spo2_rows = (len(b.splitlines()) - 1 for b in outputs[0])
         assert 0 < pruned < spo2_rows
+
+
+# imports ``pulseox.cli``, then runs each argument list of the JSON list in
+# argv[1] through ``cli.main``; prints, after the import and after each
+# command, which of the large scipy subpackages the process has loaded
+FOOTPRINT_CLI = """
+import json, sys
+LARGE = ("scipy.signal", "scipy.stats", "scipy.fft", "scipy.special")
+def loaded():
+    return [m for m in LARGE if m in sys.modules]
+from pulseox import cli
+steps = [["import", loaded()]]
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    steps.append([argv[0], loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_commands_load_no_large_scipy_subpackage(clean_stream, cohort_small_dir, tmp_path):
+    """Starting the CLI, ``spo2`` and ``prune`` (with a model that splits on
+    every Welch feature) load no scipy subpackage; ``train`` loads only
+    ``scipy.special``, for the normal tail of the Mann-Whitney test."""
+    catalog = features.build_catalog()
+    welch = [j for j, spec in enumerate(catalog) if spec.name == "spkt_welch_density"]
+    model = tmp_path / "model.json"
+    gbdt.save(GbdtModel([stump(j) for j in welch], 0.0, GbdtParams(), catalog), model)
+    runs = [
+        ["spo2", str(clean_stream), str(tmp_path / "spo2.csv")],
+        ["prune", str(clean_stream), str(model), str(tmp_path / "pruned.csv")],
+        ["train", str(cohort_small_dir / "cohort.json"), str(tmp_path / "train")],
+    ]
+    src = str(Path(pulseox.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_CLI, json.dumps(runs)], env=env, check=True, capture_output=True, text=True, timeout=300
+    )
+    steps = json.loads(child.stdout.splitlines()[-1])
+    assert steps == [["import", []], ["spo2", []], ["prune", []], ["train", ["scipy.special"]]]
+    assert len(read_rows(tmp_path / "pruned.csv")) > 1

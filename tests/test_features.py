@@ -1,4 +1,3 @@
-import math
 import multiprocessing
 import os
 import sys
@@ -7,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import signal as sps_signal
 from scipy import stats as sps
 
 from naive_features import naive_feature
@@ -142,20 +142,38 @@ def full_pinv_ar(X, k):
     return coeffs
 
 
-def contact_loss_wrist():
-    """``(frames, idx, flat)``: the step-2 windows of a wrist stream at the
-    synthetic DC (5e4 red, 6e4 ir) whose contact loss flattens both optical
-    channels to 0, and which of them are flat, i.e. rank-deficient designs."""
+def contact_loss_wrist(window_len=100, step=2):
+    """``(frames, idx, flat)``: the step-``step`` windows of ``window_len``
+    samples of a wrist stream at the synthetic DC (5e4 red, 6e4 ir) whose
+    contact loss flattens both optical channels to 0, and which of them are
+    flat, i.e. rank-deficient AR designs."""
     arts = (
         ArtifactSegment(8.0, 6.0, "contact_loss"),
         ArtifactSegment(18.0, 4.0, "motion"),
         ArtifactSegment(24.0, 3.0, "ambient_spike"),
     )
     frames, _ = synth.gen_ppg(SynthConfig(duration_s=32.0, noise_sigma=0.001, seed=4, artifacts=arts))
-    _, idx = gap_free_windows(frames, 100, 2)
+    _, idx = gap_free_windows(frames, window_len, step)
     flat = (frames.red[idx] == 0).all(axis=1)
     assert 0 < flat.sum() < len(idx)
     return frames, idx, flat
+
+
+class TestWelchDensity:
+    @pytest.mark.parametrize("n", [8, 9, 50, 99, 100, 128])
+    def test_bit_identical_to_scipy_welch_on_wrist_stream(self, n):
+        """One Hann segment of the whole window, as ``scipy.signal.welch``
+        computes it, on high-DC windows with contact loss; past the last bin
+        (``n // 2``) the feature is 0, and an empty window matrix (as
+        ``gbdt.load`` probes the catalog with) gives an empty column."""
+        frames, idx, _ = contact_loss_wrist(n, 3)
+        for X in [frames.channel(ch)[idx] for ch in CHANNELS] + [np.empty((0, n))]:
+            pxx = sps_signal.welch(X, fs=1, window="hann", nperseg=n, noverlap=0, detrend="constant", axis=1)[1]
+            for c in (0, 1, 2, n // 2, n // 2 + 1):
+                got = features._spkt_welch_density(X, {"coeff": c})
+                want = pxx[:, c] if c <= n // 2 else np.zeros(len(X))
+                assert got.shape == (len(X),)
+                np.testing.assert_array_equal(got, want, err_msg=f"n {n} bin {c}")
 
 
 class TestArCoefficient:
@@ -360,24 +378,6 @@ class TestBlocks:
         assert abs(overhead[1] - overhead[0]) < 1e6, overhead
 
 
-def tie_corrected_normal_p(x, y):
-    """Two-sided Mann-Whitney p-value by the normal approximation with the
-    tie-corrected variance and the continuity correction, written out: the
-    reference for the scipy call of ``mann_whitney_p``."""
-    n0, n1 = int(np.sum(y == 0)), int(np.sum(y == 1))
-    n = n0 + n1
-    ranks = sps.rankdata(x, method="average")
-    u0 = ranks[y == 0].sum() - n0 * (n0 + 1) / 2.0
-    u_min = min(u0, n0 * n1 - u0)
-    _, counts = np.unique(x, return_counts=True)
-    tie_term = np.sum(counts.astype(float) ** 3 - counts)
-    var = n0 * n1 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if var <= 0:
-        return 1.0
-    z = (u_min - n0 * n1 / 2.0 + 0.5) / math.sqrt(var)
-    return min(1.0, 2.0 * sps.norm.cdf(z))
-
-
 class TestMannWhitney:
     def test_exact_small(self):
         p = features.mann_whitney_p([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
@@ -394,28 +394,16 @@ class TestMannWhitney:
         assert features.mann_whitney_p(x, y) < 1e-10
 
     def test_matches_scipy_normal_approx(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            x = rng.normal(0, 1, 60)
-            y = (rng.random(60) < 0.5).astype(int)
-            if y.sum() in (0, 60):
-                continue
-            got = features.mann_whitney_p(x, y)
-            ref = sps.mannwhitneyu(
-                x[y == 0], x[y == 1], alternative="two-sided", method="asymptotic"
-            ).pvalue
-            assert got == pytest.approx(ref, abs=1e-9)
-
-    def test_matches_tie_corrected_normal_approx(self):
         # above 12 samples, heavy ties included, the p-value has the bits of
-        # the tie-corrected normal approximation written out by hand
+        # scipy's tie-corrected normal approximation with continuity correction
         rng = np.random.default_rng(2)
         for n in (13, 60, 445):
             ties = (rng.integers(0, 4, n).astype(float), np.round(rng.normal(5e4, 1, n), 1), np.full(n, 5.0))
             for x in (rng.normal(0, 1, n), *ties):
                 y = (rng.random(n) < 0.3).astype(int)
                 y[:2] = (0, 1)
-                assert features.mann_whitney_p(x, y) == tie_corrected_normal_p(x, y)
+                ref = sps.mannwhitneyu(x[y == 0], x[y == 1], alternative="two-sided", method="asymptotic", use_continuity=True)
+                assert features.mann_whitney_p(x, y) == float(ref.pvalue)
 
     def test_single_class(self):
         with pytest.raises(SingleClass):

@@ -1,5 +1,6 @@
 """Property tests of the stream parser, the windowing core, the clamped
-calibration, the Mann-Whitney midranks and the presorted split search."""
+calibration, the Mann-Whitney midranks, the presorted split search, the model
+file and the timestamp regularizer."""
 
 import csv
 import math
@@ -8,11 +9,12 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulseox import features, gbdt, pipeline, signal_io, spo2
-from pulseox.errors import MalformedHeader, NonMonotonicBeyondTolerance
+from pulseox.errors import CorruptFile, EmptyStream, MalformedHeader, NonMonotonicBeyondTolerance
 from pulseox.signal_io import FrameSeries
 
 
@@ -216,8 +218,8 @@ def test_calibrate_is_the_scalar_clamp(ratios, y0, m):
 
 
 def loop_midranks(pooled):
-    """Midranks by a Python walk over the runs of equal sorted values: the
-    reference for the ``scipy.stats.rankdata`` ranks of the Mann-Whitney test."""
+    """Midranks by a Python walk over the runs of equal sorted values: a
+    reference for the numpy midranks of the Mann-Whitney test."""
     order = np.argsort(pooled, kind="mergesort")
     ranks = np.empty(len(pooled))
     sorted_vals = pooled[order]
@@ -246,9 +248,14 @@ def tied_samples(draw):
 @settings(deadline=None, max_examples=300)
 @given(tied_samples())
 def test_mann_whitney_midranks_match_the_loop(case):
+    from scipy.stats import rankdata
+
     x, y = case
-    np.testing.assert_array_equal(features._spstats.rankdata(x, method="average"), loop_midranks(x))
-    with mock.patch.object(features._spstats, "rankdata", lambda v, method: loop_midranks(v)):
+    ranks, ties = features._midranks(x)
+    np.testing.assert_array_equal(ranks, loop_midranks(x))
+    np.testing.assert_array_equal(ranks, rankdata(x, method="average"))
+    np.testing.assert_array_equal(ties, np.unique(x, return_counts=True)[1])
+    with mock.patch.object(features, "_midranks", lambda v: (loop_midranks(v), np.unique(v, return_counts=True)[1])):
         want = features.mann_whitney_p(x, y)
     assert features.mann_whitney_p(x, y) == want
 
@@ -356,3 +363,132 @@ def test_every_catalog_feature_is_finite_on_degenerate_and_physical_windows(case
     X = features.extract_matrix(series, starts, w, features.build_catalog())
     assert X.shape == (len(starts), 72)
     assert np.isfinite(X).all(), [s.spec_id for s, ok in zip(features.build_catalog(), np.isfinite(X).all(axis=0)) if not ok]
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def model_trees(draw, n_features):
+    """One tree as a preorder node list: each split names its children, which
+    come after it; depth at most 4."""
+    nodes = []
+
+    def grow(depth):
+        if depth == 4 or draw(st.booleans()):
+            nodes.append({"leaf": draw(FINITE)})
+            return
+        node = {
+            "default": draw(st.sampled_from(["left", "right"])),
+            "feature": draw(st.integers(0, n_features - 1)),
+            "threshold": draw(FINITE),
+        }
+        nodes.append(node)
+        node["left"] = len(nodes)
+        grow(depth + 1)
+        node["right"] = len(nodes)
+        grow(depth + 1)
+
+    grow(0)
+    return nodes
+
+
+@st.composite
+def models(draw):
+    """A model over the first catalog entries, with rows to predict whose
+    values sit on the thresholds, off them and at NaN."""
+    catalog = features.build_catalog()[: draw(st.integers(1, 6))]
+    trees = draw(st.lists(model_trees(len(catalog)), max_size=5))
+    model = gbdt.GbdtModel(trees, draw(FINITE), gbdt.GbdtParams(), catalog)
+    thresholds = [n["threshold"] for t in trees for n in t if "threshold" in n]
+    value = st.sampled_from(thresholds) | FINITE | st.just(math.nan) if thresholds else FINITE | st.just(math.nan)
+    X = np.array(draw(st.lists(st.lists(value, min_size=len(catalog), max_size=len(catalog)), min_size=1, max_size=8)))
+    return model, X
+
+
+def saved_and_loaded(model):
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d) / "model.json"
+        gbdt.save(model, path)
+        return gbdt.load(path)
+
+
+@settings(deadline=None)
+@given(models())
+def test_model_save_load_round_trips_trees_and_predictions(case):
+    model, X = case
+    loaded = saved_and_loaded(model)
+    assert loaded.trees == model.trees
+    assert loaded.base_logit == model.base_logit
+    assert loaded.feature_catalog == model.feature_catalog
+    np.testing.assert_array_equal(loaded.predict_logit_batch(X), model.predict_logit_batch(X))
+
+
+@settings(deadline=None)
+@given(models(), st.data())
+def test_model_child_pointing_backward_or_out_of_range_is_corrupt(case, data):
+    model, _ = case
+    splits = [(t, i) for t, tree in enumerate(model.trees) for i, n in enumerate(tree) if "leaf" not in n]
+    if not splits:
+        return
+    t, i = data.draw(st.sampled_from(splits))
+    tree = model.trees[t]
+    side = data.draw(st.sampled_from(["left", "right"]))
+    tree[i][side] = data.draw(st.integers(-3, i) | st.integers(len(tree), len(tree) + 3))
+    with pytest.raises(CorruptFile):
+        saved_and_loaded(model)
+
+
+PERIODS_MS = (10.0, 20.0, 40.0, 80.0)  # 100, 50, 25 and 12.5 Hz, each an exact number of ms
+
+
+@st.composite
+def jittered_streams(draw):
+    """``(series, rate)``: a stream sampled near ``rate`` whose steps are
+    jittered, repeated (duplicate timestamps) or several periods long (gaps),
+    with some rows already marked as gaps; every row's values are unique."""
+    period = draw(st.sampled_from(PERIODS_MS))
+    step = st.integers(int(0.6 * period), int(1.4 * period)) | st.just(0) | st.integers(2 * int(period), 6 * int(period))
+    steps = draw(st.lists(step, min_size=1, max_size=80))
+    t = draw(st.integers(0, 10_000)) + np.concatenate(([0], np.cumsum(steps)))
+    k = np.arange(len(t), dtype=float)
+    gap = np.array(draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))))
+    gap &= draw(st.booleans())  # half of the streams have no gap rows
+    red, ir, acc, gyr = k, 1e5 + k, 2e5 + k, 3e5 + k
+    for ch in (red, ir, acc, gyr):
+        ch[gap] = np.nan
+    return FrameSeries(t, red, ir, acc, gyr, gap), 1000.0 / period
+
+
+@settings(deadline=None, max_examples=200)
+@given(jittered_streams())
+def test_regularize_picks_real_samples_on_a_uniform_grid(case):
+    """The grid is uniform at 1/rate from the first to the last real sample;
+    a slot is a gap exactly when no real sample lies within half a period,
+    and every other slot holds the values of a nearest real sample."""
+    series, rate = case
+    src = np.flatnonzero(~series.gap)
+    if len(src) < 2:
+        return
+    period = 1000.0 / rate
+    src_t = series.t_ms[src].astype(float)
+    n_slots = round((src_t[-1] - src_t[0]) / period) + 1
+    meta = signal_io.StreamMeta(nominal_rate_hz=rate)
+    if n_slots > signal_io.MAX_SLOTS_PER_ROW * len(src):
+        with pytest.raises(EmptyStream):
+            signal_io.regularize(series, meta)
+        return
+    out = signal_io.regularize(series, meta)
+    grid = src_t[0] + period * np.arange(n_slots)
+    assert len(out) == n_slots
+    np.testing.assert_array_equal(out.t_ms, np.rint(grid).astype(np.int64))
+    for slot, g in enumerate(grid):
+        dist = np.abs(src_t - g)
+        values = [out.channel(ch)[slot] for ch in features.CHANNELS]
+        if dist.min() > period / 2:
+            assert out.gap[slot] and all(math.isnan(v) for v in values)
+            continue
+        assert not out.gap[slot]
+        row = int(values[0])  # red holds the source row index
+        assert row in src and dist[src == row][0] == dist.min()
+        assert values == [series.channel(ch)[row] for ch in features.CHANNELS]
