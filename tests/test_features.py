@@ -394,6 +394,17 @@ class TestMannWhitney:
         assert features.mann_whitney_p(x, y) < 1e-10
 
     def test_matches_scipy_normal_approx(self):
+        # without ties the p-value has the bits of scipy's normal approximation
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            x = rng.normal(0, 1, 60)
+            y = (rng.random(60) < 0.5).astype(int)
+            if y.sum() in (0, 60):
+                continue
+            ref = sps.mannwhitneyu(x[y == 0], x[y == 1], alternative="two-sided", method="asymptotic")
+            assert features.mann_whitney_p(x, y) == float(ref.pvalue)
+
+    def test_matches_tie_corrected_normal_approx(self):
         # above 12 samples, heavy ties included, the p-value has the bits of
         # scipy's tie-corrected normal approximation with continuity correction
         rng = np.random.default_rng(2)
