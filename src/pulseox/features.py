@@ -12,6 +12,7 @@ discovery rate across the catalog.
 
 from __future__ import annotations
 
+import copy
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -20,8 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
+from . import signal_io
 from .errors import CatalogMismatch, SingleClass
-from .signal_io import FrameSeries, blocks
 
 CHANNELS = ("red", "ir", "accel_mag", "gyro_mag")
 
@@ -144,12 +145,100 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 
 @functools.cache
 def _pool():
-    """The other ``_WORKERS - 1`` threads, started by the first split fit."""
+    """The other ``_WORKERS - 1`` threads, started by the first AR fit."""
     return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="pulseox-ar")
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
     os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+class _ArFits:
+    """AR columns of ``n`` windows, fitted ahead of use on every CPU.
+
+    :meth:`add` cuts a column into chunks of ``BLOCK_WINDOWS // 2`` windows
+    and submits each to the pool as a task that gathers its own windows when
+    it starts, so no window matrix waits in the queue, and fits them into its
+    slice of the column (``np.linalg.svd`` releases the GIL). :meth:`read`
+    returns rows of a column once they are fitted: the caller fits every
+    chunk that no pool thread has started (``Future.cancel`` succeeds) and
+    waits for the others. A one-CPU process has no pool, and the reader fits
+    every chunk. Leaving the ``with`` block cancels the chunks of these rows
+    that have not started, so an error leaves none queued. :meth:`part` gives
+    the fits of some of the rows, sharing the columns and their chunks.
+
+    Each window's fit reads only that window, so no output bit depends on
+    the chunks, on who fits them or on the number of CPUs. Pool threads run
+    only private functions of this module and numpy, never a public function
+    of the package: a tracer that wraps those keeps one span stack, for the
+    calling thread.
+    """
+
+    def __init__(self, n):
+        self.n, self.lo, self.hi = n, 0, n
+        self.size = max(1, signal_io.BLOCK_WINDOWS // 2)
+        self.out = {}  # column -> its values
+        self._tasks = {}  # (column, first row of a chunk) -> (arguments, future or None)
+
+    def add(self, column, rows, p, window_len):
+        """Submit coefficient ``p["coeff"]`` of the AR(``p["k"]``) fits of
+        the windows; ``rows(c)`` gathers the windows of the slice ``c``."""
+        out = self.out[column] = np.zeros(self.n)
+        j, k = int(p["coeff"]), int(p["k"])
+        if j > k or window_len <= k:
+            return
+        pool = _pool() if _WORKERS > 1 else None
+        for i in range(0, self.n, self.size):
+            c = slice(i, min(i + self.size, self.n))
+            args = (rows, c, j, k, out[c])
+            self._tasks[column, i] = (args, pool and pool.submit(_ar_task, *args))
+
+    def part(self, b):
+        """The fits of rows ``b`` of these windows."""
+        view = copy.copy(self)
+        view.lo, view.hi = self.lo + b.start, min(self.lo + b.stop, self.hi)
+        return view
+
+    def _chunks(self, column, lo, hi):
+        """The keys of the chunks of ``column`` with rows in ``lo:hi`` that
+        are not yet fitted or waited for."""
+        keys = ((column, i) for i in range(lo - lo % self.size, hi, self.size))
+        return [key for key in keys if key in self._tasks]
+
+    def read(self, column, b):
+        """Rows ``b`` of ``column``, fitted."""
+        lo, hi = self.lo + b.start, min(self.lo + b.stop, self.hi)
+        keys = self._chunks(column, lo, hi)
+        for key in keys:
+            args, future = self._tasks[key]
+            if future is None or future.cancel():
+                del self._tasks[key]
+                _ar_task(*args)
+        for key in keys:
+            if key in self._tasks:
+                self._tasks.pop(key)[1].result()
+        return self.out[column][lo:hi]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for column in self.out:
+            for key in self._chunks(column, self.lo, self.hi):
+                future = self._tasks.pop(key)[1]
+                if future is not None:
+                    future.cancel()
+
+
+def _ar_task(rows, c, j, k, out):
+    """One chunk of an ``_ArFits`` column: gather its windows, then fit them."""
+    _ar_fit(rows(c), j, k, out)
+
+
+def _window_rows(x, starts, window_len, c):
+    """The windows of ``window_len`` samples of ``x`` at ``starts[c]``, one
+    per row (``FrameSeries.rows`` of one channel array)."""
+    return np.lib.stride_tricks.sliding_window_view(x, window_len)[starts[c]]
 
 
 def _ar_coefficient(X, p):
@@ -164,29 +253,12 @@ def _ar_coefficient(X, p):
     benchmark's model at its default seed), so their bytes and the recorded
     output digests of ``perfbench`` would change with it.
 
-    The rows are split into ``_WORKERS`` contiguous chunks: the calling
-    thread fits the first and a thread pool the others, each into its own
-    slice of the output (``np.linalg.svd`` releases the GIL). Each window's
-    design, SVD and contraction read only that window's row, so no output bit
-    depends on the chunk sizes or on the number of CPUs. The pool threads
-    call only numpy and ``_ar_fit``, never a public function of the package:
-    a tracer that wraps those keeps one span stack, for the calling thread.
+    The rows are fitted by ``_ArFits``, on every CPU the process may use.
     """
-    j = int(p["coeff"])
-    k = int(p["k"])
     n, w = X.shape
-    out = np.zeros(n)
-    if j > k or w <= k:
-        return out
-    parts = max(1, min(_WORKERS, n))
-    chunks = [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
-    futures = [_pool().submit(_ar_fit, X[c], j, k, out[c]) for c in chunks[1:]]
-    try:
-        _ar_fit(X[chunks[0]], j, k, out[chunks[0]])
-    finally:
-        for f in futures:
-            f.result()
-    return out
+    with _ArFits(n) as fits:
+        fits.add(0, X.__getitem__, p, w)
+        return fits.read(0, slice(0, n))
 
 
 def _ar_fit(X, j, k, out):
@@ -291,25 +363,56 @@ def build_catalog() -> list:
     return catalog
 
 
-def extract_matrix(series: FrameSeries, starts, window_len: int, catalog, columns=None) -> np.ndarray:
+def _column_ids(catalog, columns):
+    """The catalog ``columns`` given (all by default), sorted."""
+    if not catalog:
+        raise CatalogMismatch("catalog must be nonempty")
+    return sorted(range(len(catalog)) if columns is None else columns)
+
+
+def start_ar_fits(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns=None):
+    """Start fitting the AR columns among the catalog ``columns`` given (all
+    by default) of the windows of ``window_len`` samples at ``starts``, ahead
+    of their use. Pass the result to :func:`extract_matrix` to read them;
+    leaving its ``with`` block cancels the fits not yet started."""
+    fits = _ArFits(len(starts))
+    for j in _column_ids(catalog, columns):
+        spec = catalog[j]
+        if spec.name == "ar_coefficient":
+            rows = functools.partial(_window_rows, series.channel(spec.channel), starts, window_len)
+            fits.add(j, rows, spec.param_dict, window_len)
+    return fits
+
+
+def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns=None, ar=None) -> np.ndarray:
     """Feature matrix with one row per window, columns in catalog order.
 
     ``starts`` holds the first sample of each window of ``window_len``
     samples. Only the catalog ``columns`` given (all by default) are
-    computed; the others are NaN. Windows are gathered from the stream one
-    channel and one block of ``BLOCK_WINDOWS`` at a time.
+    computed; the others are NaN. The AR columns are read from ``ar``, the
+    :func:`start_ar_fits` of these windows and columns, or else their fits
+    are started here, before the other families are computed. Windows are
+    gathered from the stream one channel and one block of ``BLOCK_WINDOWS``
+    at a time.
     """
-    if not catalog:
-        raise CatalogMismatch("catalog must be nonempty")
-    by_channel = {}
-    for j in sorted(range(len(catalog)) if columns is None else columns):
-        by_channel.setdefault(catalog[j].channel, []).append(j)
+    columns = _column_ids(catalog, columns)
+    if ar is None:
+        ar = start_ar_fits(series, starts, window_len, catalog, columns)
+    by_channel, ar_columns = {}, []
+    for j in columns:
+        if catalog[j].name == "ar_coefficient":
+            ar_columns.append(j)
+        else:
+            by_channel.setdefault(catalog[j].channel, []).append(j)
     X = np.full((len(starts), len(catalog)), np.nan)
-    for b in blocks(len(starts)):
-        for channel, cols in by_channel.items():
-            W = series.rows(channel, starts[b], window_len)
-            for j in cols:
-                X[b, j] = compute_feature_batch(catalog[j], W)
+    with ar:
+        for b in signal_io.blocks(len(starts)):
+            for channel, cols in by_channel.items():
+                W = series.rows(channel, starts[b], window_len)
+                for j in cols:
+                    X[b, j] = compute_feature_batch(catalog[j], W)
+            for j in ar_columns:
+                X[b, j] = ar.read(j, b)
     return X
 
 

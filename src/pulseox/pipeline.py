@@ -12,6 +12,7 @@ and inference prunes to windows the classifier trusts and the gate passes.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import pathlib
@@ -206,20 +207,32 @@ def _split_columns(model: gbdt.GbdtModel) -> set:
     return {d["feature"] for t in model.trees for d in t if "leaf" not in d}
 
 
-def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
+def _emit_fits(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
+    """Start the AR fits that ``_emit`` reads: the split columns of the
+    gate-passing windows."""
+    catalog, columns = model.feature_catalog, _split_columns(model)
+    return feats.start_ar_fits(series, starts[gate_pass], settings.window_len, catalog, columns)
+
+
+def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings, ar=None):
     """Windows that emit a reading: those that pass the correlation gate and
     that the classifier trusts. A window that fails the gate never emits, so
     only the gate-passing ``starts`` get features and a prediction, and
     only the columns the trees split on are computed. The others stay NaN,
     so a tree that read one would take its default branch. Features are
     extracted and predicted one block of windows at a time, so no feature
-    matrix of the whole stream is built; rows are independent in both."""
+    matrix of the whole stream is built; rows are independent in both. The
+    AR columns are read from ``ar``, the ``_emit_fits`` of these arguments,
+    or else their fits are started here, before the first block."""
+    if ar is None:
+        ar = _emit_fits(series, starts, gate_pass, model, settings)
     starts, columns = starts[gate_pass], _split_columns(model)
     proba = np.empty(len(starts))
-    # one call at least, so a catalog extract_matrix rejects fails on any stream
-    for b in signal_io.blocks(len(starts)) or [slice(0, 0)]:
-        X = feats.extract_matrix(series, starts[b], settings.window_len, model.feature_catalog, columns)
-        proba[b] = model.predict_proba_batch(X)
+    with ar:
+        # one call at least, so a catalog extract_matrix rejects fails on any stream
+        for b in signal_io.blocks(len(starts)) or [slice(0, 0)]:
+            X = feats.extract_matrix(series, starts[b], settings.window_len, model.feature_catalog, columns, ar.part(b))
+            proba[b] = model.predict_proba_batch(X)
     emit = gate_pass.copy()
     emit[gate_pass] = proba >= settings.decision_threshold
     return emit
@@ -233,8 +246,9 @@ def prune(series, model, settings: PipelineSettings):
     return spo2.estimates_from_stats(stats, settings.calibration, "pruned", emit=emit)
 
 
-def evaluate_subject(subject: SubjectData, analysis: StreamAnalysis, model, settings: PipelineSettings, group=""):
-    emit = _emit(subject.wrist, analysis.starts, analysis.gate_pass, model, settings)
+def evaluate_subject(subject: SubjectData, analysis: StreamAnalysis, model, settings: PipelineSettings, group="", ar=None):
+    """The report of ``model`` on one subject; ``ar`` as for ``_emit``."""
+    emit = _emit(subject.wrist, analysis.starts, analysis.gate_pass, model, settings, ar=ar)
 
     def pair_set(mask):
         mask = mask & ~np.isnan(analysis.value) & ~np.isnan(analysis.reference)
@@ -267,30 +281,43 @@ def evaluate_subject(subject: SubjectData, analysis: StreamAnalysis, model, sett
     return report
 
 
+def _skipped_report(held: SubjectData, error):
+    report = metrics.EvalReport(subject_id=held.subject_id, site=held.site)
+    report.extras["skipped"] = f"single-class training set: {error}"
+    return report
+
+
 def run_loocv(subjects, settings: PipelineSettings):
     """Leave-one-subject-out: train on all others, evaluate on the hold-out.
 
-    Each subject is analyzed once, for its training rows and its report. A
-    fold that cannot train (single-class training set) gets a diagnostic
-    report instead. Reports come sorted by subject id, whatever the input order.
+    Each subject is analyzed once, for its training rows and its report. As
+    soon as a fold's model exists, the pool starts fitting the AR columns
+    that its evaluation reads; the fold is evaluated after the next fold has
+    trained, so the fits overlap that training. A fold that cannot train
+    (single-class training set) gets a diagnostic report instead. Reports
+    come sorted by subject id, whatever the input order.
     """
     subjects = sorted(subjects, key=lambda s: s.subject_id)
     if len(subjects) < 2:
         raise EmptyGroup("leave-one-out needs at least 2 subjects")
     analyses = [analyze_subject(s, settings) for s in subjects]
     rows = [subject_training_rows(s, a, settings) for s, a in zip(subjects, analyses)]
-    reports = []
-    for i, (held, analysis) in enumerate(zip(subjects, analyses)):
-        X = np.vstack([r[0] for j, r in enumerate(rows) if j != i])
-        y = np.concatenate([r[1] for j, r in enumerate(rows) if j != i])
-        try:
-            model, _ = train_model(X, y, settings, training_meta={"held_out": held.subject_id})
-        except SingleClass as e:
-            r = metrics.EvalReport(subject_id=held.subject_id, site=held.site)
-            r.extras["skipped"] = f"single-class training set: {e}"
-            reports.append(r)
-            continue
-        reports.append(evaluate_subject(held, analysis, model, settings))
+    reports, last = [], None
+    with contextlib.ExitStack() as pending:  # an error cancels every fit not started
+        for i, (held, analysis) in enumerate(zip(subjects, analyses)):
+            X = np.vstack([r[0] for j, r in enumerate(rows) if j != i])
+            y = np.concatenate([r[1] for j, r in enumerate(rows) if j != i])
+            try:
+                model, _ = train_model(X, y, settings, training_meta={"held_out": held.subject_id})
+            except SingleClass as e:
+                fold = functools.partial(_skipped_report, held, e)
+            else:
+                ar = pending.enter_context(_emit_fits(held.wrist, analysis.starts, analysis.gate_pass, model, settings))
+                fold = functools.partial(evaluate_subject, held, analysis, model, settings, ar=ar)
+            if last is not None:
+                reports.append(last())
+            last = fold
+        reports.append(last())
     return reports
 
 

@@ -556,6 +556,24 @@ runpy.run_module("pulseox.cli", run_name="__main__", alter_sys=True)
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs CPU affinity and two CPUs"
 )
 class TestCpuCount:
+    @staticmethod
+    def run_pinned(commands, tmp_path):
+        """On every CPU the process may use, then pinned to one: each command
+        of ``commands(out)``, in its own interpreter, for a fresh directory
+        ``out`` under ``tmp_path``. Returns the two directories."""
+        # one BLAS thread in both runs, so only the package's own threads vary
+        one_blas = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(pulseox.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **one_blas)
+        dirs = []
+        for cpu in ("all", str(min(os.sched_getaffinity(0)))):
+            out = tmp_path / f"cpu_{cpu}"
+            out.mkdir()
+            for args in commands(out):
+                subprocess.run([sys.executable, "-c", PINNED_CLI, cpu, *args], env=env, check=True, capture_output=True)
+            dirs.append(out)
+        return dirs
+
     def test_outputs_do_not_depend_on_cpu_count(self, clean_stream, tmp_path):
         """``prune`` and ``spo2 --step 1`` write the same bytes on every CPU
         the process may use and pinned to one, with a model whose every tree
@@ -569,23 +587,27 @@ class TestCpuCount:
         trees = [[dict(split, feature=j, threshold=float(np.median(X[:, j]))), {"leaf": 1.0}, {"leaf": -1.0}] for j in ar]
         model = tmp_path / "model.json"
         gbdt.save(GbdtModel(trees, 0.0, GbdtParams(), catalog), model)
-        # one BLAS thread in both runs, so only the package's own threads vary
-        one_blas = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        src = str(Path(pulseox.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **one_blas)
-        outputs = []
-        for cpu in ("all", str(min(os.sched_getaffinity(0)))):
-            out = tmp_path / f"cpu_{cpu}"
-            out.mkdir()
-            for args in (
+        dirs = self.run_pinned(
+            lambda out: [
                 ["prune", str(clean_stream), str(model), str(out / "pruned.csv")],
                 ["spo2", str(clean_stream), str(out / "spo2.csv"), "--step", "1"],
-            ):
-                subprocess.run([sys.executable, "-c", PINNED_CLI, cpu, *args], env=env, check=True, capture_output=True)
-            outputs.append([(out / name).read_bytes() for name in ("pruned.csv", "spo2.csv")])
+            ],
+            tmp_path,
+        )
+        outputs = [[(out / name).read_bytes() for name in ("pruned.csv", "spo2.csv")] for out in dirs]
         assert outputs[0] == outputs[1]
         pruned, spo2_rows = (len(b.splitlines()) - 1 for b in outputs[0])
         assert 0 < pruned < spo2_rows
+
+    def test_evaluate_does_not_depend_on_cpu_count(self, cohort_small_dir, tmp_path):
+        """``evaluate`` (LOOCV, whose held-out AR columns are fitted while the
+        next fold trains) writes the same ``reports.csv`` and
+        ``report_*.json`` bytes on every CPU and pinned to one."""
+        config = str(cohort_small_dir / "cohort.json")
+        dirs = self.run_pinned(lambda out: [["evaluate", config, str(out)]], tmp_path)
+        outputs = [{p.name: p.read_bytes() for p in sorted(out.glob("report*"))} for out in dirs]
+        assert len(outputs[0]) == 1 + 3  # reports.csv and one report per subject
+        assert outputs[0] == outputs[1]
 
 
 # imports ``pulseox.cli``, then runs each argument list of the JSON list in

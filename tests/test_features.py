@@ -2,7 +2,9 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -191,61 +193,70 @@ class TestArCoefficient:
 
 
 class TestArWorkers:
-    """``_ar_coefficient`` splits its rows among ``_WORKERS`` threads."""
+    """AR columns are fitted ahead of use, in chunks of ``BLOCK_WINDOWS // 2``
+    windows, by a pool of ``_WORKERS - 1`` threads and by the reader."""
 
     @pytest.fixture(scope="class")
     def case(self):
         return contact_loss_wrist()
 
     @staticmethod
-    def fit(X, j, workers, monkeypatch):
-        monkeypatch.setattr(features, "_WORKERS", workers)
+    def fit(X, j, workers, ar_workers):
+        ar_workers(workers)
         return features._ar_coefficient(X, {"coeff": j, "k": 10})
 
     @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_worker_count_changes_no_bit(self, case, monkeypatch, workers):
+    def test_worker_count_changes_no_bit(self, case, monkeypatch, ar_workers, workers):
         frames, idx, _ = case
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 8)  # chunks of 4 windows
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
         try:
             for ch in CHANNELS:
                 X = frames.channel(ch)[idx]
-                # n = 0, 1, fewer rows than workers, and all rows
+                # n = 0, 1, fewer rows than a chunk, and all rows
                 for rows in (X[:0], X[:1], X[:2], X[5:11], X):
                     rows = np.ascontiguousarray(rows)
                     for j in (0, 1, 10):
-                        want = self.fit(rows, j, 1, monkeypatch)
-                        got = self.fit(rows, j, workers, monkeypatch)
+                        want = self.fit(rows, j, 1, ar_workers)
+                        got = self.fit(rows, j, workers, ar_workers)
                         assert got.shape == (len(rows),)
                         assert got.tobytes() == want.tobytes(), (ch, len(rows), j)
         finally:
             sys.setswitchinterval(interval)
 
-    def test_pool_error_reaches_the_caller(self, monkeypatch):
+    def test_pool_error_reaches_the_caller(self, monkeypatch, one_thread_pool):
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 2)  # chunks of one window
         X = np.random.default_rng(0).normal(size=(6, 100))
-        X[-1, 5] = np.nan  # in the last chunk, which a pool thread fits
-        with pytest.raises(np.linalg.LinAlgError):
-            self.fit(X, 1, 2, monkeypatch)
+        X[-1, 5] = np.nan  # in the last chunk
+        with features._ArFits(len(X)) as fits:
+            fits.add(0, X.__getitem__, {"coeff": 1, "k": 10}, X.shape[1])
+            assert not wait(one_thread_pool.futures, 60).not_done  # the pool thread has fitted every chunk
+            assert isinstance(one_thread_pool.futures[-1].exception(), np.linalg.LinAlgError)
+            with pytest.raises(np.linalg.LinAlgError):
+                fits.read(0, slice(0, len(X)))
 
-    def test_rank_deficient_rows_across_a_chunk_boundary(self, case, monkeypatch):
+    def test_rank_deficient_rows_across_a_chunk_boundary(self, case, monkeypatch, ar_workers):
         frames, idx, flat = case
-        # rows centred on the first flat run, so the boundary of two chunks
-        # falls inside it
+        # rows centred on the first flat run, and chunks of half of them, so
+        # the boundary of two chunks falls inside it
         first = np.flatnonzero(flat)[0]
         mid = (first + first + np.argmin(flat[first:])) // 2
         rows = slice(first - 20, 2 * mid - first + 20)
         X = np.ascontiguousarray(frames.red[idx][rows])
         half = len(X) // 2
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 2 * half)
         assert flat[rows][half - 1] and flat[rows][half] and not flat[rows].all()
         for j in range(11):
-            got = self.fit(X, j, 2, monkeypatch)
+            got = self.fit(X, j, 2, ar_workers)
             assert (got[flat[rows]] == 0).all() and (got[~flat[rows]] != 0).any()
-            assert got.tobytes() == self.fit(X, j, 1, monkeypatch).tobytes()
+            assert got.tobytes() == self.fit(X, j, 1, ar_workers).tobytes()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
         X = np.random.default_rng(0).normal(size=(60, 100))
-        want = self.fit(X, 1, 2, monkeypatch)  # the pool now runs here
+        monkeypatch.setattr(features, "_WORKERS", 2)
+        want = features._ar_coefficient(X, {"coeff": 1, "k": 10})  # the pool now runs here
 
         def child():
             assert features._ar_coefficient(X, {"coeff": 1, "k": 10}).tobytes() == want.tobytes()
@@ -257,20 +268,30 @@ class TestArWorkers:
             proc.kill()
         assert proc.exitcode == 0
 
-    def test_public_calls_stay_on_the_calling_thread(self, monkeypatch):
-        """Pool threads run only ``_ar_fit``: every public call that a tracer
-        wraps (``compute_feature_batch``, ``FrameSeries.rows``) is made by the
-        caller, over several blocks, while the pool fits AR rows."""
+    def test_public_calls_stay_on_the_calling_thread(self, monkeypatch, one_thread_pool):
+        """Pool threads run only private functions: every public call that a
+        tracer wraps (``compute_feature_batch``, ``FrameSeries.rows``) is made
+        by the caller, over several blocks, while the pool fits AR rows. The
+        AR columns take no ``compute_feature_batch`` call. The pool thread's
+        fits wait until the caller has fitted a chunk (30 s at most in all),
+        so both fit some."""
+        caller = threading.get_ident()
+        caller_fitted = threading.Event()
+        deadline = time.monotonic() + 30
         threads = {"public": [], "_ar_fit": []}
 
         def spy(kind, fn):
             def called(*args, **kwargs):
                 threads[kind].append(threading.get_ident())
+                if kind == "_ar_fit":
+                    if threading.get_ident() == caller:
+                        caller_fitted.set()
+                    else:
+                        caller_fitted.wait(max(0.0, deadline - time.monotonic()))
                 return fn(*args, **kwargs)
 
             return called
 
-        monkeypatch.setattr(features, "_WORKERS", 3)
         monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
         monkeypatch.setattr(features, "compute_feature_batch", spy("public", features.compute_feature_batch))
         monkeypatch.setattr(FrameSeries, "rows", spy("public", FrameSeries.rows))
@@ -278,9 +299,50 @@ class TestArWorkers:
         series = make_series(400)
         starts, _ = gap_free_windows(series, 100, 1)
         features.extract_matrix(series, starts, 100, build_catalog())
-        caller = threading.get_ident()
-        assert len(threads["public"]) == 5 * (4 + 72) and set(threads["public"]) == {caller}
+        assert caller_fitted.is_set()
+        assert len(threads["public"]) == 5 * (4 + 68) and set(threads["public"]) == {caller}
         assert caller in threads["_ar_fit"] and len(set(threads["_ar_fit"])) > 1
+
+    def test_blocked_pool_leaves_every_chunk_to_the_reader(self, case, monkeypatch, one_thread_pool):
+        """With the one pool thread busy, reading the AR columns that
+        ``extract_matrix`` started fits every chunk on the reading thread,
+        with the bytes of a one-CPU run; a reader that waited on a chunk no
+        thread will start would hang, which the timeout turns into a
+        failure."""
+        frames, idx, _ = case
+        starts = idx[:, 0]
+        catalog = build_catalog()
+        columns = [j for j, spec in enumerate(catalog) if spec.name == "ar_coefficient"]
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
+        fitters, result = [], {}
+
+        def spy(*args):
+            fitters.append(threading.get_ident())
+            return ar_fit(*args)
+
+        def read():
+            try:
+                result["X"] = features.extract_matrix(frames, starts, 100, catalog, columns)
+            except BaseException as e:  # reported below, on the test's thread
+                result["error"] = e
+
+        ar_fit = features._ar_fit
+        monkeypatch.setattr(features, "_ar_fit", spy)
+        release = one_thread_pool.block()
+        reader = threading.Thread(target=read)
+        try:
+            reader.start()
+            reader.join(60)
+            assert not reader.is_alive(), "the reader waits on a chunk that no thread starts"
+        finally:
+            release.set()
+        assert "error" not in result, result
+        assert len(one_thread_pool.futures) == 4 * -(-len(starts) // 32)
+        assert all(f.cancelled() for f in one_thread_pool.futures)
+        assert set(fitters) == {reader.ident}
+        monkeypatch.setattr(features, "_WORKERS", 1)
+        want = features.extract_matrix(frames, starts, 100, catalog, columns)
+        assert result["X"].tobytes() == want.tobytes()
 
 
 class TestCatalogAndMatrix:

@@ -1,3 +1,8 @@
+import functools
+import inspect
+import json
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -145,6 +150,92 @@ class TestLoocv:
         with pytest.raises(EmptyGroup):
             pipeline.run_loocv([make_subject()], FAST)
 
+    def test_worker_count_changes_no_report(self, cohort_small, ar_workers):
+        """One thread, and the caller with a pool of two, give the same
+        reports, the absolute errors of the pruned readings included, with
+        the threads switching as often as they can."""
+        subjects, settings = cohort_small
+        reports = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 3):
+                ar_workers(workers)
+                reports[workers] = [r.to_json_dict() for r in pipeline.run_loocv(subjects, settings)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert json.dumps(reports[1]) == json.dumps(reports[3])
+        assert all(r["extras"]["abs_errors_pruned"] for r in reports[1])
+
+    def test_public_calls_stay_on_the_calling_thread(self, cohort_small, monkeypatch, ar_workers):
+        """Pool threads call no public function or method of the package
+        during LOOCV, while they fit AR columns of the training rows and of
+        the held-out subjects."""
+        subjects, settings = cohort_small
+        caller = threading.get_ident()
+        public, fitters = [], []
+
+        def spy(record, fn):
+            @functools.wraps(fn)
+            def called(*args, **kwargs):
+                record.append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return called
+
+        for module in (signal_io, spo2, features, gbdt, metrics, pipeline):
+            for name, obj in list(vars(module).items()):
+                if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    monkeypatch.setattr(module, name, spy(public, obj))
+                elif inspect.isclass(obj):
+                    for meth, fn in list(vars(obj).items()):
+                        if not meth.startswith("_") and inspect.isfunction(fn):
+                            monkeypatch.setattr(obj, meth, spy(public, fn))
+        monkeypatch.setattr(features, "_ar_fit", spy(fitters, features._ar_fit))
+        ar_workers(3)
+        emit_fits = pipeline._emit_fits
+        deferred = []
+        monkeypatch.setattr(pipeline, "_emit_fits", lambda *args: deferred.append(emit_fits(*args)) or deferred[-1])
+        pipeline.run_loocv(subjects, settings)
+        assert any(fits.out for fits in deferred)  # some held-out subject's AR columns are deferred
+        assert len(public) > 1000 and set(public) == {caller}
+        assert set(fitters) - {caller}
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_failed_deferred_fit_raises_and_cancels_the_rest(self, cohort_small, monkeypatch, one_thread_pool, blocked):
+        """A chunk of a held-out subject's deferred AR fits that fails (a NaN
+        sample in its first gate-passing window: the SVD does not converge)
+        raises out of ``run_loocv``, and leaves no chunk of the run queued.
+        With the pool thread blocked, every chunk waits in the queue until
+        it is read, so the failing one runs on the caller while the chunks
+        after it are queued, and the error must cancel them."""
+        subjects, settings = cohort_small
+        emit_fits = pipeline._emit_fits
+        deferred = []
+
+        def poisoned(series, starts, gate_pass, model, settings):
+            channels = [series.channel(c).copy() for c in features.CHANNELS]
+            for x in channels:
+                x[starts[gate_pass][0] + 5] = np.nan
+            fits = emit_fits(FrameSeries(series.t_ms, *channels, series.gap), starts, gate_pass, model, settings)
+            deferred.append(fits)
+            return fits
+
+        monkeypatch.setattr(pipeline, "_emit_fits", poisoned)
+        release = one_thread_pool.block() if blocked else threading.Event()
+        try:
+            with pytest.raises(np.linalg.LinAlgError):
+                pipeline.run_loocv(subjects, settings)
+            queued = [f for f in one_thread_pool.futures if not (f.done() or f.running())]
+        finally:
+            release.set()
+        assert any(fits.out for fits in deferred)
+        assert not queued
+        if blocked:
+            assert all(f.cancelled() for f in one_thread_pool.futures)
+
 
 class TestGroupExperiment:
     def test_single_subject_split(self, cohort_small):
@@ -232,9 +323,10 @@ class TestPrune:
         assert len(enh_t) < len(base_t)
 
 
-def full_path_emit(series, starts, gate_pass, model, settings):
+def full_path_emit(series, starts, gate_pass, model, settings, ar=None):
     """Features and a prediction for every gap-free window, the gate applied
-    after: the reference for the gate-first ``pipeline._emit``."""
+    after: the reference for the gate-first ``pipeline._emit``, which reads
+    its AR columns from ``ar`` when given."""
     idx = starts[:, None] + np.arange(settings.window_len)
     X = np.column_stack([features.compute_feature_batch(s, series.channel(s.channel)[idx]) for s in model.feature_catalog])
     return (model.predict_proba_batch(X) >= settings.decision_threshold) & gate_pass
@@ -265,8 +357,8 @@ class TestGateFirstEmit:
         ``evaluate_subject`` with ``emit_fn`` in place of ``pipeline._emit``."""
         masks = []
 
-        def recording(*args):
-            masks.append(emit_fn(*args))
+        def recording(*args, **kwargs):
+            masks.append(emit_fn(*args, **kwargs))
             return masks[-1]
 
         out.mkdir()
