@@ -12,7 +12,6 @@ discovery rate across the catalog.
 
 from __future__ import annotations
 
-import copy
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +42,9 @@ class FeatureSpec:
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
+        for k, v in self.params:
+            if isinstance(v, (int, float)) and v < 0:
+                raise ValueError(f"parameter {k} must not be negative, got {v}")
 
     @property
     def param_dict(self):
@@ -163,52 +165,36 @@ class _ArFits:
     returns rows of a column once they are fitted: the caller fits every
     chunk that no pool thread has started (``Future.cancel`` succeeds) and
     waits for the others. A one-CPU process has no pool, and the reader fits
-    every chunk. Leaving the ``with`` block cancels the chunks of these rows
-    that have not started, so an error leaves none queued. :meth:`part` gives
-    the fits of some of the rows, sharing the columns and their chunks.
+    every chunk. Leaving the ``with`` block cancels every chunk that has not
+    started, so an error leaves none queued.
 
     Each window's fit reads only that window, so no output bit depends on
     the chunks, on who fits them or on the number of CPUs. Pool threads run
-    only private functions of this module and numpy, never a public function
-    of the package: a tracer that wraps those keeps one span stack, for the
-    calling thread.
+    only private functions of the package and numpy, never a public one: a
+    tracer that wraps those keeps one span stack, for the calling thread.
     """
 
     def __init__(self, n):
-        self.n, self.lo, self.hi = n, 0, n
+        self.n = n
         self.size = max(1, signal_io.BLOCK_WINDOWS // 2)
         self.out = {}  # column -> its values
         self._tasks = {}  # (column, first row of a chunk) -> (arguments, future or None)
 
-    def add(self, column, rows, p, window_len):
+    def add(self, column, x, starts, p, window_len):
         """Submit coefficient ``p["coeff"]`` of the AR(``p["k"]``) fits of
-        the windows; ``rows(c)`` gathers the windows of the slice ``c``."""
+        the windows of ``window_len`` samples of ``x`` at ``starts``."""
         out = self.out[column] = np.zeros(self.n)
         j, k = int(p["coeff"]), int(p["k"])
-        if j > k or window_len <= k:
-            return
         pool = _pool() if _WORKERS > 1 else None
         for i in range(0, self.n, self.size):
-            c = slice(i, min(i + self.size, self.n))
-            args = (rows, c, j, k, out[c])
+            c = slice(i, i + self.size)
+            args = (x, starts[c], window_len, j, k, out[c])
             self._tasks[column, i] = (args, pool and pool.submit(_ar_task, *args))
-
-    def part(self, b):
-        """The fits of rows ``b`` of these windows."""
-        view = copy.copy(self)
-        view.lo, view.hi = self.lo + b.start, min(self.lo + b.stop, self.hi)
-        return view
-
-    def _chunks(self, column, lo, hi):
-        """The keys of the chunks of ``column`` with rows in ``lo:hi`` that
-        are not yet fitted or waited for."""
-        keys = ((column, i) for i in range(lo - lo % self.size, hi, self.size))
-        return [key for key in keys if key in self._tasks]
 
     def read(self, column, b):
         """Rows ``b`` of ``column``, fitted."""
-        lo, hi = self.lo + b.start, min(self.lo + b.stop, self.hi)
-        keys = self._chunks(column, lo, hi)
+        keys = [(column, i) for i in range(b.start - b.start % self.size, b.stop, self.size)]
+        keys = [key for key in keys if key in self._tasks]
         for key in keys:
             args, future = self._tasks[key]
             if future is None or future.cancel():
@@ -217,28 +203,20 @@ class _ArFits:
         for key in keys:
             if key in self._tasks:
                 self._tasks.pop(key)[1].result()
-        return self.out[column][lo:hi]
+        return self.out[column][b]
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        for column in self.out:
-            for key in self._chunks(column, self.lo, self.hi):
-                future = self._tasks.pop(key)[1]
-                if future is not None:
-                    future.cancel()
+        for _, future in self._tasks.values():
+            if future is not None:
+                future.cancel()
 
 
-def _ar_task(rows, c, j, k, out):
+def _ar_task(x, starts, window_len, j, k, out):
     """One chunk of an ``_ArFits`` column: gather its windows, then fit them."""
-    _ar_fit(rows(c), j, k, out)
-
-
-def _window_rows(x, starts, window_len, c):
-    """The windows of ``window_len`` samples of ``x`` at ``starts[c]``, one
-    per row (``FrameSeries.rows`` of one channel array)."""
-    return np.lib.stride_tricks.sliding_window_view(x, window_len)[starts[c]]
+    _ar_fit(signal_io._windows_at(x, starts, window_len), j, k, out)
 
 
 def _ar_coefficient(X, p):
@@ -253,17 +231,20 @@ def _ar_coefficient(X, p):
     benchmark's model at its default seed), so their bytes and the recorded
     output digests of ``perfbench`` would change with it.
 
-    The rows are fitted by ``_ArFits``, on every CPU the process may use.
+    The rows are fitted on the calling thread; :func:`extract_matrix` fits
+    its AR columns with ``_ArFits``, on every CPU the process may use.
     """
-    n, w = X.shape
-    with _ArFits(n) as fits:
-        fits.add(0, X.__getitem__, p, w)
-        return fits.read(0, slice(0, n))
+    out = np.zeros(len(X))
+    _ar_fit(X, int(p["coeff"]), int(p["k"]), out)
+    return out
 
 
 def _ar_fit(X, j, k, out):
-    """``_ar_coefficient`` of the rows of ``X``, written into ``out``."""
+    """``_ar_coefficient`` of the rows of ``X``, written into ``out``, which
+    keeps its values when the AR(k) design has no column ``j`` or no row."""
     n, w = X.shape
+    if j > k or w <= k:
+        return
     # design [1, x_{t-1}, ..., x_{t-k}] predicting x_t for t = k..w-1, built
     # lag-major so every row write is contiguous; the SVD reads its transpose
     At = np.empty((n, k + 1, w - k))
@@ -370,39 +351,34 @@ def _column_ids(catalog, columns):
     return sorted(range(len(catalog)) if columns is None else columns)
 
 
-def start_ar_fits(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns=None):
-    """Start fitting the AR columns among the catalog ``columns`` given (all
-    by default) of the windows of ``window_len`` samples at ``starts``, ahead
-    of their use. Pass the result to :func:`extract_matrix` to read them;
-    leaving its ``with`` block cancels the fits not yet started."""
+def start_ar_fits(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns):
+    """Start fitting the AR columns among the catalog ``columns`` of the
+    windows of ``window_len`` samples at ``starts``, ahead of their use.
+    ``read(j, b)`` of the result gives rows ``b`` of column ``j``; leaving
+    its ``with`` block cancels the fits not yet started."""
     fits = _ArFits(len(starts))
     for j in _column_ids(catalog, columns):
         spec = catalog[j]
         if spec.name == "ar_coefficient":
-            rows = functools.partial(_window_rows, series.channel(spec.channel), starts, window_len)
-            fits.add(j, rows, spec.param_dict, window_len)
+            fits.add(j, series.channel(spec.channel), starts, spec.param_dict, window_len)
     return fits
 
 
-def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns=None, ar=None) -> np.ndarray:
+def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns=None) -> np.ndarray:
     """Feature matrix with one row per window, columns in catalog order.
 
     ``starts`` holds the first sample of each window of ``window_len``
     samples. Only the catalog ``columns`` given (all by default) are
-    computed; the others are NaN. The AR columns are read from ``ar``, the
-    :func:`start_ar_fits` of these windows and columns, or else their fits
-    are started here, before the other families are computed. Windows are
-    gathered from the stream one channel and one block of ``BLOCK_WINDOWS``
-    at a time.
+    computed; the others are NaN. The fits of the AR columns are started
+    with :func:`start_ar_fits` before the other families are computed.
+    Windows are gathered from the stream one channel and one block of
+    ``BLOCK_WINDOWS`` at a time.
     """
     columns = _column_ids(catalog, columns)
-    if ar is None:
-        ar = start_ar_fits(series, starts, window_len, catalog, columns)
-    by_channel, ar_columns = {}, []
+    ar = start_ar_fits(series, starts, window_len, catalog, columns)
+    by_channel = {}
     for j in columns:
-        if catalog[j].name == "ar_coefficient":
-            ar_columns.append(j)
-        else:
+        if j not in ar.out:
             by_channel.setdefault(catalog[j].channel, []).append(j)
     X = np.full((len(starts), len(catalog)), np.nan)
     with ar:
@@ -411,7 +387,7 @@ def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catal
                 W = series.rows(channel, starts[b], window_len)
                 for j in cols:
                     X[b, j] = compute_feature_batch(catalog[j], W)
-            for j in ar_columns:
+            for j in ar.out:
                 X[b, j] = ar.read(j, b)
     return X
 

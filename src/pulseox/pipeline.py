@@ -229,9 +229,10 @@ def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSe
     starts, columns = starts[gate_pass], _split_columns(model)
     proba = np.empty(len(starts))
     with ar:
-        # one call at least, so a catalog extract_matrix rejects fails on any stream
-        for b in signal_io.blocks(len(starts)) or [slice(0, 0)]:
-            X = feats.extract_matrix(series, starts[b], settings.window_len, model.feature_catalog, columns, ar.part(b))
+        for b in signal_io.blocks(len(starts)):
+            X = feats.extract_matrix(series, starts[b], settings.window_len, model.feature_catalog, columns - ar.out.keys())
+            for j in ar.out:
+                X[:, j] = ar.read(j, b)
             proba[b] = model.predict_proba_batch(X)
     emit = gate_pass.copy()
     emit[gate_pass] = proba >= settings.decision_threshold
@@ -499,7 +500,9 @@ def load_experiment(config_path):
 
     Returns ``(subjects, settings)``. Stream paths are resolved relative to
     the config file's directory; stream metadata comes from the sidecars. A
-    top-level key outside ``EXPERIMENT_KEYS`` is a config error.
+    top-level key outside ``EXPERIMENT_KEYS``, or two entries with the same
+    subject id (from the config, the sidecar or the file stem), is a config
+    error.
     """
     config_path = pathlib.Path(config_path)
     cfg = load_config(config_path)
@@ -523,12 +526,14 @@ def load_experiment(config_path):
             **win_d,
         )
 
-    subjects = []
+    subjects = {}
     for entry in _cohort_entries(cfg, config_path):
         wrist_path = base / entry["wrist_csv"]
         finger_path = base / entry["finger_csv"]
         wrist, meta = signal_io.load_frames(wrist_path, "wrist")
         finger, _ = signal_io.load_frames(finger_path, "fingertip")
         sid = entry.get("subject_id", meta.subject_id or wrist_path.stem)
-        subjects.append(SubjectData(sid, wrist, finger, meta))
-    return subjects, settings
+        if sid in subjects:
+            raise ConfigOutOfRange(f"{config_path}: two cohort entries have the subject id {sid!r}")
+        subjects[sid] = SubjectData(sid, wrist, finger, meta)
+    return list(subjects.values()), settings

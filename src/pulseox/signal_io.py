@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,8 @@ class StreamMeta:
     skin_tone: str = "unknown"
 
     def __post_init__(self):
+        if not isinstance(self.subject_id, str):
+            raise ValueError(f"subject_id must be a string, got {self.subject_id!r}")
         if not 0 < self.nominal_rate_hz < np.inf:
             raise ValueError(f"nominal_rate_hz must be positive and finite, got {self.nominal_rate_hz}")
         if self.site not in SITES:
@@ -91,10 +94,15 @@ class FrameSeries:
     def rows(self, name: str, starts, window_len: int) -> np.ndarray:
         """One channel's windows of ``window_len`` samples at ``starts``, one
         per row, as a C-contiguous copy."""
-        x = self.channel(name)
-        if len(x) < window_len:  # no complete window, so ``starts`` is empty
-            return np.empty((0, window_len))
-        return np.lib.stride_tricks.sliding_window_view(x, window_len)[starts]
+        return _windows_at(self.channel(name), starts, window_len)
+
+
+def _windows_at(x, starts, window_len):
+    """The windows of ``window_len`` samples of ``x`` at ``starts``, one per
+    row, as a C-contiguous copy (``FrameSeries.rows`` of one channel)."""
+    if len(x) < window_len:  # no complete window, so ``starts`` is empty
+        return np.empty((0, window_len))
+    return np.lib.stride_tricks.sliding_window_view(x, window_len)[starts]
 
 
 #: Windows whose statistics and features are computed at a time. Every step
@@ -112,8 +120,6 @@ def blocks(n: int):
 
 
 def meta_path(stream_path):
-    import pathlib
-
     return pathlib.Path(stream_path).with_suffix(".meta")
 
 

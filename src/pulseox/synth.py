@@ -16,6 +16,7 @@ perfusion index the AC/DC ratio of the infrared channel up to window effects.
 from __future__ import annotations
 
 import csv
+import pathlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -271,8 +272,6 @@ def gen_cohort(
     proportion of clean windows spans a wide range. Returns the experiment
     config dict (also written as ``cohort.json``).
     """
-    import pathlib
-
     if n_subjects < 2:
         raise ConfigOutOfRange("cohort needs at least 2 subjects")
     out = pathlib.Path(out_dir)

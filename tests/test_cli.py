@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -200,7 +201,9 @@ class TestSpo2:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "sidecar", ["{bad", '{"site": "elbow"}', '{"rate_hz": Infinity}'], ids=["not_json", "unknown_site", "infinite_rate"]
+        "sidecar",
+        ["{bad", '{"site": "elbow"}', '{"rate_hz": Infinity}', '{"subject_id": 7}'],
+        ids=["not_json", "unknown_site", "infinite_rate", "int_subject_id"],
     )
     def test_broken_sidecar_exits_io(self, clean_stream, tmp_path, capsys, sidecar):
         meta = clean_stream.with_suffix(".meta")
@@ -294,6 +297,34 @@ class TestTrainEvaluatePruneSweep:
         assert err.startswith("config error:") and "window 100" in err and "75 samples" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["config", "sidecar", "stem"])
+    def test_duplicate_subject_id_exits_config(self, cohort_small_dir, tmp_path, capsys, source):
+        """Two cohort entries that resolve to one subject id, from the config,
+        from the sidecar or from the file stem, would share one report file."""
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_small_dir, cohort)
+        cfg = json.loads((cohort / "cohort.json").read_text())
+        first, second = cfg["cohort"][:2]
+        if source == "config":
+            second["subject_id"] = first["subject_id"]
+        elif source == "sidecar":
+            del second["subject_id"]
+            meta = cohort / second["wrist_csv"].replace(".csv", ".meta")
+            meta.write_text(json.dumps(dict(json.loads(meta.read_text()), subject_id=first["subject_id"])))
+        else:
+            for i, entry in enumerate((first, second)):
+                del entry["subject_id"]
+                (cohort / str(i)).mkdir()
+                shutil.copy(cohort / entry["wrist_csv"], cohort / str(i) / "wrist.csv")
+                entry["wrist_csv"] = f"{i}/wrist.csv"
+        sid = first.get("subject_id", "wrist")
+        (cohort / "cohort.json").write_text(json.dumps(cfg))
+        out = tmp_path / "eval"
+        assert cli.main(["evaluate", str(cohort / "cohort.json"), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(sid) in err
+        assert not out.exists()
+
     def test_unknown_gbdt_params_key_exits_config(self, cohort_small_dir, tmp_path, capsys):
         cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
         cfg["gbdt_params"] = {"n_trees": 5}
@@ -322,9 +353,10 @@ class TestTrainEvaluatePruneSweep:
             lambda doc: doc.update(catalog=["red__bogus"]),
             lambda doc: doc.update(catalog=["red__fft_coefficient__attr_bogus__coeff_0"]),
             lambda doc: doc.update(catalog=["red__autocorrelation"]),
+            lambda doc: doc.update(catalog=["red__ar_coefficient__coeff_-1__k_10"]),
             lambda doc: [1],
         ],
-        ids=["unknown_feature", "unknown_fft_attr", "missing_param", "not_an_object"],
+        ids=["unknown_feature", "unknown_fft_attr", "missing_param", "negative_param", "not_an_object"],
     )
     def test_prune_malformed_model_document_exits_io(self, clean_stream, tmp_path, capsys, corrupt):
         model_path = tmp_path / "model.json"

@@ -178,18 +178,33 @@ class TestWelchDensity:
                 np.testing.assert_array_equal(got, want, err_msg=f"n {n} bin {c}")
 
 
+def pooled_ar(x, starts, window_len, j, k=10):
+    """Coefficient ``j`` of the AR(``k``) fits of the windows of
+    ``window_len`` samples of ``x`` at ``starts``, by ``_ArFits``: the path
+    of ``extract_matrix``, where the pool fits what the reader does not."""
+    with features._ArFits(len(starts)) as fits:
+        fits.add(0, x, starts, {"coeff": j, "k": k}, window_len)
+        return fits.read(0, slice(0, len(starts)))
+
+
 class TestArCoefficient:
-    def test_bit_identical_to_full_contraction_on_wrist_stream(self):
+    def test_bit_identical_to_full_contraction_on_wrist_stream(self, ar_workers):
+        """The direct path (``_ar_coefficient`` on the calling thread) and the
+        pooled one (``_ArFits`` on three threads) both give the full
+        pseudo-inverse contraction bit for bit."""
         frames, idx, flat = contact_loss_wrist()
         k = 10
+        ar_workers(3)
         for ch in CHANNELS:
             X = frames.channel(ch)[idx]
             want = full_pinv_ar(X, k)
             for j in range(k + 1):
-                got = features._ar_coefficient(X, {"coeff": j, "k": k})
-                np.testing.assert_array_equal(got, want[:, j], err_msg=f"{ch} coeff {j}")
-                if ch in ("red", "ir"):
-                    assert (got[flat] == 0).all()
+                direct = features._ar_coefficient(X, {"coeff": j, "k": k})
+                pooled = pooled_ar(frames.channel(ch), idx[:, 0], idx.shape[1], j, k)
+                for path, got in (("direct", direct), ("pooled", pooled)):
+                    np.testing.assert_array_equal(got, want[:, j], err_msg=f"{path} {ch} coeff {j}")
+                    if ch in ("red", "ir"):
+                        assert (got[flat] == 0).all()
 
 
 class TestArWorkers:
@@ -202,8 +217,10 @@ class TestArWorkers:
 
     @staticmethod
     def fit(X, j, workers, ar_workers):
+        """``pooled_ar`` of the rows of ``X``, laid end to end in one array."""
         ar_workers(workers)
-        return features._ar_coefficient(X, {"coeff": j, "k": 10})
+        n, w = X.shape
+        return pooled_ar(X.ravel(), w * np.arange(n), w, j)
 
     @pytest.mark.parametrize("workers", [2, 3, 7])
     def test_worker_count_changes_no_bit(self, case, monkeypatch, ar_workers, workers):
@@ -230,7 +247,7 @@ class TestArWorkers:
         X = np.random.default_rng(0).normal(size=(6, 100))
         X[-1, 5] = np.nan  # in the last chunk
         with features._ArFits(len(X)) as fits:
-            fits.add(0, X.__getitem__, {"coeff": 1, "k": 10}, X.shape[1])
+            fits.add(0, X.ravel(), 100 * np.arange(len(X)), {"coeff": 1, "k": 10}, 100)
             assert not wait(one_thread_pool.futures, 60).not_done  # the pool thread has fitted every chunk
             assert isinstance(one_thread_pool.futures[-1].exception(), np.linalg.LinAlgError)
             with pytest.raises(np.linalg.LinAlgError):
@@ -254,12 +271,13 @@ class TestArWorkers:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
-        X = np.random.default_rng(0).normal(size=(60, 100))
+        x = np.random.default_rng(0).normal(size=60 * 100)
+        starts = 100 * np.arange(60)
         monkeypatch.setattr(features, "_WORKERS", 2)
-        want = features._ar_coefficient(X, {"coeff": 1, "k": 10})  # the pool now runs here
+        want = pooled_ar(x, starts, 100, 1)  # the pool now runs here
 
         def child():
-            assert features._ar_coefficient(X, {"coeff": 1, "k": 10}).tobytes() == want.tobytes()
+            assert pooled_ar(x, starts, 100, 1).tobytes() == want.tobytes()
 
         proc = multiprocessing.get_context("fork").Process(target=child)
         proc.start()

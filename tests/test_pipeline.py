@@ -407,6 +407,31 @@ class TestGateFirstEmit:
             monkeypatch.setattr(pipeline, "_split_columns", lambda m, missed=missed: split - {missed})
             assert (masks(pipeline._emit) != want).any(), model.feature_catalog[missed].spec_id
 
+    def test_ar_columns_match_full_path_over_blocks(self, case, monkeypatch, ar_workers):
+        """A model whose trees split on the four AR columns, each at its median
+        over the gate-passing windows, emits what the full path emits when the
+        AR columns are read block by block, from fits ``_emit`` starts itself
+        or from fits started ahead, as ``run_loocv`` does."""
+        subject, _ = case
+        analysis = pipeline.analyze_subject(subject, FAST)
+        starts, gate = analysis.starts, analysis.gate_pass
+        catalog = features.build_catalog()
+        idx = starts[gate][:, None] + np.arange(FAST.window_len)
+        split = {"default": "left", "left": 1, "right": 2}
+        trees = []
+        for j, spec in enumerate(catalog):
+            if spec.name == "ar_coefficient":
+                median = np.median(features.compute_feature_batch(spec, subject.wrist.channel(spec.channel)[idx]))
+                trees.append([dict(split, feature=j, threshold=float(median)), {"leaf": 1.0}, {"leaf": -1.0}])
+        model = GbdtModel(trees, 0.0, GbdtParams(), catalog)
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
+        ar_workers(2)
+        want = full_path_emit(subject.wrist, starts, gate, model, FAST)
+        assert len(trees) == 4 and 0 < want.sum() < gate.sum() and gate.sum() > 4 * 64
+        np.testing.assert_array_equal(pipeline._emit(subject.wrist, starts, gate, model, FAST), want)
+        ahead = pipeline._emit_fits(subject.wrist, starts, gate, model, FAST)
+        np.testing.assert_array_equal(pipeline._emit(subject.wrist, starts, gate, model, FAST, ar=ahead), want)
+
     def test_working_memory_does_not_grow_with_windows(self):
         """Peak traced memory of ``_emit`` besides its output mask is one
         block's worth, the same for 4 and 16 blocks of gate-passing windows,
