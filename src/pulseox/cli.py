@@ -68,6 +68,8 @@ def cmd_simulate(args):
     with pipeline._config_range(where):
         calib = spo2.CalibrationCurve(**calib_d)
     seed = pipeline._config_value(cfg, "seed", args.seed, where)
+    if seed < 0:
+        raise ConfigOutOfRange(f"{where if 'seed' in cfg else '--'}seed must be nonnegative, got {seed}")
     config = synth.gen_cohort(n, args.out_dir, base, variation_seed=seed, calib=calib)
     _write_manifest(args.out_dir, "simulate", cfg, seed)
     print(f"wrote {n} subjects to {args.out_dir}")

@@ -42,9 +42,6 @@ class FeatureSpec:
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
-        for k, v in self.params:
-            if isinstance(v, (int, float)) and v < 0:
-                raise ValueError(f"parameter {k} must not be negative, got {v}")
 
     @property
     def param_dict(self):
@@ -55,23 +52,6 @@ class FeatureSpec:
         parts = [self.channel, self.name]
         parts += [f"{k}_{v}" for k, v in self.params]
         return "__".join(parts)
-
-    @classmethod
-    def from_id(cls, spec_id: str) -> "FeatureSpec":
-        parts = spec_id.split("__")
-        channel, name = parts[0], parts[1]
-        params = []
-        for p in parts[2:]:
-            k, v = p.rsplit("_", 1)
-            try:
-                v = int(v)
-            except ValueError:
-                try:
-                    v = float(v)
-                except ValueError:
-                    pass
-            params.append((k, v))
-        return cls(channel, name, tuple(params))
 
 
 # --- batched feature primitives; X has shape (n_windows, window_len) ---------
@@ -117,10 +97,7 @@ def _autocorrelation(X, p):
     mu = X.mean(axis=1, keepdims=True)
     x0 = X - mu
     var = np.mean(x0 * x0, axis=1)
-    if lag == 0:
-        num = np.mean(x0 * x0, axis=1)
-    else:
-        num = np.sum(x0[:, : n - lag] * x0[:, lag:], axis=1) / (n - lag)
+    num = np.sum(x0[:, : n - lag] * x0[:, lag:], axis=1) / (n - lag)
     out = np.zeros(len(X))
     nz = var > 0
     out[nz] = num[nz] / var[nz]
@@ -324,7 +301,9 @@ def compute_feature_batch(spec: FeatureSpec, X) -> np.ndarray:
 
 def build_catalog() -> list:
     """The feature catalog: the ranked statistic set instantiated over every
-    channel, plus a baseline descriptive set per channel."""
+    channel, plus a baseline descriptive set per channel. A model file names
+    its features by ``spec_id``, and ``gbdt.load`` reads each one back by
+    lookup in this list, so no other feature id loads."""
     catalog = []
     for ch in CHANNELS:
         catalog.append(FeatureSpec(ch, "longest_strike_below_mean"))

@@ -36,7 +36,7 @@ from .errors import (
     SchemaVersionMismatch,
     SingleClass,
 )
-from .features import FeatureSpec, compute_feature_batch
+from .features import build_catalog
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -54,6 +54,14 @@ class GbdtParams:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.n_estimators < 1:
+            raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
+        if self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.subsample <= 1:
             raise ValueError("subsample must lie in (0, 1]")
         if self.min_child_weight < 0 or self.reg_alpha < 0 or self.reg_lambda < 0:
@@ -72,18 +80,11 @@ def logistic_grad_hess(logit, label):
     return p - label, p * (1.0 - p)
 
 
-def _soft_threshold(g: float, alpha: float) -> float:
-    if g > alpha:
-        return g - alpha
-    if g < -alpha:
-        return g + alpha
-    return 0.0
-
-
 def leaf_weight(G: float, H: float, params: GbdtParams) -> float:
     """Optimal leaf weight of the penalized second-order objective:
     minimizes G*w + (H + lambda)*w^2/2 + alpha*|w|."""
-    return -_soft_threshold(G, params.reg_alpha) / (H + params.reg_lambda)
+    alpha = params.reg_alpha
+    return -(G - min(max(G, -alpha), alpha)) / (H + params.reg_lambda)
 
 
 def _score(G, H, params):
@@ -257,16 +258,24 @@ def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) ->
 # --- serialization ------------------------------------------------------------
 
 
+def _finite(value, what) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise CorruptFile(f"{what} must be finite, got {x}")
+    return x
+
+
 def _typed_nodes(nodes: list, n_features: int) -> list:
     """A tree's node list read from a file, with every field typed; children
     must point forward and stay in range, split features must index the
-    catalog, and the default direction must be left or right."""
+    catalog, the default direction must be left or right, and leaves and
+    thresholds must be finite."""
     if not nodes:
         raise CorruptFile("empty node list")
     typed = []
     for i, d in enumerate(nodes):
         if "leaf" in d:
-            typed.append({"leaf": float(d["leaf"])})
+            typed.append({"leaf": _finite(d["leaf"], f"node {i}: leaf")})
             continue
         f, left, right = int(d["feature"]), int(d["left"]), int(d["right"])
         if not (i < left < len(nodes) and i < right < len(nodes)):
@@ -276,7 +285,7 @@ def _typed_nodes(nodes: list, n_features: int) -> list:
         default = d.get("default", "left")
         if default not in ("left", "right"):
             raise CorruptFile(f"node {i}: default direction {default!r} is neither left nor right")
-        threshold = float(d["threshold"])
+        threshold = _finite(d["threshold"], f"node {i}: threshold")
         typed.append({"default": default, "feature": f, "left": left, "right": right, "threshold": threshold})
     return typed
 
@@ -306,13 +315,15 @@ def load(path) -> GbdtModel:
         raise SchemaVersionMismatch(f"{path}: schema version {version}")
     try:
         params = GbdtParams(**doc["params"])
-        catalog = [FeatureSpec.from_id(s) for s in doc["catalog"]]
-        for spec in catalog:  # a feature name or parameter the feature code does not know raises here
-            compute_feature_batch(spec, np.empty((0, 100)))
+        known = {s.spec_id: s for s in build_catalog()}
+        for spec_id in doc["catalog"]:
+            if spec_id not in known:
+                raise CorruptFile(f"feature {spec_id!r} is not in the {len(known)}-feature catalog")
+        catalog = [known[s] for s in doc["catalog"]]
         trees = [_typed_nodes(t["nodes"], len(catalog)) for t in doc["trees"]]
         return GbdtModel(
             trees=trees,
-            base_logit=float(doc["base_logit"]),
+            base_logit=_finite(doc["base_logit"], "base_logit"),
             params=params,
             feature_catalog=catalog,
             training_meta=doc.get("training_meta", {}),

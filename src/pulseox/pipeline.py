@@ -33,6 +33,8 @@ class LabelConfig:
     def __post_init__(self):
         if not self.reliability_threshold_pct > 0:
             raise ValueError(f"reliability threshold must be positive, got {self.reliability_threshold_pct}")
+        if self.alignment_tolerance_ms < 0:
+            raise ValueError(f"alignment_tolerance_ms must be nonnegative, got {self.alignment_tolerance_ms}")
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def gen_ppg(cfg: SynthConfig, calib: CalibrationCurve = CalibrationCurve()):
     return frames, truth
 
 
-def inject_artifacts(frames: FrameSeries, truth: SynthTruth, segments, rng=None, seed=0):
+def inject_artifacts(frames: FrameSeries, truth: SynthTruth, segments, rng):
     """Overlay artifact segments on a trace; overlapping segments union.
 
     * ``motion``: low-frequency baseline wander plus decorrelating noise on
@@ -170,8 +170,6 @@ def inject_artifacts(frames: FrameSeries, truth: SynthTruth, segments, rng=None,
       the DC ratio (and any window straddling an edge) is corrupted.
     * ``contact_loss``: both optical channels collapse to the ADC floor.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     red = frames.red.copy()
     ir = frames.ir.copy()
     accel = frames.accel_mag.copy()
@@ -263,7 +261,6 @@ def gen_cohort(
     base_cfg: SynthConfig = SynthConfig(),
     variation_seed: int = 0,
     calib: CalibrationCurve = CalibrationCurve(),
-    site: str = "wrist_top",
 ):
     """Write a cohort of paired wrist/fingertip streams with truth sidecars.
 
@@ -318,7 +315,7 @@ def gen_cohort(
             wrist_csv,
             wrist_frames,
             "wrist",
-            StreamMeta(base_cfg.rate_hz, site, subject, tone),
+            StreamMeta(base_cfg.rate_hz, "wrist_top", subject, tone),
         )
         write_stream(
             finger_csv,

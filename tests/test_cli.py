@@ -91,9 +91,10 @@ class TestSimulate:
             ({"duration_s": "30"}, "duration_s must be of type float"),
             ({"rate_hz": None}, "rate_hz must be of type float"),
             ({"seed": 5.5}, "seed must be of type int"),
+            ({"seed": -1}, "seed must be nonnegative, got -1"),
             ({"n_subjests": 2}, "unknown top-level key(s) n_subjests"),
         ],
-        ids=["n_subjects_list", "n_subjects_float", "duration_string", "rate_null", "seed_float", "misspelt_key"],
+        ids=["n_subjects_list", "n_subjects_float", "duration_string", "rate_null", "seed_float", "seed_negative", "misspelt_key"],
     )
     def test_bad_value_or_unknown_key_exits_config(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "sim.json"
@@ -101,6 +102,15 @@ class TestSimulate:
         out = tmp_path / "out"
         assert cli.main(["simulate", str(cfg), str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_config(self, tmp_path, capsys):
+        """``--seed`` seeds a cohort whose config names no seed."""
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0}))
+        out = tmp_path / "out"
+        assert cli.main(["--seed", "-1", "simulate", str(cfg), str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --seed must be nonnegative, got -1")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -348,24 +358,38 @@ class TestTrainEvaluatePruneSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, names",
         [
-            lambda doc: doc.update(catalog=["red__bogus"]),
-            lambda doc: doc.update(catalog=["red__fft_coefficient__attr_bogus__coeff_0"]),
-            lambda doc: doc.update(catalog=["red__autocorrelation"]),
-            lambda doc: doc.update(catalog=["red__ar_coefficient__coeff_-1__k_10"]),
-            lambda doc: [1],
+            (lambda doc: doc.update(catalog=["red__bogus"]), "'red__bogus'"),
+            (lambda doc: doc.update(catalog=["red__fft_coefficient__attr_bogus__coeff_0"]), "attr_bogus"),
+            (lambda doc: doc.update(catalog=["red__autocorrelation"]), "'red__autocorrelation'"),
+            (lambda doc: doc.update(catalog=["red__ar_coefficient__coeff_-1__k_10"]), "coeff_-1"),
+            (lambda doc: [1], ""),
+            (lambda doc: doc.update(catalog=["red__fft_coefficient__attr_real__coeff_1.5"]), "coeff_1.5"),
+            (lambda doc: doc.update(catalog=["red__autocorrelation__lag_4__junk_1"]), "junk_1"),
+            (lambda doc: doc.update(catalog=["red__autocorrelation__lag_40"]), "lag_40"),
+            (lambda doc: doc.update(base_logit=float("nan")), "base_logit must be finite, got nan"),
+            (lambda doc: doc["trees"][0]["nodes"][2].update(leaf=float("inf")), "node 2: leaf must be finite, got inf"),
+            (lambda doc: doc["trees"][0]["nodes"][0].update(threshold=float("nan")), "node 0: threshold must be finite"),
+            (lambda doc: doc["params"].update(seed=-1), "seed must be nonnegative"),
         ],
-        ids=["unknown_feature", "unknown_fft_attr", "missing_param", "negative_param", "not_an_object"],
+        ids=[
+            "unknown_feature", "unknown_fft_attr", "missing_param", "negative_param", "not_an_object",
+            "fractional_param", "extra_param", "param_outside_catalog",
+            "nan_base_logit", "infinite_leaf", "nan_threshold", "negative_seed",
+        ],
     )
-    def test_prune_malformed_model_document_exits_io(self, clean_stream, tmp_path, capsys, corrupt):
+    def test_prune_malformed_model_document_exits_io(self, clean_stream, tmp_path, capsys, corrupt, names):
+        """Every feature id must be one of the catalog's; the numbers a model
+        predicts with must be finite, and its parameters in range."""
         model_path = tmp_path / "model.json"
         gbdt.save(GbdtModel([stump(feature=0)], 0.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
         doc = json.loads(model_path.read_text())
-        model_path.write_text(json.dumps(corrupt(doc) or doc))
+        model_path.write_text(json.dumps(corrupt(doc) or doc))  # NaN and inf as JSON ``NaN`` / ``Infinity``
         out = tmp_path / "pruned.csv"
         assert cli.main(["prune", str(clean_stream), str(model_path), str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {model_path}:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}:") and names in err
         assert not out.exists()
 
     def test_prune_empty_catalog_model_exits_io(self, clean_stream, tmp_path, capsys):
@@ -432,6 +456,7 @@ class TestTrainEvaluatePruneSweep:
             ("decision_threshold", -0.1, "decision_threshold must lie in [0, 1]"),
             ("fdr_q", 1.5, "fdr_q must lie in (0, 1)"),
             ("fdr_q", 0, "fdr_q must lie in (0, 1)"),
+            ("seed", -1, "seed must be nonnegative, got -1"),
         ],
     )
     def test_config_value_out_of_range_exits_config(self, cohort_small_dir, tmp_path, capsys, key, value, message):
@@ -443,6 +468,31 @@ class TestTrainEvaluatePruneSweep:
             assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {config}: {message}")
         assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "obj, key, value, message",
+        [
+            ("gbdt_params", "seed", -1, "seed must be nonnegative, got -1"),
+            ("gbdt_params", "n_estimators", 0, "n_estimators must be >= 1, got 0"),
+            ("gbdt_params", "n_estimators", -1, "n_estimators must be >= 1, got -1"),
+            ("gbdt_params", "max_depth", -1, "max_depth must be >= 1, got -1"),
+            ("gbdt_params", "learning_rate", 0, "learning_rate must be positive, got 0"),
+            ("gbdt_params", "learning_rate", -1.0, "learning_rate must be positive, got -1.0"),
+            ("label", "alignment_tolerance_ms", -5, "alignment_tolerance_ms must be nonnegative, got -5"),
+        ],
+    )
+    def test_nested_config_value_out_of_range_exits_config(self, cohort_small_dir, tmp_path, capsys, command, obj, key, value, message):
+        """An out-of-range boosting or label setting is a config error before
+        any stream is read."""
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        cfg.setdefault(obj, {})[key] = value
+        config = cohort_small_dir / f"{obj}_{key}_{value}.json"
+        config.write_text(json.dumps(cfg))
+        with mock.patch.object(signal_io, "load_frames", side_effect=AssertionError("streams read before the settings were checked")):
+            assert cli.main([command, str(config), str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {config}: {message}")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "obj, key, value",

@@ -1,10 +1,11 @@
 """Property tests of the stream parser, the windowing core, the clamped
-calibration, the Mann-Whitney midranks, the presorted split search, the model
-file and the timestamp regularizer."""
+calibration, the Mann-Whitney midranks, the presorted split search, the leaf
+weight, the model file and the timestamp regularizer."""
 
 import csv
 import math
 import pathlib
+import struct
 import tempfile
 from unittest import mock
 
@@ -318,6 +319,36 @@ def split_problems(draw):
 def test_presorted_split_search_matches_per_node_sort(problem):
     X, g, h, params, rows = problem
     assert gbdt.best_split(X, g, h, params, rows) == per_node_sort_split(X, g, h, params, rows)
+
+
+def case_by_case_soft_threshold(g, alpha):
+    """The soft threshold written out case by case: the reference for the
+    clip identity of ``leaf_weight``."""
+    if g > alpha:
+        return g - alpha
+    if g < -alpha:
+        return g + alpha
+    return 0.0
+
+
+@st.composite
+def leaf_sums(draw):
+    """``(G, H, params)``: a gradient sum (a float, as ``_build_tree`` passes
+    it) anywhere in the finite floats, at a signed zero or at +-alpha, with a
+    hessian sum and the penalties; a JSON config may give alpha as an
+    integer."""
+    alpha = draw(st.floats(0.0, 1e6) | st.integers(0, 3) | st.sampled_from([0.0, 0.3]))
+    G = draw(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([float(alpha), -float(alpha), 0.0, -0.0]))
+    H = draw(st.floats(1e-3, 1e3))
+    return G, H, gbdt.GbdtParams(reg_alpha=alpha, reg_lambda=draw(st.sampled_from([0.0, 1.0])))
+
+
+@settings(deadline=None, max_examples=1000)
+@given(leaf_sums())
+def test_leaf_weight_is_the_case_by_case_soft_threshold_bit_for_bit(case):
+    G, H, params = case
+    want = -case_by_case_soft_threshold(G, params.reg_alpha) / (H + params.reg_lambda)
+    assert struct.pack("<d", gbdt.leaf_weight(G, H, params)) == struct.pack("<d", want)
 
 
 #: Largest sample value drawn: a 24-bit ADC count. The catalog is finite on

@@ -59,7 +59,7 @@ class TestInjectArtifacts:
 
     def test_empty_spec_identity(self):
         frames, truth = synth.gen_ppg(self.base)
-        out, t2 = synth.inject_artifacts(frames, truth, ())
+        out, t2 = synth.inject_artifacts(frames, truth, (), np.random.default_rng(0))
         np.testing.assert_array_equal(out.red, frames.red)
         assert not t2.artifact_mask.any()
 
