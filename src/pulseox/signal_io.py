@@ -10,6 +10,7 @@ gap markers, never interpolated values.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -160,52 +161,37 @@ def parse_stream(path, kind: str):
     """Parse a wrist or fingertip CSV into a :class:`FrameSeries`.
 
     Returns ``(frames, meta, n_dropped)`` where ``n_dropped`` counts malformed
-    rows (wrong field count, non-numeric fields, a timestamp outside int64,
-    negative optical values, non-finite values). Frames are sorted by
+    rows (wrong field count, blank, non-numeric fields, a timestamp outside
+    int64, negative optical values, non-finite values). Frames are sorted by
     timestamp with duplicate timestamps collapsed to the last occurrence, and
     carry the motion magnitudes of the IMU axes (zero for a fingertip clip).
     Raises :class:`NonMonotonicBeyondTolerance` when more than 1% of rows
     arrive out of order, which signals a corrupt capture rather than ordinary
-    jitter, and :class:`CorruptFile` when the file is not UTF-8 text.
+    jitter, and :class:`CorruptFile` when the file is not UTF-8 text or holds
+    a cell longer than ``csv.field_size_limit()``.
+
+    The file is read once. Its rows come from one ``np.loadtxt`` pass
+    (:func:`_columns`) where that pass is sure to read them as the
+    ``csv.reader`` loop of :func:`_rows` does; otherwise from the loop, which
+    is the fallback and the reference.
     """
     if kind not in ("wrist", "fingertip"):
         raise ValueError(f"unknown stream kind {kind!r}")
     expected = WRIST_HEADER if kind == "wrist" else FINGERTIP_HEADER
-
-    t, vals = [], []
-    dropped = 0
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise MalformedHeader(f"{path}: empty file")
-            if [h.strip() for h in header] != expected:
-                raise MalformedHeader(f"{path}: expected header {expected}, got {header}")
-            for raw in reader:
-                if len(raw) != len(expected):
-                    dropped += 1
-                    continue
-                try:
-                    ti = int(raw[0])
-                    row = list(map(float, raw[1:]))
-                except ValueError:
-                    dropped += 1
-                    continue
-                if not _INT64_MIN <= ti <= _INT64_MAX:
-                    dropped += 1
-                    continue
-                t.append(ti)
-                vals.extend(row)
+        # Decoded in 1 MiB pieces: with one whole-file bytes object freed after
+        # decoding, a 60-minute stream's `spo2` run peaked at 108 or 126 MB,
+        # depending only on where glibc's heap put things.
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = "".join(iter(lambda: fh.read(1 << 20), ""))
     except UnicodeDecodeError as e:
         raise CorruptFile(f"{path}: not UTF-8 text: {e}") from e
 
-    t = np.array(t, dtype=np.int64)
-    vals = np.array(vals, dtype=float).reshape(len(t), len(expected) - 1)
+    t, vals, dropped = _columns(text, expected) or _rows(text, expected, path)
     ok = (vals[:, 0] >= 0) & (vals[:, 1] >= 0) & np.isfinite(vals).all(axis=1)
     dropped += int(np.count_nonzero(~ok))
-    t, vals = t[ok], vals[ok]
+    keep = np.flatnonzero(ok)  # rows are picked by index and gathered once
+    t = t[keep]
 
     out_of_order = int(np.count_nonzero(t[1:] < t[:-1]))
     if len(t) and out_of_order > ORDER_TOLERANCE * len(t):
@@ -214,11 +200,11 @@ def parse_stream(path, kind: str):
     # Sort, then collapse duplicate timestamps keeping the last occurrence
     # (append-only capture semantics: later rows supersede earlier ones).
     order = np.argsort(t, kind="stable")
-    t, vals = t[order], vals[order]
+    t, keep = t[order], keep[order]
     last = np.ones(len(t), dtype=bool)
     last[:-1] = t[1:] != t[:-1]
-    t = t[last]
-    red, ir, *imu = np.ascontiguousarray(vals[last].T)
+    t, keep = t[last], keep[last]
+    red, ir, *imu = (vals[keep, j] for j in range(len(expected) - 1))
     if kind == "wrist":
         ax, ay, az, gx, gy, gz = imu
         with np.errstate(over="ignore"):
@@ -228,6 +214,91 @@ def parse_stream(path, kind: str):
 
     meta = load_meta(path, default_site="fingertip" if kind == "fingertip" else "wrist_top")
     return FrameSeries(t, red, ir, accel, gyro), meta, dropped
+
+
+#: Characters that keep a file from :func:`_columns`: ``\r`` and ``"`` change
+#: how the ``csv`` module splits records, and ``np.loadtxt`` reads
+#: ``\x1c``-``\x1f`` as spaces around a number where ``int``/``float`` reject them.
+_LOOP_ONLY = '\r"\x1c\x1d\x1e\x1f'
+
+#: Characters of text that :func:`_columns` splits into lines at a time.
+_CHUNK_CHARS = 1 << 16
+
+
+def _columns(text: str, expected):
+    """A stream file's data rows as ``(t_ms, values, 0)`` from one
+    ``np.loadtxt`` pass, or None where :func:`_rows` might read them
+    otherwise: non-ASCII text (``np.loadtxt`` reads some letters as digits,
+    ``int``/``float`` read Unicode digits and spaces), a character of
+    ``_LOOP_ONLY``, a header other than ``expected``, no data row, a blank
+    line (the loop drops it, ``np.loadtxt`` skips it), a line longer than
+    ``csv.field_size_limit()``, or a row ``np.loadtxt`` rejects. Short of
+    these, each line splits at commas into cells that ``np.loadtxt`` parses
+    to the bits ``int``/``float`` give, so the result is :func:`_rows`'."""
+    if not text.isascii() or any(c in text for c in _LOOP_ONLY):
+        return None
+    start, end = text.find("\n") + 1, len(text) - text.endswith("\n")
+    if not 0 < start < end or [h.strip() for h in text[: start - 1].split(",")] != expected:
+        return None
+    limit = csv.field_size_limit()
+
+    def lines():
+        # A chunk of lines at a time: a whole file of line strings at once
+        # left the heap of a 60-minute stream's run 13 MB higher at its peak.
+        pos = start
+        while pos < end:
+            stop = text.find("\n", pos + _CHUNK_CHARS, end)
+            stop = end if stop < 0 else stop
+            chunk = text[pos:stop].split("\n")
+            if "" in chunk or max(map(len, chunk)) > limit:
+                raise ValueError("a blank line, or a line longer than the csv field limit")
+            yield from chunk
+            pos = stop + 1
+
+    dtype = np.dtype([("t_ms", np.int64), ("values", np.float64, (len(expected) - 1,))])
+    try:
+        rows = np.loadtxt(lines(), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return rows["t_ms"], rows["values"], 0
+
+
+def _rows(text: str, expected, path):
+    """A stream file's data rows as ``(t_ms, values, n_dropped)``, one ``csv``
+    record at a time; a row is dropped for a wrong field count, a cell that
+    ``int``/``float`` reject, or a timestamp outside int64. Raises
+    :class:`MalformedHeader` for a header other than ``expected`` and
+    :class:`CorruptFile`, naming the line, for text the ``csv`` module rejects
+    (a cell longer than ``csv.field_size_limit()``)."""
+    t, vals = [], []
+    dropped = 0
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedHeader(f"{path}: empty file")
+        if [h.strip() for h in header] != expected:
+            raise MalformedHeader(f"{path}: expected header {expected}, got {header}")
+        for raw in reader:
+            if len(raw) != len(expected):
+                dropped += 1
+                continue
+            try:
+                ti = int(raw[0])
+                row = list(map(float, raw[1:]))
+            except ValueError:
+                dropped += 1
+                continue
+            if not _INT64_MIN <= ti <= _INT64_MAX:
+                dropped += 1
+                continue
+            t.append(ti)
+            vals.extend(row)
+    except csv.Error as e:
+        raise CorruptFile(f"{path}: line {reader.line_num}: {e}") from e
+    t = np.array(t, dtype=np.int64)
+    return t, np.array(vals, dtype=float).reshape(len(t), len(expected) - 1), dropped
 
 
 def write_csv(path, header, rows):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewPairs, WindowTooShort
-from .signal_io import FrameSeries, blocks, write_csv
+from .signal_io import FrameSeries, blocks
 
 MIN_WINDOW = 8
 
@@ -282,6 +282,13 @@ def apply_offset(calib: CalibrationCurve, offset: float) -> CalibrationCurve:
 
 
 def estimates_to_csv(path, est: Spo2Estimates):
-    gates = [_GATE_TEXT[c] for c in est.gates.tolist()]
-    cols = (est.t_ms.tolist(), [est.algorithm] * len(est), est.ratio_r.tolist(), est.spo2_pct.tolist(), gates)
-    write_csv(path, ["t_ms", "algorithm", "ratio_r", "spo2_pct", "gates"], zip(*cols))
+    """Write readings as CSV, one row per reading, in the bytes of
+    ``csv.writer(lineterminator="\\n")``: the algorithm and gate cells need no
+    quoting, and every number is written as its ``repr``, as ``csv`` writes it."""
+    alg = est.algorithm
+    assert not any(c in cell for cell in (alg, *_GATE_TEXT) for c in ',"\r\n'), f"{alg!r} needs quoting"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("t_ms,algorithm,ratio_r,spo2_pct,gates\n")
+        for b in blocks(len(est)):
+            cells = zip(est.t_ms[b].tolist(), est.ratio_r[b].tolist(), est.spo2_pct[b].tolist(), est.gates[b].tolist())
+            fh.write("".join([f"{t!r},{alg},{r!r},{p!r},{_GATE_TEXT[g]}\n" for t, r, p, g in cells]))

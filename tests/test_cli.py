@@ -210,6 +210,16 @@ class TestSpo2:
         assert capsys.readouterr().err.startswith("error: 4 frames span 100001 grid slots")
         assert not out.exists()
 
+    def test_oversize_cell_exits_io(self, tmp_path, capsys):
+        """A cell longer than the ``csv`` field limit makes a malformed stream
+        file, named with the line, not a traceback."""
+        stream = tmp_path / "big.csv"
+        stream.write_text(f"t_ms,red,ir\n0,1000,1200\n40,{'1' * 200_000},1201\n80,1002,1202\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["spo2", "--kind", "fingertip", "--window", "8", str(stream), str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {stream}: line 3: field larger than field limit")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "sidecar",
         ["{bad", '{"site": "elbow"}', '{"rate_hz": Infinity}', '{"subject_id": 7}'],
@@ -294,6 +304,32 @@ class TestTrainEvaluatePruneSweep:
         enhanced = [r for r in read_rows(enhanced_csv)[1:] if "corr_rejected" not in r[4] and "dc_invalid" not in r[4]]
         assert [r[0] for r in pruned] == [r[0] for r in enhanced]
         assert [r[3] for r in pruned] == [r[3] for r in enhanced]
+
+    def test_crlf_and_blank_lines_change_no_estimate_byte(self, cohort_small_dir, tmp_path, capsys):
+        """A seeded wrist stream rewritten with CRLF endings and blank lines
+        is read by the ``csv`` loop, the original by the ``np.loadtxt`` pass;
+        ``spo2 --step 1`` and ``prune`` write the same bytes for both."""
+        original = cohort_small_dir / "wrist_s00.csv"
+        lines = original.read_text().splitlines()
+        lines[1:1] = [""]
+        lines.insert(len(lines) // 2, "")
+        rewritten = tmp_path / "wrist_crlf.csv"
+        rewritten.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
+        shutil.copy(original.with_suffix(".meta"), rewritten.with_suffix(".meta"))
+        assert signal_io._columns(original.read_text(), signal_io.WRIST_HEADER) is not None
+        assert signal_io._columns(rewritten.read_bytes().decode(), signal_io.WRIST_HEADER) is None
+        assert signal_io.parse_stream(rewritten, "wrist")[2] == signal_io.parse_stream(original, "wrist")[2] + 3
+
+        assert cli.main(["train", str(cohort_small_dir / "cohort.json"), str(tmp_path / "train")]) == 0
+        model = tmp_path / "train" / "model.json"
+        written = []
+        for stream in (original, rewritten):
+            spo2_csv, pruned_csv = tmp_path / f"{stream.stem}_spo2.csv", tmp_path / f"{stream.stem}_pruned.csv"
+            assert cli.main(["spo2", str(stream), str(spo2_csv), "--step", "1"]) == 0
+            assert cli.main(["prune", str(stream), str(model), str(pruned_csv)]) == 0
+            written.append([spo2_csv.read_bytes(), pruned_csv.read_bytes()])
+        assert written[0] == written[1]
+        assert len(written[0][1].splitlines()) > 1
 
     def test_prune_stream_shorter_than_window_exits_config(self, tmp_path, capsys):
         frames, _ = synth.gen_ppg(SynthConfig(duration_s=3.0, noise_sigma=0.0008, seed=1))

@@ -29,25 +29,28 @@ def row_by_row_parse(path, kind):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedHeader(f"{path}: empty file")
-        if [h.strip() for h in header] != expected:
-            raise MalformedHeader(f"{path}: expected header {expected}, got {header}")
-        for raw in reader:
-            if len(raw) != len(expected):
-                dropped += 1
-                continue
             try:
-                t = int(raw[0])
-                vals = [float(v) for v in raw[1:]]
-            except ValueError:
-                dropped += 1
-                continue
-            if vals[0] < 0 or vals[1] < 0 or not all(math.isfinite(v) for v in vals):
-                dropped += 1
-                continue
-            rows.append((t, vals))
+                header = next(reader)
+            except StopIteration:
+                raise MalformedHeader(f"{path}: empty file")
+            if [h.strip() for h in header] != expected:
+                raise MalformedHeader(f"{path}: expected header {expected}, got {header}")
+            for raw in reader:
+                if len(raw) != len(expected):
+                    dropped += 1
+                    continue
+                try:
+                    t = int(raw[0])
+                    vals = [float(v) for v in raw[1:]]
+                except ValueError:
+                    dropped += 1
+                    continue
+                if not -(2**63) <= t < 2**63 or vals[0] < 0 or vals[1] < 0 or not all(math.isfinite(v) for v in vals):
+                    dropped += 1
+                    continue
+                rows.append((t, vals))
+        except csv.Error as e:
+            raise CorruptFile(f"{path}: line {reader.line_num}: {e}") from e
 
     out_of_order = sum(1 for a, b in zip(rows, rows[1:]) if b[0] < a[0])
     if rows and out_of_order > signal_io.ORDER_TOLERANCE * len(rows):
@@ -74,16 +77,36 @@ def row_by_row_parse(path, kind):
 
 BAD_CELLS = ["x", "", "nan", "inf", "-inf", "1e400", "-5.0"]
 
+#: Cells that ``np.loadtxt`` and Python's ``int``/``float``/``csv`` might read
+#: apart: signs, padding, underscores, Unicode digits and spaces, quotes,
+#: comment marks, NaN spellings, float-shaped and out-of-int64 timestamps.
+#: ``np.loadtxt`` reads ``1\u01fe`` as the integer 472 and skips ``\x1c``
+#: around a number; ``int`` rejects both.
+HOSTILE_T = [
+    "+5", "007", "5.0", "1e3", str(2**63), str(-(2**63) - 1), str(2**63 - 1), str(-(2**63)),
+    "1_000", "\u0663", "1\u01fe", "\xa09", "\t12\t", '"15"', "#3", "", " -0 ", "\x1c7",
+]
+HOSTILE_VALUES = [
+    "NaN", "-Infinity", "+5", "007", "1_000.5", "\u0661\u0662", "\xa05.5", "\t6\t", '"7.5"', '"1,5"',
+    '"2\n5"', "", "1e3", "5.0", "#1", "\x1c8", "-0.0", "5e-324", "1e16", "1e22",
+]
+#: Whole lines between the rows: blank, a comment, spaces.
+HOSTILE_LINES = ["", "", "# note", "  "]
+
 
 @st.composite
 def messy_stream_files(draw):
     """A wrist or fingertip capture with malformed rows, negative and
-    non-finite values, padded and duplicate timestamps, and disorder below
-    and above the 1% tolerance."""
+    non-finite values, padded and duplicate timestamps, disorder below and
+    above the 1% tolerance, hostile cells and lines, trailing commas, and
+    LF, CRLF or lone-CR line endings; sometimes only a header, and sometimes
+    one hostile cell or line in an otherwise clean file."""
     kind = draw(st.sampled_from(["wrist", "fingertip"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = int(rng.integers(0, 300))
-    p_bad = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    n = int(rng.integers(0, 300)) if rng.random() > 0.05 else 0
+    one_hostile = draw(st.booleans())
+    p_bad = 0.0 if one_hostile else draw(st.sampled_from([0.0, 0.02, 0.2]))
+    p_hostile = 0.0 if one_hostile else draw(st.sampled_from([0.0, 0.01, 0.1]))
     n_cols = len(signal_io.WRIST_HEADER if kind == "wrist" else signal_io.FINGERTIP_HEADER)
     t = 40 * np.arange(n) + rng.integers(-8, 9, n)
     dup = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.3]))
@@ -112,10 +135,26 @@ def messy_stream_files(draw):
                 cells[0] = f" {cells[0]} " if rng.random() < 0.5 else cells[0] + ".0"
             else:
                 cells[1 + int(rng.integers(2))] = "-0.0" if rng.random() < 0.3 else "-1.5"
-        lines.append(",".join(cells))
+        if rng.random() < p_hostile:
+            j = int(rng.integers(len(cells)))
+            pool = HOSTILE_VALUES if j else HOSTILE_T
+            cells[j] = pool[int(rng.integers(len(pool)))]
+        lines.append(",".join(cells) + ("," if rng.random() < p_hostile / 4 else ""))
+        if rng.random() < p_hostile / 2:
+            lines.append(HOSTILE_LINES[int(rng.integers(len(HOSTILE_LINES)))])
+    if one_hostile and n:
+        i = 1 + int(rng.integers(n))
+        cells = lines[i].split(",")
+        j = int(rng.integers(n_cols))
+        cells[j] = draw(st.sampled_from(HOSTILE_VALUES if j else HOSTILE_T))
+        lines[i] = ",".join(cells)
+        if draw(st.booleans()):  # or a hostile line, or a trailing comma, instead
+            lines[i] = draw(st.sampled_from(HOSTILE_LINES + [lines[i - 1] + ","]))
     if rng.random() < 0.05:
         lines[0] = "time,red,ir"
-    return kind, "\n".join(lines) + "\n"
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    trailing_blank = end if rng.random() < p_hostile * 2 else ""
+    return kind, end.join(lines) + end + trailing_blank
 
 
 def parse_outcome(parse, path, kind):
@@ -125,24 +164,37 @@ def parse_outcome(parse, path, kind):
         return type(e)
 
 
-@settings(deadline=None, max_examples=200)
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
 @given(messy_stream_files())
 def test_columnar_parse_matches_row_by_row_parse(case):
+    """``parse_stream`` equals the row-by-row reference on every file, and
+    whenever its ``np.loadtxt`` pass returns rows, they are the ``csv`` loop's
+    to the bit."""
     kind, text = case
+    expected = signal_io.WRIST_HEADER if kind == "wrist" else signal_io.FINGERTIP_HEADER
     with tempfile.TemporaryDirectory() as d:
         path = pathlib.Path(d) / "s.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         got = parse_outcome(signal_io.parse_stream, path, kind)
         want = parse_outcome(row_by_row_parse, path, kind)
+        fast = signal_io._columns(text, expected)
+        if fast is not None:
+            t, values, dropped = signal_io._rows(text, expected, path)
+            assert fast[2] == dropped
+            assert_same_bits(fast[0], t)
+            assert_same_bits(fast[1], values)
     if isinstance(want, type) or isinstance(got, type):
         assert got == want
         return
     (frames, meta, dropped), (ref, ref_meta, ref_dropped) = got, want
     assert (meta, dropped) == (ref_meta, ref_dropped)
     for name in ("t_ms", "red", "ir", "accel_mag", "gyro_mag", "gap"):
-        a, b = getattr(frames, name), getattr(ref, name)
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+        assert_same_bits(getattr(frames, name), getattr(ref, name))
 
 
 @st.composite

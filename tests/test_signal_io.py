@@ -1,8 +1,11 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pulseox import signal_io, synth
-from pulseox.errors import EmptyStream, MalformedHeader, NonMonotonicBeyondTolerance
+from pulseox.errors import CorruptFile, EmptyStream, MalformedHeader, NonMonotonicBeyondTolerance
 from pulseox.signal_io import FrameSeries, StreamMeta
 
 
@@ -68,6 +71,134 @@ class TestParseStream:
         np.testing.assert_array_equal(back.ir, frames.ir)
         np.testing.assert_array_equal(back.accel_mag, frames.accel_mag)
         np.testing.assert_array_equal(back.gyro_mag, frames.gyro_mag)
+
+
+FINGER = signal_io.FINGERTIP_HEADER
+#: A cell one character longer than the ``csv`` module's field limit.
+OVERSIZE = "9" * (csv.field_size_limit() + 1)
+
+
+class TestParsePaths:
+    """``parse_stream`` reads rows in one ``np.loadtxt`` pass (``_columns``)
+    or, where that pass could read them otherwise, by the ``csv`` loop
+    (``_rows``)."""
+
+    @pytest.mark.parametrize(
+        "row", ["40,1,2", "+40,007,2", "40,NaN,-Infinity", " 40 ,\t1\t,2 ", "40,1e400,-0.0", "40,5e-324,1e22"]
+    )
+    def test_plain_ascii_takes_the_loadtxt_pass(self, row):
+        text = f"t_ms,red,ir\n0,1,2\n{row}\n"
+        t, values, dropped = signal_io._columns(text, FINGER)
+        want_t, want_values, want_dropped = signal_io._rows(text, FINGER, "s.csv")
+        assert dropped == want_dropped == 0
+        assert t.tobytes() == want_t.tobytes()
+        assert np.ascontiguousarray(values).tobytes() == want_values.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time,red,ir\n0,1,2\n",
+            '"t_ms",red,ir\n0,1,2\n',
+            "t_ms,red,ir\r\n0,1,2\r\n",
+            "t_ms,red,ir\r0,1,2\r",
+            "t_ms,red,ir\n0,1,2\n\n40,1,2\n",
+            "t_ms,red,ir\n0,1,2\n\n",
+            "t_ms,red,ir\n",
+            "t_ms,red,ir",
+            "",
+            't_ms,red,ir\n0,"1",2\n',
+            "t_ms,red,ir\n0,1\xa0,2\n",
+            "t_ms,red,ir\n1\u01fe,1,2\n",
+            "t_ms,red,ir\n\x1c0,1,2\n",
+            "t_ms,red,ir\n0,1,2,\n",
+            "t_ms,red,ir\n5.0,1,2\n",
+            f"t_ms,red,ir\n{2**63},1,2\n",
+            f"t_ms,red,ir\n0,{OVERSIZE},2\n",
+        ],
+        ids=[
+            "bad_header", "quoted_header", "crlf", "lone_cr", "blank_line", "trailing_blank_line", "header_only",
+            "no_newline", "empty", "quoted_cell", "nbsp", "non_ascii_letter", "file_separator", "trailing_comma",
+            "float_timestamp", "timestamp_past_int64", "oversize_cell",
+        ],
+    )
+    def test_the_loop_reads_what_loadtxt_might_read_otherwise(self, text):
+        assert signal_io._columns(text, FINGER) is None
+
+    @pytest.mark.parametrize("fault", [None, "", "x,1,2", f"80,{OVERSIZE},2"], ids=["clean", "blank", "bad_cell", "oversize"])
+    def test_every_chunk_of_lines_is_checked(self, fault):
+        """A fault in the last of several chunks of lines still keeps the
+        text from the ``np.loadtxt`` pass; without one, the pass reads the
+        chunks as the loop reads the whole text."""
+        rows = [f"{40 * i},{i}.5,2" for i in range(20_000)]
+        if fault is not None:
+            rows.insert(len(rows) - 3, fault)
+        text = "t_ms,red,ir\n" + "\n".join(rows) + "\n"
+        assert len(text) > 4 * signal_io._CHUNK_CHARS
+        got = signal_io._columns(text, FINGER)
+        if fault is not None:
+            assert got is None
+            return
+        t, values, dropped = signal_io._rows(text, FINGER, "s.csv")
+        assert got[0].tobytes() == t.tobytes() and np.ascontiguousarray(got[1]).tobytes() == values.tobytes()
+        assert got[2] == dropped == 0
+
+    def test_blank_lines_are_dropped_rows(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("t_ms,red,ir\n0,1,2\n\n40,1,2\n\n")
+        frames, _, dropped = signal_io.parse_stream(p, "fingertip")
+        assert frames.t_ms.tolist() == [0, 40]
+        assert dropped == 2
+
+    def test_crlf_and_quoted_cells_read_as_csv_reads_them(self, tmp_path):
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        plain.write_bytes(b"t_ms,red,ir\n0,1,2\n40,3.5,4\n80,5,6\n")
+        odd.write_bytes(b't_ms,red,ir\r\n0,"1",2\r\n"40",3.5,"4"\r80,5,6\r\n')
+        (a, _, a_dropped), (b, _, b_dropped) = signal_io.parse_stream(plain, "fingertip"), signal_io.parse_stream(odd, "fingertip")
+        assert a_dropped == b_dropped == 0
+        for name in ("t_ms", "red", "ir"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("cell", [OVERSIZE, "0" * csv.field_size_limit() + "1"], ids=["infinite", "finite"])
+    def test_oversize_cell_is_a_corrupt_file_naming_the_line(self, tmp_path, cell):
+        """``np.loadtxt`` would read either cell as a number (the first as
+        inf, a dropped row); the ``csv`` module rejects both."""
+        p = tmp_path / "big.csv"
+        p.write_text(f"t_ms,red,ir\n0,1,2\n40,{cell},2\n80,1,2\n")
+        with pytest.raises(CorruptFile, match=f"^{p}: line 3: field larger than field limit"):
+            signal_io.parse_stream(p, "fingertip")
+
+    def test_long_line_of_short_cells_is_read(self, tmp_path):
+        """A line longer than the field limit goes to the loop, which reads
+        it when no one cell is over the limit."""
+        half = "0" * (csv.field_size_limit() // 2)
+        p = tmp_path / "long.csv"
+        p.write_text(f"t_ms,red,ir\n0,{half}1,{half}2\n40,3,4\n")
+        assert signal_io._columns(p.read_text(), FINGER) is None
+        frames, _, dropped = signal_io.parse_stream(p, "fingertip")
+        assert (frames.red.tolist(), frames.ir.tolist(), dropped) == ([1.0, 3.0], [2.0, 4.0], 0)
+
+    def test_loadtxt_pass_peaks_no_higher_than_the_loop(self, tmp_path, monkeypatch):
+        """On a 30-minute wrist stream, ``tracemalloc``'s peak while parsing
+        by the ``np.loadtxt`` pass is at most the peak by the loop, which
+        builds a Python float per cell."""
+        frames, _ = synth.gen_ppg(synth.SynthConfig(duration_s=1800.0, seed=3, noise_sigma=0.001))
+        p = tmp_path / "w.csv"
+        signal_io.write_stream(p, frames, "wrist")
+
+        def traced_parse():
+            tracemalloc.start()
+            try:
+                got = signal_io.parse_stream(p, "wrist")
+                return got, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (fast, _, _), fast_peak = traced_parse()
+        monkeypatch.setattr(signal_io, "_columns", lambda text, expected: None)
+        (loop, _, _), loop_peak = traced_parse()
+        assert fast_peak <= loop_peak
+        for name in ("t_ms", "red", "ir", "accel_mag", "gyro_mag"):
+            assert getattr(fast, name).tobytes() == getattr(loop, name).tobytes()
 
 
 class TestToFrames:

@@ -286,6 +286,41 @@ class TestEstimatesCsv:
         spo2.estimates_to_csv(out, est)
         assert out.read_bytes() == ref.read_bytes()
 
+    #: Cells at the edges of float and int64 formatting.
+    EDGE_FLOATS = [math.nan, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1.0, 97.25, 0.1, math.inf]
+    EDGE_T = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 3960]
+
+    @pytest.mark.parametrize("algorithm", ["baseline", "enhanced", "pruned"])
+    @pytest.mark.parametrize("n", [0, 1, signal_io.BLOCK_WINDOWS, signal_io.BLOCK_WINDOWS + 1])
+    def test_bytes_match_csv_writer(self, tmp_path, algorithm, n):
+        """``estimates_to_csv`` writes what ``csv.writer`` writes for the same
+        cells, at row counts on the block edges, with every gate code."""
+        k = np.arange(n)
+        floats = np.array(self.EDGE_FLOATS)
+        est = spo2.Spo2Estimates(
+            t_ms=np.array(self.EDGE_T, dtype=np.int64)[k % len(self.EDGE_T)],
+            ratio_r=floats[k % len(floats)],
+            spo2_pct=floats[(k // len(floats) + k) % len(floats)],
+            gates=k % 8,
+            algorithm=algorithm,
+        )
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["t_ms", "algorithm", "ratio_r", "spo2_pct", "gates"])
+            flags = (spo2.GATE_DC_INVALID, GATE_CORR_REJECTED, GATE_CLAMPED)
+            gates = ["|".join(sorted(f for bit, f in enumerate(flags) if code >> bit & 1)) for code in (k % 8).tolist()]
+            w.writerows(zip(est.t_ms.tolist(), [algorithm] * n, est.ratio_r.tolist(), est.spo2_pct.tolist(), gates))
+        out = tmp_path / "out.csv"
+        spo2.estimates_to_csv(out, est)
+        assert out.read_bytes() == ref.read_bytes()
+        assert len(out.read_bytes().splitlines()) == n + 1
+
+    def test_algorithm_that_needs_quoting_is_refused(self, tmp_path):
+        est = spo2.Spo2Estimates(np.zeros(1, dtype=np.int64), np.ones(1), np.ones(1), np.zeros(1, dtype=int), "a,b")
+        with pytest.raises(AssertionError, match="needs quoting"):
+            spo2.estimates_to_csv(tmp_path / "out.csv", est)
+
 
 class TestRecalibrate:
     def test_constant_offset_removed(self):
