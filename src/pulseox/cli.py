@@ -20,7 +20,6 @@ import pathlib
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, gbdt, metrics, pipeline, signal_io, spo2, synth
 from .errors import ConfigOutOfRange, PulseoxError
@@ -40,7 +39,6 @@ def _write_manifest(out_dir, command, config, seed):
         "versions": {
             "pulseox": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     signal_io.write_json(out_dir / "manifest.json", doc)

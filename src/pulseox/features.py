@@ -13,6 +13,7 @@ discovery rate across the catalog.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -395,6 +396,68 @@ def _midranks(x):
     return ranks, hi - lo
 
 
+# Cephes ``ndtr`` (S. L. Moshier, 1989), the normal tail of scipy 1.17's
+# ``scipy.special.ndtr``, on Python floats in Cephes' order of operations:
+# ``math.exp`` is libm's ``exp``, as in Cephes, where ``np.exp`` may round
+# otherwise, and ``math.erf``/``math.erfc`` are other approximations. The
+# Q, S and U tables start with the leading 1 that Cephes' ``p1evl`` implies;
+# ``1.0 * x`` is ``x``, so Horner's rule over them has ``p1evl``'s bits.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x, coef):
+    """Horner's rule over ``coef``, highest power first (Cephes ``polevl``)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x):
+    """Cephes ``erf`` for ``|x| <= 1``, the T/U rational function. Cephes
+    takes ``-erf(-x)`` below 0, which has the same bits."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x):
+    """Cephes ``erfc`` for ``x >= 0``: the P/Q tables below 8, the R/S
+    tables above, and 0 where ``exp(-x * x)`` would underflow."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    if x < 8.0:
+        return math.exp(z) * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
+    return math.exp(z) * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
+
+
+def _ndtr(a: float) -> float:
+    """The standard normal CDF at ``a``, with the bits of ``scipy.special.ndtr``."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
 def mann_whitney_p(values, labels) -> float:
     """Two-sided p-value of the Mann-Whitney U test of a real feature
     against a binary target.
@@ -404,8 +467,9 @@ def mann_whitney_p(values, labels) -> float:
     ties). Otherwise the normal approximation with the tie-corrected variance
     and the continuity correction, computed in the steps of
     ``scipy.stats.mannwhitneyu(x0, x1, method="asymptotic",
-    use_continuity=True)`` of scipy 1.17 and equal to it bit for bit; only
-    its normal tail ``scipy.special.ndtr`` comes from scipy.
+    use_continuity=True)`` of scipy 1.17 and equal to it bit for bit. Its
+    normal tail is :func:`_ndtr`, a port of Cephes ``ndtr``, the code behind
+    ``scipy.special.ndtr``, which the tests hold it to bit for bit.
     """
     x = np.asarray(values, dtype=float)
     y = np.asarray(labels)
@@ -419,14 +483,12 @@ def mann_whitney_p(values, labels) -> float:
     ranks, ties = _midranks(x)
     u0 = _u_statistic(ranks, y == 0, n0)
     if n > EXACT_MW_MAX_N:
-        from scipy.special import ndtr  # the one scipy import, paid only by training
-
         tie_term = np.sum(ties.astype(float) ** 3 - ties)
         var = n0 * n1 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
         if var <= 0:  # every value tied
             return 1.0
         z = (max(u0, n0 * n1 - u0) - n0 * n1 / 2 - 0.5) / np.sqrt(var)
-        return float(min(1.0, 2 * ndtr(-z)))
+        return min(1.0, 2 * _ndtr(float(-z)))
 
     u_min = min(u0, n0 * n1 - u0)
     total = 0

@@ -168,7 +168,9 @@ def parse_stream(path, kind: str):
     Raises :class:`NonMonotonicBeyondTolerance` when more than 1% of rows
     arrive out of order, which signals a corrupt capture rather than ordinary
     jitter, and :class:`CorruptFile` when the file is not UTF-8 text or holds
-    a cell longer than ``csv.field_size_limit()``.
+    a cell longer than ``csv.field_size_limit()``. A UTF-8 byte-order mark at
+    the start of the file, as spreadsheet "CSV UTF-8" exports write it, is
+    skipped.
 
     The file is read once. Its rows come from one ``np.loadtxt`` pass
     (:func:`_columns`) where that pass is sure to read them as the
@@ -182,7 +184,7 @@ def parse_stream(path, kind: str):
         # Decoded in 1 MiB pieces: with one whole-file bytes object freed after
         # decoding, a 60-minute stream's `spo2` run peaked at 108 or 126 MB,
         # depending only on where glibc's heap put things.
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             text = "".join(iter(lambda: fh.read(1 << 20), ""))
     except UnicodeDecodeError as e:
         raise CorruptFile(f"{path}: not UTF-8 text: {e}") from e
@@ -216,9 +218,10 @@ def parse_stream(path, kind: str):
     return FrameSeries(t, red, ir, accel, gyro), meta, dropped
 
 
-#: Characters that keep a file from :func:`_columns`: ``\r`` and ``"`` change
-#: how the ``csv`` module splits records, and ``np.loadtxt`` reads
-#: ``\x1c``-``\x1f`` as spaces around a number where ``int``/``float`` reject them.
+#: Characters that keep a file from :func:`_columns`: ``"`` and a ``\r``
+#: outside a ``\r\n`` change how the ``csv`` module splits records, and
+#: ``np.loadtxt`` reads ``\x1c``-``\x1f`` as spaces around a number where
+#: ``int``/``float`` reject them.
 _LOOP_ONLY = '\r"\x1c\x1d\x1e\x1f'
 
 #: Characters of text that :func:`_columns` splits into lines at a time.
@@ -230,11 +233,14 @@ def _columns(text: str, expected):
     ``np.loadtxt`` pass, or None where :func:`_rows` might read them
     otherwise: non-ASCII text (``np.loadtxt`` reads some letters as digits,
     ``int``/``float`` read Unicode digits and spaces), a character of
-    ``_LOOP_ONLY``, a header other than ``expected``, no data row, a blank
-    line (the loop drops it, ``np.loadtxt`` skips it), a line longer than
-    ``csv.field_size_limit()``, or a row ``np.loadtxt`` rejects. Short of
+    ``_LOOP_ONLY`` once each ``\r\n`` is read as ``\n`` (the ``csv`` module
+    ends a record at either), a header other than ``expected``, no data row,
+    a blank line (the loop drops it, ``np.loadtxt`` skips it), a line longer
+    than ``csv.field_size_limit()``, or a row ``np.loadtxt`` rejects. Short of
     these, each line splits at commas into cells that ``np.loadtxt`` parses
     to the bits ``int``/``float`` give, so the result is :func:`_rows`'."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")  # a lone \r is left, and refused below
     if not text.isascii() or any(c in text for c in _LOOP_ONLY):
         return None
     start, end = text.find("\n") + 1, len(text) - text.endswith("\n")

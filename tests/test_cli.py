@@ -170,6 +170,20 @@ class TestSpo2:
         assert len(read_rows(full)) - 1 == 1401
         assert len(read_rows(half)) - 1 == 1451
 
+    def test_byte_order_mark_writes_the_same_bytes(self, clean_stream, tmp_path, capsys):
+        """A copy of a seeded wrist stream that starts with a UTF-8 byte-order
+        mark, as spreadsheet "CSV UTF-8" exports write it, gives the same
+        estimate CSV as the original."""
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + clean_stream.read_bytes())
+        written = []
+        for stream in (clean_stream, bom):
+            out = tmp_path / f"{stream.stem}_est.csv"
+            assert cli.main(["spo2", str(stream), str(out), "--step", "1"]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) > 1
+
     @pytest.mark.parametrize(
         "flag, value", [("--step", "0"), ("--step", "-3"), ("--window", "5")], ids=["step_zero", "step_negative", "window_short"]
     )
@@ -730,12 +744,11 @@ class TestCpuCount:
 
 # imports ``pulseox.cli``, then runs each argument list of the JSON list in
 # argv[1] through ``cli.main``; prints, after the import and after each
-# command, which of the large scipy subpackages the process has loaded
+# command, which scipy modules the process has loaded
 FOOTPRINT_CLI = """
 import json, sys
-LARGE = ("scipy.signal", "scipy.stats", "scipy.fft", "scipy.special")
 def loaded():
-    return [m for m in LARGE if m in sys.modules]
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from pulseox import cli
 steps = [["import", loaded()]]
 for argv in json.loads(sys.argv[1]):
@@ -745,10 +758,9 @@ print(json.dumps(steps))
 """
 
 
-def test_commands_load_no_large_scipy_subpackage(clean_stream, cohort_small_dir, tmp_path):
-    """Starting the CLI, ``spo2`` and ``prune`` (with a model that splits on
-    every Welch feature) load no scipy subpackage; ``train`` loads only
-    ``scipy.special``, for the normal tail of the Mann-Whitney test."""
+def test_commands_load_no_scipy(clean_stream, cohort_small_dir, tmp_path):
+    """Starting the CLI, ``spo2``, ``prune`` (with a model that splits on
+    every Welch feature), ``train`` and ``evaluate`` load no scipy module."""
     catalog = features.build_catalog()
     welch = [j for j, spec in enumerate(catalog) if spec.name == "spkt_welch_density"]
     model = tmp_path / "model.json"
@@ -757,6 +769,7 @@ def test_commands_load_no_large_scipy_subpackage(clean_stream, cohort_small_dir,
         ["spo2", str(clean_stream), str(tmp_path / "spo2.csv")],
         ["prune", str(clean_stream), str(model), str(tmp_path / "pruned.csv")],
         ["train", str(cohort_small_dir / "cohort.json"), str(tmp_path / "train")],
+        ["evaluate", str(cohort_small_dir / "cohort.json"), str(tmp_path / "evaluate")],
     ]
     src = str(Path(pulseox.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -764,5 +777,5 @@ def test_commands_load_no_large_scipy_subpackage(clean_stream, cohort_small_dir,
         [sys.executable, "-c", FOOTPRINT_CLI, json.dumps(runs)], env=env, check=True, capture_output=True, text=True, timeout=300
     )
     steps = json.loads(child.stdout.splitlines()[-1])
-    assert steps == [["import", []], ["spo2", []], ["prune", []], ["train", ["scipy.special"]]]
+    assert steps == [["import", []], ["spo2", []], ["prune", []], ["train", []], ["evaluate", []]]
     assert len(read_rows(tmp_path / "pruned.csv")) > 1

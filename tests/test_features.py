@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -10,6 +11,7 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 from scipy import signal as sps_signal
+from scipy import special
 from scipy import stats as sps
 
 from naive_features import naive_feature
@@ -510,6 +512,41 @@ class TestMannWhitney:
     def test_single_class(self):
         with pytest.raises(SingleClass):
             features.mann_whitney_p([1.0, 2.0], [1, 1])
+
+
+class TestNdtr:
+    """``features._ndtr`` has the bits of ``scipy.special.ndtr``."""
+
+    @staticmethod
+    def assert_bits_equal(a):
+        a = np.asarray(a, dtype=float)
+        got = np.array([features._ndtr(v) for v in a.tolist()])
+        want = special.ndtr(a)
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert not len(bad), f"{len(bad)} of {len(a)} differ, first at {a[bad[0]]!r}: {got[bad[0]]!r} != {want[bad[0]]!r}"
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(20)
+        n = 100_000
+        self.assert_bits_equal(np.concatenate([rng.normal(0, 3, n), rng.uniform(-40, 5, n), -np.abs(rng.standard_cauchy(n))]))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-1.5, -0.5), (-11.4, -11.2), (-38.6, -37.4), (-53.2, -52.9)],
+        ids=["erf_edge", "erfc_tables_edge", "underflow_edge", "uthresh_edge"],
+    )
+    def test_dense_sweep(self, lo, hi):
+        """Across ``|x| = sqrt(1/2)`` and ``|x| = 1`` (erf against erfc),
+        ``|x| = 8`` (the P/Q against the R/S tables), ``x * x = MAXLOG``, where
+        the tail drops to 0, and Cephes' ``UTHRESH`` (``|x| = 37.52``)."""
+        self.assert_bits_equal(np.linspace(lo, hi, 100_001))
+
+    def test_special_values_and_branch_neighbours(self):
+        """The floats next to ``a = 1``, ``sqrt(2)`` and ``8 sqrt(2)``, where
+        ``|x| = |a| sqrt(1/2)`` crosses each branch edge."""
+        edges = [s * b for b in (1.0, math.sqrt(2), 8 * math.sqrt(2)) for s in (1.0, -1.0)]
+        near = [e for b in edges for e in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+        self.assert_bits_equal([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308, *near])
 
 
 class TestBenjaminiHochberg:

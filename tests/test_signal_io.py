@@ -99,8 +99,10 @@ class TestParsePaths:
         [
             "time,red,ir\n0,1,2\n",
             '"t_ms",red,ir\n0,1,2\n',
-            "t_ms,red,ir\r\n0,1,2\r\n",
+            "t_ms,red,ir\r\n0,1,2\r\n40,1,2\r",
+            "t_ms,red,ir\r\n0,1,2\r\r\n",
             "t_ms,red,ir\r0,1,2\r",
+            "t_ms,red,ir\r\n0,1,2\r\n\r\n40,1,2\r\n",
             "t_ms,red,ir\n0,1,2\n\n40,1,2\n",
             "t_ms,red,ir\n0,1,2\n\n",
             "t_ms,red,ir\n",
@@ -116,7 +118,7 @@ class TestParsePaths:
             f"t_ms,red,ir\n0,{OVERSIZE},2\n",
         ],
         ids=[
-            "bad_header", "quoted_header", "crlf", "lone_cr", "blank_line", "trailing_blank_line", "header_only",
+            "bad_header", "quoted_header", "crlf_then_lone_cr", "cr_before_crlf", "lone_cr", "crlf_blank_line", "blank_line", "trailing_blank_line", "header_only",
             "no_newline", "empty", "quoted_cell", "nbsp", "non_ascii_letter", "file_separator", "trailing_comma",
             "float_timestamp", "timestamp_past_int64", "oversize_cell",
         ],
@@ -148,6 +150,38 @@ class TestParsePaths:
         frames, _, dropped = signal_io.parse_stream(p, "fingertip")
         assert frames.t_ms.tolist() == [0, 40]
         assert dropped == 2
+
+    def test_crlf_takes_the_loadtxt_pass(self, tmp_path, monkeypatch):
+        """A seeded wrist stream rewritten with ``\\r\\n`` endings is read
+        without the loop, to the frames of the ``\\n`` file."""
+        frames, _ = synth.gen_ppg(synth.SynthConfig(duration_s=60.0, seed=4, noise_sigma=0.001))
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        signal_io.write_stream(lf, frames, "wrist")
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+
+        def no_loop(*args):
+            raise AssertionError("the csv loop was called")
+
+        monkeypatch.setattr(signal_io, "_rows", no_loop)
+        (a, _, a_dropped), (b, _, b_dropped) = signal_io.parse_stream(lf, "wrist"), signal_io.parse_stream(crlf, "wrist")
+        assert a_dropped == b_dropped == 0
+        for name in ("t_ms", "red", "ir", "accel_mag", "gyro_mag"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("extra", ["", "\n"], ids=["loadtxt_pass", "loop"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, extra):
+        """A UTF-8 byte-order mark before the header changes no frame and no
+        dropped-row count, on either path (a blank line sends a file to the
+        loop)."""
+        frames, _ = synth.gen_ppg(synth.SynthConfig(duration_s=20.0, seed=5, noise_sigma=0.001))
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        signal_io.write_stream(plain, frames, "wrist")
+        plain.write_text(plain.read_text() + extra)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (a, _, a_dropped), (b, _, b_dropped) = signal_io.parse_stream(plain, "wrist"), signal_io.parse_stream(bom, "wrist")
+        assert a_dropped == b_dropped == len(extra)
+        for name in ("t_ms", "red", "ir", "accel_mag", "gyro_mag"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_crlf_and_quoted_cells_read_as_csv_reads_them(self, tmp_path):
         plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
