@@ -10,6 +10,7 @@ reliability-pruned oxygen saturation readings:
 * :mod:`pulseox.pipeline` orchestrates labeling, cross-validation, pruning,
 * :mod:`pulseox.metrics` scores precision, RMSE, and silent intervals,
 * :mod:`pulseox.synth` generates ground-truth synthetic traces for testing,
+* :mod:`pulseox.schema` reads and checks every input document,
 * :mod:`pulseox.cli` exposes everything as subcommands.
 """
 

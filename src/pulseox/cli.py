@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, gbdt, metrics, pipeline, signal_io, spo2, synth
+from . import __version__, gbdt, metrics, pipeline, schema, signal_io, spo2, synth
 from .errors import ConfigOutOfRange, PulseoxError
 
 EXIT_OK = 0
@@ -49,25 +49,24 @@ def _require_complete_window(frames, window):
         raise ConfigOutOfRange(f"window {window} is longer than the stream ({len(frames)} samples): no complete window")
 
 
-#: The keys of a ``simulate`` config.
-SIMULATE_KEYS = ("n_subjects", "duration_s", "rate_hz", "seed", "calibration")
+#: The keys of a ``simulate`` config with their defaults, by which
+#: :mod:`pulseox.schema` types them; the seed defaults to ``--seed``.
+SIMULATE_FIELDS = {
+    "n_subjects": 10, "duration_s": 720.0, "rate_hz": 25.0, "seed": 0, "calibration": schema.defaults(spo2.CalibrationCurve),
+}
 
 
 def cmd_simulate(args):
-    cfg = pipeline.load_config(args.config)
-    pipeline._reject_unknown_keys(cfg, SIMULATE_KEYS, args.config)
-    where = f"{args.config}: "
-    n = pipeline._config_value(cfg, "n_subjects", 10, where)
-    base = synth.SynthConfig(
-        duration_s=float(pipeline._config_value(cfg, "duration_s", 720.0, where)),
-        rate_hz=float(pipeline._config_value(cfg, "rate_hz", 25.0, where)),
-    )
-    calib_d = pipeline._config_object(cfg, "calibration", pipeline._field_defaults(spo2.CalibrationCurve), args.config)
-    with pipeline._config_range(where):
-        calib = spo2.CalibrationCurve(**calib_d)
-    seed = pipeline._config_value(cfg, "seed", args.seed, where)
+    cfg = schema.load(args.config, ConfigOutOfRange)
+    doc = schema.fields(cfg, SIMULATE_FIELDS, args.config, ConfigOutOfRange)
+    seed_from = f"{args.config}: " if "seed" in doc else "--"
+    doc = {**SIMULATE_FIELDS, "seed": args.seed, **doc}
+    n, seed = doc["n_subjects"], doc["seed"]
     if seed < 0:
-        raise ConfigOutOfRange(f"{where if 'seed' in cfg else '--'}seed must be nonnegative, got {seed}")
+        raise ConfigOutOfRange(f"{seed_from}seed must be nonnegative, got {seed}")
+    with schema.checked(f"{args.config}: ", ConfigOutOfRange):
+        calib = spo2.CalibrationCurve(**doc["calibration"])
+        base = synth.SynthConfig(duration_s=float(doc["duration_s"]), rate_hz=float(doc["rate_hz"]))
     config = synth.gen_cohort(n, args.out_dir, base, variation_seed=seed, calib=calib)
     _write_manifest(args.out_dir, "simulate", cfg, seed)
     print(f"wrote {n} subjects to {args.out_dir}")
@@ -81,7 +80,7 @@ def cmd_spo2(args):
         raise ConfigOutOfRange(f"--window must be >= {spo2.MIN_WINDOW}, got {args.window}")
     if args.step < 1:
         raise ConfigOutOfRange(f"--step must be >= 1, got {args.step}")
-    with pipeline._config_range():
+    with schema.checked("", ConfigOutOfRange):
         calib = spo2.CalibrationCurve(args.y0, args.m)
     frames, _ = signal_io.load_frames(args.stream, args.kind)
     _require_complete_window(frames, args.window)
@@ -106,7 +105,7 @@ def cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     gbdt.save(model, out / "model.json")
     signal_io.write_json(out / "selection.json", selection.to_json_dict())
-    _write_manifest(out, "train", pipeline.load_config(args.config), settings.gbdt_params.seed)
+    _write_manifest(out, "train", schema.load(args.config, ConfigOutOfRange), settings.gbdt_params.seed)
     print(f"trained on {len(X)} rows; kept {len(model.feature_catalog)}/{X.shape[1]} features")
     return EXIT_OK
 
@@ -127,7 +126,7 @@ def cmd_evaluate(args):
     metrics.reports_to_csv(out / "reports.csv", reports)
     for r in reports:
         signal_io.write_json(out / f"report_{r.subject_id}.json", r.to_json_dict())
-    _write_manifest(out, "evaluate", pipeline.load_config(args.config), settings.gbdt_params.seed)
+    _write_manifest(out, "evaluate", schema.load(args.config, ConfigOutOfRange), settings.gbdt_params.seed)
     prec, skipped = metrics.aggregate([r.precision for r in ok])
     rmse_p, _ = metrics.aggregate([r.rmse_pruned for r in ok])
     rmse_e, _ = metrics.aggregate([r.rmse_enhanced for r in ok])
@@ -139,7 +138,7 @@ def cmd_evaluate(args):
 
 
 def cmd_prune(args):
-    with pipeline._config_range():
+    with schema.checked("", ConfigOutOfRange):
         settings = pipeline.PipelineSettings(
             calibration=spo2.CalibrationCurve(args.y0, args.m),
             decision_threshold=args.threshold,
@@ -154,14 +153,14 @@ def cmd_prune(args):
 
 
 def cmd_sweep(args):
-    with pipeline._config_range("sweep values: "):
+    with schema.checked("sweep values: ", ConfigOutOfRange):
         values = [float(v) for v in args.values]
     subjects, settings = pipeline.load_experiment(args.config)
     rows = pipeline.sweep(args.axis, values, subjects, settings)
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.sweep_to_csv(out / "sweep.csv", rows)
-    _write_manifest(out, "sweep", {"axis": args.axis, "values": values, "config": pipeline.load_config(args.config)}, settings.gbdt_params.seed)
+    _write_manifest(out, "sweep", {"axis": args.axis, "values": values, "config": schema.load(args.config, ConfigOutOfRange)}, settings.gbdt_params.seed)
     for r in rows:
         print(r)
     return EXIT_OK

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import schema
 from .errors import (
     CatalogMismatch,
     CorruptFile,
@@ -204,7 +205,7 @@ class GbdtModel:
             raise CatalogMismatch(
                 f"expected {len(self.feature_catalog)} features, got {X.shape}"
             )
-        z = np.full(len(X), self.base_logit)
+        z = np.full(len(X), self.base_logit, dtype=float)
         for t in self.trees:
             z += _predict_tree_batch(t, X)
         return z
@@ -258,35 +259,37 @@ def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) ->
 # --- serialization ------------------------------------------------------------
 
 
-def _finite(value, what) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise CorruptFile(f"{what} must be finite, got {x}")
-    return x
+#: The top-level keys of ``model.json`` with the defaults by which
+#: :mod:`pulseox.schema` types them; only ``training_meta`` may be absent.
+_MODEL_FIELDS = {
+    "version": MODEL_SCHEMA_VERSION, "params": schema.defaults(GbdtParams), "base_logit": 0.0, "catalog": [], "training_meta": {}, "trees": [],
+}
+_SPLIT_FIELDS = {"default": "left", "feature": 0, "left": 0, "right": 0, "threshold": 0.0}
 
 
-def _typed_nodes(nodes: list, n_features: int) -> list:
-    """A tree's node list read from a file, with every field typed; children
-    must point forward and stay in range, split features must index the
-    catalog, the default direction must be left or right, and leaves and
-    thresholds must be finite."""
+def _typed_tree(tree, n_features: int, path, name) -> list:
+    """The node list of ``name``, a ``{"nodes": [...]}`` tree of the model
+    file at ``path``, each node read by :mod:`pulseox.schema`. The list must
+    not be empty, children must point forward and stay in range, split
+    features must index the catalog, and the default direction must be left
+    or right."""
+    nodes = schema.fields(tree, {"nodes": []}, path, CorruptFile, name, ("nodes",))["nodes"]
     if not nodes:
-        raise CorruptFile("empty node list")
+        raise CorruptFile(f"{path}: {name}.nodes is empty")
     typed = []
     for i, d in enumerate(nodes):
-        if "leaf" in d:
-            typed.append({"leaf": _finite(d["leaf"], f"node {i}: leaf")})
+        where = f"{name}.nodes[{i}]"
+        if isinstance(d, dict) and "leaf" in d:
+            typed.append(schema.fields(d, {"leaf": 0.0}, path, CorruptFile, where))
             continue
-        f, left, right = int(d["feature"]), int(d["left"]), int(d["right"])
-        if not (i < left < len(nodes) and i < right < len(nodes)):
-            raise CorruptFile(f"node {i}: child index out of order or range")
-        if f < 0 or (n_features and f >= n_features):
-            raise CorruptFile(f"node {i}: feature {f} outside the {n_features}-feature catalog")
-        default = d.get("default", "left")
-        if default not in ("left", "right"):
-            raise CorruptFile(f"node {i}: default direction {default!r} is neither left nor right")
-        threshold = _finite(d["threshold"], f"node {i}: threshold")
-        typed.append({"default": default, "feature": f, "left": left, "right": right, "threshold": threshold})
+        node = {"default": "left", **schema.fields(d, _SPLIT_FIELDS, path, CorruptFile, where, ("feature", "left", "right", "threshold"))}
+        if not (i < node["left"] < len(nodes) and i < node["right"] < len(nodes)):
+            raise CorruptFile(f"{path}: {where}: child index out of order or range")
+        if node["feature"] < 0 or (n_features and node["feature"] >= n_features):
+            raise CorruptFile(f"{path}: {where}: feature {node['feature']} outside the {n_features}-feature catalog")
+        if node["default"] not in ("left", "right"):
+            raise CorruptFile(f"{path}: {where}: default direction {node['default']!r} is neither left nor right")
+        typed.append(node)
     return typed
 
 
@@ -305,28 +308,21 @@ def save(model: GbdtModel, path):
 
 
 def load(path) -> GbdtModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        version = doc["version"]
-    except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError) as e:  # TypeError: not an object
-        raise CorruptFile(f"{path}: {e}")
+    """The model file at ``path``, read by :mod:`pulseox.schema` with its
+    faults as ``CorruptFile``; every catalog entry must be a spec id of
+    :func:`build_catalog`, and a schema version other than
+    ``MODEL_SCHEMA_VERSION`` is a ``SchemaVersionMismatch``."""
+    doc = schema.load(path, CorruptFile)
+    version = schema.typed(doc.get("version"), MODEL_SCHEMA_VERSION, f"{path}: version", CorruptFile)
     if version != MODEL_SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"{path}: schema version {version}")
-    try:
+    doc = schema.fields(doc, _MODEL_FIELDS, path, CorruptFile, required=("params", "base_logit", "catalog", "trees"))
+    with schema.checked(f"{path}: params: ", CorruptFile):
         params = GbdtParams(**doc["params"])
-        known = {s.spec_id: s for s in build_catalog()}
-        for spec_id in doc["catalog"]:
-            if spec_id not in known:
-                raise CorruptFile(f"feature {spec_id!r} is not in the {len(known)}-feature catalog")
-        catalog = [known[s] for s in doc["catalog"]]
-        trees = [_typed_nodes(t["nodes"], len(catalog)) for t in doc["trees"]]
-        return GbdtModel(
-            trees=trees,
-            base_logit=_finite(doc["base_logit"], "base_logit"),
-            params=params,
-            feature_catalog=catalog,
-            training_meta=doc.get("training_meta", {}),
-        )
-    except (CorruptFile, IndexError, KeyError, TypeError, ValueError) as e:
-        raise CorruptFile(f"{path}: {e}")
+    known = {s.spec_id: s for s in build_catalog()}
+    for i, spec_id in enumerate(doc["catalog"]):
+        if schema.typed(spec_id, "", f"{path}: catalog[{i}]", CorruptFile) not in known:
+            raise CorruptFile(f"{path}: feature {spec_id!r} is not in the {len(known)}-feature catalog")
+    catalog = [known[s] for s in doc["catalog"]]
+    trees = [_typed_tree(t, len(catalog), path, f"trees[{k}]") for k, t in enumerate(doc["trees"])]
+    return GbdtModel(trees, doc["base_logit"], params, catalog, doc.get("training_meta", {}))

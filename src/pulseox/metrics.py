@@ -1,4 +1,4 @@
-"""Evaluation quantities: precision, RMSE, longest silent interval, error CDF.
+"""Evaluation quantities: precision, RMSE, longest silent interval.
 
 Precision is the primary classifier objective: a device should emit few false
 "reliable" readings even at the cost of coverage. When a classifier returns no
@@ -115,15 +115,6 @@ def max_silent_interval(emitted_t_ms, span_ms) -> float:
     if len(t) > 1:
         gaps.append(float(np.max(np.diff(t))))
     return max(gaps) / 1000.0
-
-
-def error_cdf(abs_errors):
-    """Empirical CDF of absolute errors as a sorted (error, fraction) table."""
-    e = np.sort(np.asarray(abs_errors, dtype=float))
-    if len(e) == 0:
-        raise ValueError("error_cdf of an empty set is undefined")
-    frac = np.arange(1, len(e) + 1) / len(e)
-    return np.column_stack([e, frac])
 
 
 def aggregate(values):

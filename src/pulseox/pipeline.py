@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
-import math
 import pathlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import features as feats
-from . import gbdt, metrics, signal_io, spo2
+from . import gbdt, metrics, schema, signal_io, spo2
 from .errors import ConfigOutOfRange, EmptyGroup, InsufficientUserData, SingleClass
 
 
@@ -35,15 +33,6 @@ class LabelConfig:
             raise ValueError(f"reliability threshold must be positive, got {self.reliability_threshold_pct}")
         if self.alignment_tolerance_ms < 0:
             raise ValueError(f"alignment_tolerance_ms must be nonnegative, got {self.alignment_tolerance_ms}")
-
-
-@dataclass(frozen=True)
-class CohortSplit:
-    train_subjects: frozenset
-    test_subjects: frozenset
-    train_site: str = "wrist_top"
-    test_site: str = "wrist_top"
-    group_filter: str | None = None  # skin-tone tag or None
 
 
 @dataclass
@@ -324,21 +313,6 @@ def run_loocv(subjects, settings: PipelineSettings):
     return reports
 
 
-def run_group_experiment(split: CohortSplit, subjects, settings: PipelineSettings):
-    """Train on the train-side subjects, evaluate every test-side subject."""
-    by_id = {s.subject_id: s for s in subjects}
-    train = [by_id[i] for i in sorted(split.train_subjects) if i in by_id]
-    test = [by_id[i] for i in sorted(split.test_subjects) if i in by_id]
-    if split.group_filter:
-        train = [s for s in train if s.skin_tone == split.group_filter]
-    if not train or not test:
-        raise EmptyGroup("both sides of the split must be nonempty")
-    X, y = build_training_set(train, settings)
-    model, _ = train_model(X, y, settings)
-    group = f"{split.train_site}->{split.test_site}"
-    return [evaluate_subject(s, analyze_subject(s, settings), model, settings, group=group) for s in test]
-
-
 def calibrate_user(base_X, base_y, user: SubjectData, minutes: float, settings: PipelineSettings):
     """Retrain from scratch with the user's training rows of the first
     ``minutes`` appended to the base training set."""
@@ -360,7 +334,7 @@ def calibrate_user(base_X, base_y, user: SubjectData, minutes: float, settings: 
 def _swept(settings: PipelineSettings, axis: str, v):
     """``settings`` with the swept knob at ``v``; a value outside the knob's
     range, or a window length that is not an integer, is a config error."""
-    with _config_range(f"sweep {axis} value {v!r}: "):
+    with schema.checked(f"sweep {axis} value {v!r}: ", ConfigOutOfRange):
         if axis == "reliability_threshold":
             return replace(settings, label=replace(settings.label, reliability_threshold_pct=float(v)))
         if not float(v).is_integer():
@@ -407,129 +381,57 @@ def sweep_to_csv(path, rows):
     signal_io.write_csv(path, header, cells)
 
 
-# --- experiment config --------------------------------------------------------
+# --- experiment config ------------------------------------------------------
 
 
-def load_config(path):
-    """The JSON object of a config file; a missing or malformed file, or a
-    document that is not an object, is a config error."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError) as e:
-        raise ConfigOutOfRange(f"{path}: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigOutOfRange(f"{path}: the config must be a JSON object")
-    return cfg
+#: The top-level keys of an experiment config with their defaults, by which
+#: :mod:`pulseox.schema` types them; ``simulate`` writes ``version``.
+EXPERIMENT_FIELDS = {
+    "cohort": [], "calibration": schema.defaults(spo2.CalibrationCurve), "window": {"window_len": PipelineSettings.window_len},
+    "label": schema.defaults(LabelConfig), "gbdt_params": schema.defaults(gbdt.GbdtParams), "seed": gbdt.GbdtParams.seed,
+    "fdr_q": PipelineSettings.fdr_q, "decision_threshold": PipelineSettings.decision_threshold, "version": 1,
+}
 
-
-def _config_value(d, key, default, where):
-    """``d[key]``, or ``default`` when absent; a value whose JSON type differs
-    from the default's (an integer passes for a float), or a ``NaN`` or
-    ``Infinity``, is a config error."""
-    v = d.get(key, default)
-    allowed = (int, float) if type(default) is float else (type(default),)
-    if type(v) not in allowed:
-        raise ConfigOutOfRange(f"{where}{key} must be of type {type(default).__name__}, got {v!r}")
-    if type(v) is float and not math.isfinite(v):
-        raise ConfigOutOfRange(f"{where}{key} must be finite, got {v!r}")
-    return v
-
-
-@contextlib.contextmanager
-def _config_range(where=""):
-    """Report the ``ValueError`` that a settings constructor raises for an
-    out-of-range value as a config error. Wrap constructors only: an error
-    from a computation is a bug and keeps its traceback."""
-    try:
-        yield
-    except ValueError as e:
-        raise ConfigOutOfRange(f"{where}{e}") from e
-
-
-def _reject_unknown_keys(d, allowed, config_path, kind="top-level"):
-    """A key of the ``kind`` object ``d`` outside ``allowed`` is a config
-    error naming it."""
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigOutOfRange(f"{config_path}: unknown {kind} key(s) {', '.join(unknown)}")
-
-
-def _config_object(cfg, name, defaults, config_path):
-    """The ``name`` object of a config, or ``{}`` when absent; a key outside
-    ``defaults`` or a value of another type than its default is a config
-    error."""
-    d = cfg.get(name, {})
-    if not isinstance(d, dict):
-        raise ConfigOutOfRange(f"{config_path}: {name} must be a JSON object")
-    _reject_unknown_keys(d, defaults, config_path, name)
-    return {k: _config_value(d, k, defaults[k], f"{config_path}: {name}.") for k in d}
-
-
-def _cohort_entries(cfg, config_path):
-    """The nonempty ``cohort`` list of an experiment config. Each entry must
-    be an object with string ``wrist_csv`` and ``finger_csv`` paths and may
-    name a string ``subject_id``; anything else is a config error."""
-    where = f"{config_path}: cohort"
-    if "cohort" not in cfg:
-        raise ConfigOutOfRange(f"{where} is missing")
-    cohort = cfg["cohort"]
-    if not isinstance(cohort, list) or not cohort:
-        raise ConfigOutOfRange(f"{where} must be a nonempty JSON list, got {cohort!r}")
-    for i, entry in enumerate(cohort):
-        if not isinstance(entry, dict):
-            raise ConfigOutOfRange(f"{where}[{i}] must be a JSON object, got {entry!r}")
-        for key in ("wrist_csv", "finger_csv"):
-            if key not in entry:
-                raise ConfigOutOfRange(f"{where}[{i}].{key} is missing")
-        for key in ("wrist_csv", "finger_csv", "subject_id"):
-            _config_value(entry, key, "", f"{where}[{i}].")
-    return cohort
-
-
-def _field_defaults(cls):
-    return {f.name: f.default for f in fields(cls)}
-
-
-#: The top-level keys of an experiment config; ``simulate`` writes ``version``.
-EXPERIMENT_KEYS = (
-    "cohort", "calibration", "window", "label", "gbdt_params", "seed", "fdr_q", "decision_threshold", "version",
-)
+#: The keys of a ``cohort`` entry; ``simulate`` writes ``truth_csv``.
+COHORT_ENTRY_FIELDS = {"wrist_csv": "", "finger_csv": "", "subject_id": "", "truth_csv": ""}
 
 
 def load_experiment(config_path):
-    """Load an experiment config JSON plus its cohort streams.
+    """Load an experiment config JSON, read by :mod:`pulseox.schema`, plus its
+    cohort streams.
 
     Returns ``(subjects, settings)``. Stream paths are resolved relative to
-    the config file's directory; stream metadata comes from the sidecars. A
-    top-level key outside ``EXPERIMENT_KEYS``, or two entries with the same
-    subject id (from the config, the sidecar or the file stem), is a config
-    error.
+    the config file's directory; stream metadata comes from the sidecars. Two
+    entries with the same subject id (from the config, the sidecar or the
+    file stem) are a config error.
     """
     config_path = pathlib.Path(config_path)
-    cfg = load_config(config_path)
+    cfg = schema.fields(
+        schema.load(config_path, ConfigOutOfRange), EXPERIMENT_FIELDS, config_path, ConfigOutOfRange, required=("cohort",)
+    )
     base = config_path.parent
-    _reject_unknown_keys(cfg, EXPERIMENT_KEYS, config_path)
-
-    calib_d = _config_object(cfg, "calibration", _field_defaults(spo2.CalibrationCurve), config_path)
-    win_d = _config_object(cfg, "window", {"window_len": PipelineSettings.window_len}, config_path)
-    lab_d = _config_object(cfg, "label", _field_defaults(LabelConfig), config_path)
-    params_d = _config_object(cfg, "gbdt_params", _field_defaults(gbdt.GbdtParams), config_path)
-    where = f"{config_path}: "
+    params = cfg.get("gbdt_params", {})
+    if cfg.get("seed", 0) < 0:  # checked even where gbdt_params.seed overrides it
+        raise ConfigOutOfRange(f"{config_path}: seed must be nonnegative, got {cfg['seed']}")
     if "seed" in cfg:
-        params_d.setdefault("seed", _config_value(cfg, "seed", gbdt.GbdtParams.seed, where))
-    with _config_range(where):
+        params.setdefault("seed", cfg["seed"])
+    with schema.checked(f"{config_path}: ", ConfigOutOfRange):
         settings = PipelineSettings(
-            label=LabelConfig(**lab_d),
-            gbdt_params=gbdt.GbdtParams(**params_d),
-            calibration=spo2.CalibrationCurve(**calib_d),
-            fdr_q=_config_value(cfg, "fdr_q", PipelineSettings.fdr_q, where),
-            decision_threshold=_config_value(cfg, "decision_threshold", PipelineSettings.decision_threshold, where),
-            **win_d,
+            label=LabelConfig(**cfg.get("label", {})),
+            gbdt_params=gbdt.GbdtParams(**params),
+            calibration=spo2.CalibrationCurve(**cfg.get("calibration", {})),
+            **cfg.get("window", {}),
+            **{k: cfg[k] for k in ("fdr_q", "decision_threshold") if k in cfg},
         )
 
+    if not cfg["cohort"]:
+        raise ConfigOutOfRange(f"{config_path}: cohort must be a nonempty JSON list, got []")
+    entries = [
+        schema.fields(e, COHORT_ENTRY_FIELDS, config_path, ConfigOutOfRange, f"cohort[{i}]", ("wrist_csv", "finger_csv"))
+        for i, e in enumerate(cfg["cohort"])
+    ]
     subjects = {}
-    for entry in _cohort_entries(cfg, config_path):
+    for entry in entries:
         wrist_path = base / entry["wrist_csv"]
         finger_path = base / entry["finger_csv"]
         wrist, meta = signal_io.load_frames(wrist_path, "wrist")

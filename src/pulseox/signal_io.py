@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schema
 from .errors import CorruptFile, EmptyStream, MalformedHeader, NonMonotonicBeyondTolerance
 
 WRIST_HEADER = ["t_ms", "red", "ir", "ax", "ay", "az", "gx", "gy", "gz"]
@@ -43,8 +44,6 @@ class StreamMeta:
     skin_tone: str = "unknown"
 
     def __post_init__(self):
-        if not isinstance(self.subject_id, str):
-            raise ValueError(f"subject_id must be a string, got {self.subject_id!r}")
         if not 0 < self.nominal_rate_hz < np.inf:
             raise ValueError(f"nominal_rate_hz must be positive and finite, got {self.nominal_rate_hz}")
         if self.site not in SITES:
@@ -125,24 +124,16 @@ def meta_path(stream_path):
 
 
 def load_meta(stream_path, default_site="wrist_top") -> StreamMeta:
-    """Read the JSON sidecar next to a stream file, or fall back to defaults;
-    a sidecar that is not a JSON object of valid metadata is a corrupt file."""
+    """The JSON sidecar next to a stream file, read by :mod:`pulseox.schema`
+    with its faults as a malformed stream file, or the defaults without one.
+    Its keys are ``rate_hz``, ``site``, ``subject_id`` and ``skin_tone``."""
     p = meta_path(stream_path)
     if not p.exists():
         return StreamMeta(site=default_site)
-    try:
-        with open(p, encoding="utf-8") as fh:
-            d = json.load(fh)
-        if not isinstance(d, dict):
-            raise TypeError("not a JSON object")
-        return StreamMeta(
-            nominal_rate_hz=float(d.get("rate_hz", 25.0)),
-            site=d.get("site", default_site),
-            subject_id=d.get("subject_id", ""),
-            skin_tone=d.get("skin_tone", "unknown"),
-        )
-    except (TypeError, ValueError) as e:
-        raise CorruptFile(f"{p}: {e}") from e
+    d = {"rate_hz": StreamMeta.nominal_rate_hz, "site": default_site, "subject_id": "", "skin_tone": "unknown"}
+    d.update(schema.fields(schema.load(p, CorruptFile), d, p, CorruptFile))
+    with schema.checked(f"{p}: ", CorruptFile):
+        return StreamMeta(d["rate_hz"], d["site"], d["subject_id"], d["skin_tone"])
 
 
 def save_meta(stream_path, meta: StreamMeta):
@@ -374,13 +365,13 @@ def regularize(series: FrameSeries, meta: StreamMeta) -> FrameSeries:
     if len(src_t) < 2:
         raise EmptyStream("need at least 2 non-gap frames to regularize")
     t0 = src_t[0]
-    n_slots = int(round((src_t[-1] - t0) / period)) + 1
-    if n_slots > MAX_SLOTS_PER_ROW * len(src_t):
+    n_slots = np.rint(float(src_t[-1] - t0) / period) + 1  # a Python division: inf at an extreme rate, no warning
+    if not (np.isfinite(period) and n_slots <= MAX_SLOTS_PER_ROW * len(src_t)):
         raise EmptyStream(
-            f"{len(src_t)} frames span {n_slots} grid slots at {meta.nominal_rate_hz:g} Hz, "
-            f"more than {MAX_SLOTS_PER_ROW} per frame"
+            f"{len(src_t)} frames span {n_slots:.0f} grid slots at {meta.nominal_rate_hz:g} Hz, "
+            f"more than {MAX_SLOTS_PER_ROW} per frame or no finite grid"
         )
-    grid = t0 + period * np.arange(n_slots)
+    grid = t0 + period * np.arange(int(n_slots))
 
     pick, ok = nearest_within(src_t, grid, period / 2.0 + 1e-9)
     src_rows = np.flatnonzero(~series.gap)[pick]

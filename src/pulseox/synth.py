@@ -15,7 +15,6 @@ perfusion index the AC/DC ratio of the infrared channel up to window effects.
 
 from __future__ import annotations
 
-import csv
 import pathlib
 from dataclasses import dataclass, replace
 
@@ -30,6 +29,9 @@ ARTIFACT_KINDS = ("motion", "ambient_spike", "contact_loss")
 # systolic / dicrotic Gaussian bumps on cardiac phase in [0, 1)
 _SYSTOLIC_CENTER, _SYSTOLIC_WIDTH = 0.30, 0.06
 _DICROTIC_CENTER, _DICROTIC_WIDTH, _DICROTIC_GAIN = 0.62, 0.10, 0.45
+
+#: The most samples a trace may hold, ``duration_s * rate_hz``: 24 hours at 25 Hz.
+MAX_SAMPLES = 2_160_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.duration_s <= 0 or self.rate_hz <= 0 or self.heart_rate_bpm <= 0:
             raise ConfigOutOfRange("duration, rate, and heart rate must be positive")
+        if not 1 <= self.duration_s * self.rate_hz <= MAX_SAMPLES:
+            raise ConfigOutOfRange(
+                f"duration_s * rate_hz must be finite and from 1 to {MAX_SAMPLES} samples, got {self.duration_s * self.rate_hz!r}"
+            )
         if self.dc_red <= 0 or self.dc_ir <= 0:
             raise ConfigOutOfRange("dc levels must be positive")
         if not 0 < self.skin_tone_attenuation <= 1:
@@ -210,18 +216,6 @@ def inject_artifacts(frames: FrameSeries, truth: SynthTruth, segments, rng):
 def write_truth(path, frames: FrameSeries, truth: SynthTruth):
     cols = (frames.t_ms.tolist(), truth.true_spo2_pct.tolist(), truth.artifact_mask.astype(int).tolist())
     write_csv(path, ["t_ms", "true_spo2_pct", "artifact"], zip(*cols))
-
-
-def read_truth(path):
-    t, pct, art = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            t.append(int(row[0]))
-            pct.append(float(row[1]))
-            art.append(bool(int(row[2])))
-    return np.array(t, dtype=np.int64), np.array(pct), np.array(art, dtype=bool)
 
 
 def _random_schedule(rng, duration_s):

@@ -119,13 +119,16 @@ class TestSimulate:
             ('"duration_s": Infinity', "duration_s"),
             ('"rate_hz": NaN', "rate_hz"),
             ('"calibration": {"y0": -Infinity}', "calibration.y0"),
+            ('"duration_s": 1e308', "duration_s * rate_hz"),
+            ('"rate_hz": 1e308', "duration_s * rate_hz"),
         ],
-        ids=["duration_infinite", "rate_nan", "calibration_infinite"],
+        ids=["duration_infinite", "rate_nan", "calibration_infinite", "duration_huge", "rate_huge"],
     )
     def test_nonfinite_value_exits_config(self, tmp_path, doc, key):
-        """JSON ``NaN`` and ``Infinity`` parse as floats; an infinite duration
-        once made the schedule loops of ``synth`` run forever, so the command
-        runs in a child process with a timeout."""
+        """JSON ``NaN`` and ``Infinity`` parse as floats; an infinite or huge
+        duration once made the schedule loops of ``synth`` run forever, so the
+        command runs in a child process with a timeout. A huge rate once
+        overflowed the sample count of ``synth.gen_ppg``."""
         cfg = tmp_path / "sim.json"
         cfg.write_text('{"n_subjects": 2, "duration_s": 30.0, "seed": 5, ' + doc + "}")
         src = str(Path(pulseox.__file__).parents[1])
@@ -216,12 +219,25 @@ class TestSpo2:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_stray_timestamp_exits_io(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "last_t, sidecar, message",
+        [
+            (4000000, None, "4 frames span 100001 grid slots"),
+            (4000, '{"rate_hz": 1e308}', "4 frames span inf grid slots at 1e+308 Hz"),
+            (4000, '{"rate_hz": 5e-324}', "4 frames span 1 grid slots at 4.94066e-324 Hz"),
+        ],
+        ids=["stray_timestamp", "huge_sidecar_rate", "tiny_sidecar_rate"],
+    )
+    def test_stray_timestamp_exits_io(self, tmp_path, capsys, last_t, sidecar, message):
+        """A grid of more than 10 slots per row, or with no finite period, is
+        refused: a traceback once, at a sidecar rate of ``1e308``."""
         stream = tmp_path / "finger.csv"
-        stream.write_text("t_ms,red,ir\n0,1000,1200\n40,1001,1201\n80,1002,1202\n4000000,1003,1203\n")
+        stream.write_text(f"t_ms,red,ir\n0,1000,1200\n40,1001,1201\n80,1002,1202\n{last_t},1003,1203\n")
+        if sidecar:
+            stream.with_suffix(".meta").write_text(sidecar)
         out = tmp_path / "est.csv"
         assert cli.main(["spo2", str(stream), str(out), "--kind", "fingertip", "--window", "8"]) == 1
-        assert capsys.readouterr().err.startswith("error: 4 frames span 100001 grid slots")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
     def test_oversize_cell_exits_io(self, tmp_path, capsys):
@@ -236,8 +252,11 @@ class TestSpo2:
 
     @pytest.mark.parametrize(
         "sidecar",
-        ["{bad", '{"site": "elbow"}', '{"rate_hz": Infinity}', '{"subject_id": 7}'],
-        ids=["not_json", "unknown_site", "infinite_rate", "int_subject_id"],
+        [
+            "{bad", '{"site": "elbow"}', '{"rate_hz": Infinity}', '{"subject_id": 7}',
+            '{"rate_hz": "25"}', '{"rate_hz": true}', '{"rate": 50}',
+        ],
+        ids=["not_json", "unknown_site", "infinite_rate", "int_subject_id", "string_rate", "bool_rate", "misspelt_key"],
     )
     def test_broken_sidecar_exits_io(self, clean_stream, tmp_path, capsys, sidecar):
         meta = clean_stream.with_suffix(".meta")
@@ -419,19 +438,28 @@ class TestTrainEvaluatePruneSweep:
             (lambda doc: doc.update(catalog=["red__autocorrelation__lag_4__junk_1"]), "junk_1"),
             (lambda doc: doc.update(catalog=["red__autocorrelation__lag_40"]), "lag_40"),
             (lambda doc: doc.update(base_logit=float("nan")), "base_logit must be finite, got nan"),
-            (lambda doc: doc["trees"][0]["nodes"][2].update(leaf=float("inf")), "node 2: leaf must be finite, got inf"),
-            (lambda doc: doc["trees"][0]["nodes"][0].update(threshold=float("nan")), "node 0: threshold must be finite"),
+            (lambda doc: doc["trees"][0]["nodes"][2].update(leaf=float("inf")), "trees[0].nodes[2].leaf must be finite, got inf"),
+            (lambda doc: doc["trees"][0]["nodes"][0].update(threshold=float("nan")), "trees[0].nodes[0].threshold must be finite"),
             (lambda doc: doc["params"].update(seed=-1), "seed must be nonnegative"),
+            (lambda doc: doc.update(version=True), "version must be of type int, got True"),
+            (lambda doc: doc["params"].update(n_estimators=1.5), "params.n_estimators must be of type int, got 1.5"),
+            (lambda doc: doc.update(base_logit=True), "base_logit must be of type float, got True"),
+            (lambda doc: doc.update(training_meta=5), "training_meta must be a JSON object, got 5"),
+            (lambda doc: doc.update(extra=1), "unknown top-level key(s) extra"),
+            (lambda doc: doc.update(catalog="abc"), "catalog must be a JSON list, got 'abc'"),
         ],
         ids=[
             "unknown_feature", "unknown_fft_attr", "missing_param", "negative_param", "not_an_object",
             "fractional_param", "extra_param", "param_outside_catalog",
             "nan_base_logit", "infinite_leaf", "nan_threshold", "negative_seed",
+            "bool_version", "fractional_n_estimators", "bool_base_logit", "training_meta_not_an_object",
+            "extra_top_level_key", "catalog_not_a_list",
         ],
     )
     def test_prune_malformed_model_document_exits_io(self, clean_stream, tmp_path, capsys, corrupt, names):
         """Every feature id must be one of the catalog's; the numbers a model
-        predicts with must be finite, and its parameters in range."""
+        predicts with must be finite, its parameters in range, and every
+        field of the JSON type of its kind."""
         model_path = tmp_path / "model.json"
         gbdt.save(GbdtModel([stump(feature=0)], 0.0, GbdtParams(), [FeatureSpec("red", "mean")]), model_path)
         doc = json.loads(model_path.read_text())
@@ -586,7 +614,7 @@ class TestTrainEvaluatePruneSweep:
         "cohort, field",
         [
             ([{"wrist_csv": 5, "finger_csv": "f.csv"}], "cohort[0].wrist_csv must be of type str"),
-            (3, "cohort must be a nonempty JSON list"),
+            (3, "cohort must be a JSON list"),
             ([], "cohort must be a nonempty JSON list"),
             (["x"], "cohort[0] must be a JSON object"),
             (None, "cohort is missing"),
@@ -607,7 +635,7 @@ class TestTrainEvaluatePruneSweep:
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")
         assert cli.main([command, str(config), str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {config}: the config must be a JSON object")
+        assert capsys.readouterr().err.startswith(f"config error: {config}: the document must be a JSON object")
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -616,8 +644,15 @@ class TestTrainEvaluatePruneSweep:
             lambda nodes: nodes[0].update(left=0),
             lambda nodes: nodes[0].update(feature=1),
             lambda nodes: nodes.clear(),
+            lambda nodes: nodes[0].update(feature=0.5),
+            lambda nodes: nodes[0].update(feature=False),
+            lambda nodes: nodes[0].update(threshold="0.5"),
+            lambda nodes: nodes[0].update(left="1"),
         ],
-        ids=["child_out_of_range", "child_points_to_itself", "feature_past_catalog", "empty_node_list"],
+        ids=[
+            "child_out_of_range", "child_points_to_itself", "feature_past_catalog", "empty_node_list",
+            "fractional_feature", "bool_feature", "string_threshold", "string_child",
+        ],
     )
     def test_prune_corrupt_tree_exits_io(self, clean_stream, tmp_path, capsys, corrupt):
         split = stump(feature=0)

@@ -1,10 +1,14 @@
-"""Every public function, class and method of ``pulseox`` has a caller.
+"""Every public function, class and method of ``pulseox`` has a caller, and
+no module reads another's private names.
 
 A public name of ``src/pulseox/*.py`` must be referenced by name, as a bare
 name or an attribute, from code under ``src/``, ``demos/`` or ``perfbench/``.
 Strings do not count, and neither does a reference inside the definition's
 own body (recursion). A name that only tests reach is test-only code and
 belongs in the tests, unless ``TEST_ONLY`` lists it with its reason.
+
+A module of ``src/pulseox/`` reads a ``_private`` name of another pulseox
+module only where ``PRIVATE_READS`` lists it with its reason.
 """
 
 import ast
@@ -13,10 +17,13 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "demos", "perfbench")
 
-TEST_ONLY = {
-    "pipeline.run_group_experiment": "runs the cross-site and skin-tone experiments of acceptance criterion 9",
-    "metrics.error_cdf": "the error CDF of the evaluation, a figure the metrics tests draw and check",
-    "synth.read_truth": "reads back the truth sidecars that gen_cohort writes, for the synthesis tests",
+TEST_ONLY = {}
+
+PRIVATE_READS = {
+    "features -> signal_io._windows_at": (
+        "AR pool threads call only private functions: perfbench/tracer.py wraps the public "
+        "FrameSeries.rows and keeps one span stack"
+    ),
 }
 
 
@@ -92,3 +99,34 @@ def test_test_only_names_exist_and_have_no_caller():
     for qualname in TEST_ONLY:
         assert qualname in defs, qualname
         assert not reached(*defs[qualname], refs), qualname
+
+
+def private_reads():
+    """``{"reader -> module._name"}`` of every ``_private`` name that a module of
+    ``src/pulseox/`` imports from, or reads as an attribute of, another
+    pulseox module imported relatively."""
+    found = set()
+    for path in sorted((ROOT / "src" / "pulseox").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> pulseox module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.add(f"{path.stem} -> {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                found.add(f"{path.stem} -> {modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_name():
+    # an allowed entry that no longer occurs is stale
+    assert private_reads() == set(PRIVATE_READS)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 from pathlib import Path
 
@@ -8,6 +9,20 @@ from pulseox import signal_io, spo2, synth
 from pulseox.errors import ConfigOutOfRange
 from pulseox.spo2 import GATE_DC_INVALID, CalibrationCurve
 from pulseox.synth import ArtifactSegment, SynthConfig
+
+
+def read_truth(path):
+    """The ``(t_ms, true_spo2_pct, artifact)`` columns of a truth CSV that
+    ``gen_cohort`` writes."""
+    t, pct, art = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            t.append(int(row[0]))
+            pct.append(float(row[1]))
+            art.append(bool(int(row[2])))
+    return np.array(t, dtype=np.int64), np.array(pct), np.array(art, dtype=bool)
 
 
 class TestGenPpg:
@@ -129,7 +144,7 @@ class TestCohort:
     def test_artifact_coverage_spread(self, cohort10_dir):
         clean_fracs = []
         for i in range(10):
-            _, _, art = synth.read_truth(cohort10_dir / f"truth_s{i:02d}.csv")
+            _, _, art = read_truth(cohort10_dir / f"truth_s{i:02d}.csv")
             clean_fracs.append(1.0 - art.mean())
         assert max(clean_fracs) - min(clean_fracs) >= 0.30
 
