@@ -112,8 +112,6 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     subjects, settings = pipeline.load_experiment(args.config)
-    out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.model:
         model = gbdt.load(args.model)
         reports = [pipeline.evaluate_subject(s, pipeline.analyze_subject(s, settings), model, settings) for s in subjects]
@@ -123,6 +121,8 @@ def cmd_evaluate(args):
     if not ok:
         print("all folds failed", file=sys.stderr)
         return EXIT_IO
+    out = pathlib.Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     metrics.reports_to_csv(out / "reports.csv", reports)
     for r in reports:
         signal_io.write_json(out / f"report_{r.subject_id}.json", r.to_json_dict())

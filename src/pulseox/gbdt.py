@@ -32,6 +32,7 @@ import numpy as np
 from . import schema
 from .errors import (
     CatalogMismatch,
+    ConfigOutOfRange,
     CorruptFile,
     EmptyMatrix,
     SchemaVersionMismatch,
@@ -159,7 +160,9 @@ def _build_tree(X, g, h, row_idx, order, depth, params: GbdtParams, nodes) -> li
     and return ``nodes``."""
     split = best_split(X, g, h, params, row_idx, order) if depth < params.max_depth else None
     if split is None:
-        w = leaf_weight(float(g[row_idx].sum()), float(h[row_idx].sum()), params)
+        G, H = float(g[row_idx].sum()), float(h[row_idx].sum())
+        # a zero hessian sum with reg_lambda 0 leaves the weight undefined
+        w = leaf_weight(G, H, params) if H + params.reg_lambda else math.nan
         nodes.append({"leaf": params.learning_rate * w})
         return nodes
     f, thr, _ = split
@@ -220,7 +223,9 @@ def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) ->
     The base score is the log-odds of the training prior. Each round draws a
     seeded subsample of ceil(subsample*n) rows without replacement, computes
     gradients at the current logits, and fits one tree greedily; leaf weights
-    are scaled by the learning rate at build time.
+    are scaled by the learning rate at build time. A tree with a non-finite
+    leaf (a learning rate that overflows it, or ``reg_lambda`` 0 over a zero
+    hessian sum) raises :class:`ConfigOutOfRange`: ``model.json`` cannot hold it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -248,6 +253,11 @@ def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) ->
         h = np.zeros(n)
         g[rows], h[rows] = logistic_grad_hess(logits[rows], y[rows])
         tree = _build_tree(X, g, h, rows, _restrict(order, rows, n), 0, params, [])
+        if not all(math.isfinite(d.get("leaf", 0.0)) for d in tree):
+            raise ConfigOutOfRange(
+                f"gbdt_params learning_rate={params.learning_rate!r} and reg_lambda={params.reg_lambda!r} "
+                f"give tree {len(trees)} a non-finite leaf weight: lower learning_rate or raise reg_lambda"
+            )
         trees.append(tree)
         logits += _predict_tree_batch(tree, X)
 

@@ -109,8 +109,8 @@ def _windows_at(x, starts, window_len):
 #: walked in blocks works row by row, so the block size changes no bit of any
 #: output; it bounds the working memory. Feature extraction takes about 9 MB
 #: at 512 windows of 100 samples, most of it the AR design matrix and its SVD
-#: factors. The slopes of ``spo2.matrix_stats`` are not blocked: their BLAS
-#: product sums a row differently with the rows around it.
+#: factors. ``spo2.matrix_stats`` scrubs each channel once and keeps its slopes
+#: whole: their BLAS bits held only in blocks of a multiple of 8 rows.
 BLOCK_WINDOWS = 512
 
 

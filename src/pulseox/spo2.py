@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TooFewPairs, WindowTooShort
 from .signal_io import FrameSeries, blocks
@@ -118,51 +119,50 @@ class WindowStats:
         return len(self.t_ms)
 
 
-def _slopes(series: FrameSeries, name: str, starts, window_len: int, k0: np.ndarray) -> np.ndarray:
-    """Least-squares slope of each window of one channel, gaps read as 0.
-
-    The product is one BLAS dgemv over all the windows at once: its sums
-    depend on how many rows it sees and on the BLAS thread count, so splitting
-    it into blocks would move ratio/corr bits, and with them the recorded
-    output digests. It stays whole-matrix, one channel at a time, until a
-    digest epoch swaps in a row-independent product.
-    """
-    x = series.rows(name, starts, window_len)
-    for b in blocks(len(x)):
-        np.nan_to_num(x[b], copy=False)
-    return x @ k0 / np.dot(k0, k0)
-
-
 def matrix_stats(series: FrameSeries, starts, window_len: int, t_end, has_gap) -> WindowStats:
     """Per-window AC/DC, ratio, and correlation of the windows of
     ``window_len`` samples at ``starts``, which end at ``t_end``.
 
     A window is ``dc_invalid``, with a NaN ratio, when it holds a gap
     (``has_gap``), when a channel's DC is not positive, or when the infrared
-    AC is zero. AC is the RMS of the window, gaps read as 0, less its
-    least-squares line. After the slopes, windows are walked
-    ``BLOCK_WINDOWS`` at a time into per-window sums.
+    AC is zero. AC is the RMS of the window, NaN read as 0 and +-inf as the
+    largest floats (a channel holding one is scrubbed once), less its
+    least-squares line. The slopes are one dgemv per channel: blocks of other
+    than a multiple of 8 rows change their bits on one OpenBLAS thread. The
+    rest walks ``BLOCK_WINDOWS`` windows at a time; a window's one mean
+    centers it and is its DC, unless it holds a non-finite sample (a gap's
+    NaN): that DC is the mean of its raw ``FrameSeries.rows``.
     """
     n, w = len(starts), window_len
     k = np.arange(w, dtype=float)
     k0 = k - k.mean()
-    slope = {ch: _slopes(series, ch, starts, w, k0) for ch in ("red", "ir")}
+    view, slope, raw = {}, {}, {}
+    for ch in ("red", "ir"):
+        x = series.channel(ch)
+        finite = np.isfinite(x)
+        scrubbed = x if finite.all() else np.nan_to_num(x)
+        view[ch] = sliding_window_view(scrubbed, w) if len(x) >= w else np.empty((0, w))
+        slope[ch] = view[ch][starts] @ k0 / np.dot(k0, k0)
+        nonfinite_before = np.concatenate(([0], np.cumsum(~finite)))
+        raw[ch] = np.flatnonzero(nonfinite_before[starts + w] > nonfinite_before[starts])
     dc = {ch: np.empty(n) for ch in slope}
     sq_sum = {ch: np.empty(n) for ch in slope}
     cross = np.empty(n)
     for b in blocks(n):
         detrended = {}
         for ch in slope:
-            x = series.rows(ch, starts[b], w)
+            x = view[ch][starts[b]]
             dc[ch][b] = x.mean(axis=1)
-            np.nan_to_num(x, copy=False)
-            x -= x.mean(axis=1)[:, None]
+            x -= dc[ch][b, None]
             x -= slope[ch][b, None] * k0
             detrended[ch] = x
         cross[b] = np.sum(detrended["red"] * detrended["ir"], axis=1)
         for ch, x in detrended.items():
             x *= x
             sq_sum[ch][b] = x.sum(axis=1)
+    for ch, rows in raw.items():
+        for b in blocks(len(rows)):
+            dc[ch][rows[b]] = series.rows(ch, starts[rows[b]], w).mean(axis=1)
 
     dc_red, dc_ir = dc["red"], dc["ir"]
     ac_red, ac_ir = np.sqrt(sq_sum["red"] / w), np.sqrt(sq_sum["ir"] / w)

@@ -32,6 +32,9 @@ _DICROTIC_CENTER, _DICROTIC_WIDTH, _DICROTIC_GAIN = 0.62, 0.10, 0.45
 
 #: The most samples a trace may hold, ``duration_s * rate_hz``: 24 hours at 25 Hz.
 MAX_SAMPLES = 2_160_000
+#: The longest trace, in seconds, whatever its rate: the artifact and
+#: saturation schedules step through the duration itself.
+MAX_DURATION_S = 86_400.0
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,8 @@ class SynthConfig:
             raise ConfigOutOfRange(
                 f"duration_s * rate_hz must be finite and from 1 to {MAX_SAMPLES} samples, got {self.duration_s * self.rate_hz!r}"
             )
+        if not self.duration_s <= MAX_DURATION_S:
+            raise ConfigOutOfRange(f"duration_s must be at most {MAX_DURATION_S:g} s (24 h), got {self.duration_s!r}")
         if self.dc_red <= 0 or self.dc_ir <= 0:
             raise ConfigOutOfRange("dc levels must be positive")
         if not 0 < self.skin_tone_attenuation <= 1:

@@ -114,21 +114,23 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "doc, key",
+        "doc, message",
         [
-            ('"duration_s": Infinity', "duration_s"),
-            ('"rate_hz": NaN', "rate_hz"),
-            ('"calibration": {"y0": -Infinity}', "calibration.y0"),
-            ('"duration_s": 1e308', "duration_s * rate_hz"),
-            ('"rate_hz": 1e308', "duration_s * rate_hz"),
+            ('"duration_s": Infinity', "duration_s must be finite"),
+            ('"rate_hz": NaN', "rate_hz must be finite"),
+            ('"calibration": {"y0": -Infinity}', "calibration.y0 must be finite"),
+            ('"duration_s": 1e308', "duration_s * rate_hz must be finite"),
+            ('"rate_hz": 1e308', "duration_s * rate_hz must be finite"),
+            ('"duration_s": 1e12, "rate_hz": 1e-9', "duration_s must be at most 86400 s (24 h), got 1000000000000.0"),
         ],
-        ids=["duration_infinite", "rate_nan", "calibration_infinite", "duration_huge", "rate_huge"],
+        ids=["duration_infinite", "rate_nan", "calibration_infinite", "duration_huge", "rate_huge", "duration_huge_rate_tiny"],
     )
-    def test_nonfinite_value_exits_config(self, tmp_path, doc, key):
+    def test_nonfinite_value_exits_config(self, tmp_path, doc, message):
         """JSON ``NaN`` and ``Infinity`` parse as floats; an infinite or huge
         duration once made the schedule loops of ``synth`` run forever, so the
         command runs in a child process with a timeout. A huge rate once
-        overflowed the sample count of ``synth.gen_ppg``."""
+        overflowed the sample count of ``synth.gen_ppg``, and a huge duration
+        at a tiny rate, 1,000 samples, once kept the schedule loops running."""
         cfg = tmp_path / "sim.json"
         cfg.write_text('{"n_subjects": 2, "duration_s": 30.0, "seed": 5, ' + doc + "}")
         src = str(Path(pulseox.__file__).parents[1])
@@ -136,7 +138,7 @@ class TestSimulate:
         argv = [sys.executable, "-m", "pulseox.cli", "simulate", str(cfg), str(tmp_path / "out")]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
-        assert done.stderr.startswith(f"config error: {cfg}: {key} must be finite")
+        assert done.stderr.startswith(f"config error: {cfg}: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
@@ -570,6 +572,27 @@ class TestTrainEvaluatePruneSweep:
         with mock.patch.object(signal_io, "load_frames", side_effect=AssertionError("streams read before the settings were checked")):
             assert cli.main([command, str(config), str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {config}: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"learning_rate": 1e308, "n_estimators": 3}, "learning_rate=1e+308 and reg_lambda=1.0 give tree"),
+            ({"learning_rate": 1e3, "reg_lambda": 0, "n_estimators": 5}, "learning_rate=1000.0 and reg_lambda=0 give tree"),
+        ],
+        ids=["overflowing_learning_rate", "zero_reg_lambda_over_zero_hessian"],
+    )
+    def test_nonfinite_leaf_exits_config(self, cohort_small_dir, tmp_path, capsys, command, params, message):
+        """Boosting settings in range can still overflow a leaf weight, or
+        divide a zero hessian sum by a zero ``reg_lambda``; ``model.json``
+        cannot hold such a leaf, so the run writes nothing."""
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        cfg["gbdt_params"] = params
+        config = cohort_small_dir / f"nonfinite_leaf_{params['learning_rate']:g}.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main([command, str(config), str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: gbdt_params {message}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

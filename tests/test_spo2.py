@@ -426,6 +426,36 @@ class TestStatsFromStarts:
             assert getattr(everything, name).tobytes() == np.asarray(want[name]).tobytes(), name
             assert getattr(gap_free, name).tobytes() == np.asarray(want_gap_free[name]).tobytes(), name
 
+    @pytest.fixture(scope="class")
+    def nonfinite_stream(self, stream):
+        """``stream`` built without ``regularize``: its first gap slot stays a
+        gap, the NaN of the others and a few +-inf samples are not gaps."""
+        red, ir = stream.red.copy(), stream.ir.copy()
+        gap = np.zeros(len(stream), dtype=bool)
+        gap[np.flatnonzero(stream.gap)[0]] = True
+        red[[1300, 1600]], ir[1400] = np.inf, -np.inf
+        red[1650] = -np.inf  # a window with both infinities has a NaN mean
+        series = FrameSeries(stream.t_ms, red, ir, stream.accel_mag, stream.gyro_mag, gap)
+        assert gap.sum() == 1 and (np.isnan(red) & ~gap).sum() == 3
+        return series
+
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "all"])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_nonfinite_samples_that_are_not_gaps(self, nonfinite_stream, monkeypatch, block, step):
+        """A window with a NaN or +-inf sample but no gap slot takes its DC
+        from its raw samples, as the index-matrix gather does, not from the
+        scrubbed samples its AC reads."""
+        series = nonfinite_stream
+        starts = np.arange(0, len(series) - 99, step)
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", block or len(starts))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = spo2.window_stats(series, 100, step)
+            want = index_matrix_stats(series, starts, 100)
+        nan_dc = np.isnan(want["dc_red"]) & ~series.gap[starts[:, None] + np.arange(100)].any(axis=1)
+        assert nan_dc.any() and np.isinf(want["dc_red"]).any() and np.isinf(want["dc_ir"]).any()
+        for name in STAT_FIELDS:
+            assert getattr(got, name).tobytes() == np.asarray(want[name]).tobytes(), name
+
     def test_working_memory_is_one_slope_matrix(self):
         """Between 4 and 16 blocks of windows, the traced peak of the
         statistics grows by one channel's (n, w) slope matrix and a few
