@@ -55,67 +55,91 @@ class FeatureSpec:
         return "__".join(parts)
 
 
-# --- batched feature primitives; X has shape (n_windows, window_len) ---------
+# --- extraction ----------------------------------------------------------------
 
 
-def _mean(X, p):
-    return X.mean(axis=1)
+def _channel_features(W, specs, out):
+    """Write the non-AR features of one channel's windows ``W``, one window
+    per row, into ``out``: ``specs`` holds ``(column, FeatureSpec)`` pairs.
 
-
-def _sum_values(X, p):
-    return X.sum(axis=1)
-
-
-def _std(X, p):
-    return X.std(axis=1)
-
-
-def _minimum(X, p):
-    return X.min(axis=1)
-
-
-def _maximum(X, p):
-    return X.max(axis=1)
-
-
-def _abs_energy(X, p):
-    return np.sum(X * X, axis=1)
-
-
-def _longest_strike_below_mean(X, p):
-    below = X < X.mean(axis=1, keepdims=True)
-    c = np.cumsum(below, axis=1)
-    resets = np.where(below, 0, c)
-    run = c - np.maximum.accumulate(resets, axis=1)
-    return run.max(axis=1).astype(float)
-
-
-def _autocorrelation(X, p):
-    lag = int(p["lag"])
-    n = X.shape[1]
-    if lag >= n:  # no pair of samples lag apart
-        return np.zeros(len(X))
-    mu = X.mean(axis=1, keepdims=True)
-    x0 = X - mu
+    Each window's mean, centered samples, variance and standard deviation
+    are computed once and shared by every family; its ``rfft`` is computed
+    only when an ``fft_coefficient`` is requested, and that of its
+    Hann-windowed centered samples only when a ``spkt_welch_density`` is.
+    The shared values have the bits of ``W.mean(axis=1)`` and
+    ``W.std(axis=1)``, and every row is computed on its own, so no column
+    depends on which others are requested or on the rows beside it.
+    """
+    n, w = W.shape
+    mu = W.mean(axis=1)
+    x0 = W - mu[:, None]
     var = np.mean(x0 * x0, axis=1)
-    num = np.sum(x0[:, : n - lag] * x0[:, lag:], axis=1) / (n - lag)
-    out = np.zeros(len(X))
-    nz = var > 0
-    out[nz] = num[nz] / var[nz]
-    return out
+    sd = np.sqrt(var)
+    F = P = None
+    for j, spec in specs:
+        name, p = spec.name, spec.param_dict
+        if name == "mean":
+            out[:, j] = mu
+        elif name == "sum_values":
+            out[:, j] = W.sum(axis=1)
+        elif name == "std":
+            out[:, j] = sd
+        elif name == "minimum":
+            out[:, j] = W.min(axis=1)
+        elif name == "maximum":
+            out[:, j] = W.max(axis=1)
+        elif name == "abs_energy":
+            out[:, j] = np.sum(W * W, axis=1)
+        elif name == "longest_strike_below_mean":
+            below = W < mu[:, None]
+            c = np.cumsum(below, axis=1)
+            out[:, j] = (c - np.maximum.accumulate(np.where(below, 0, c), axis=1)).max(axis=1)
+        elif name == "autocorrelation":
+            lag = int(p["lag"])
+            out[:, j] = 0.0  # also where no pair of samples is lag apart
+            if lag < w:
+                num = np.sum(x0[:, : w - lag] * x0[:, lag:], axis=1) / (w - lag)
+                np.divide(num, var, out=out[:, j], where=var > 0)
+        elif name == "cid_ce":
+            # complexity estimate on the zero-mean unit-variance standardization
+            d = np.diff(np.divide(x0, sd[:, None], out=np.zeros_like(x0), where=sd[:, None] > 0), axis=1)
+            out[:, j] = np.sqrt(np.sum(d * d, axis=1))
+        elif name == "spkt_welch_density":
+            if P is None:
+                P = np.fft.rfft(x0 * _hann(w), axis=1)
+            c = int(p["coeff"])
+            col = P[:, c] if c < P.shape[1] else np.zeros(n)
+            out[:, j] = col.real**2 + col.imag**2
+            if 0 < c < w - w // 2:  # every bin but DC and the unpaired Nyquist bin of an even w
+                out[:, j] *= 2
+        elif name == "fft_coefficient":
+            if p["attr"] not in ("real", "abs"):
+                raise ValueError(f"unknown fft attr {p['attr']!r}")
+            if F is None:
+                F = np.fft.rfft(W, axis=1)
+            c = int(p["coeff"])
+            col = F[:, c] if c < F.shape[1] else np.zeros(n)
+            out[:, j] = col.real if p["attr"] == "real" else np.abs(col)
+        else:
+            raise ValueError(f"unknown feature {name!r}")
 
 
-def _cid_ce(X, p):
-    # complexity estimate on the zero-mean unit-variance standardization
-    mu = X.mean(axis=1, keepdims=True)
-    sd = X.std(axis=1, keepdims=True)
-    out = np.zeros(len(X))
-    nz = sd[:, 0] > 0
-    if nz.any():
-        z = (X[nz] - mu[nz]) / sd[nz]
-        d = np.diff(z, axis=1)
-        out[nz] = np.sqrt(np.sum(d * d, axis=1))
-    return out
+def _hann(n):
+    """The Hann window of the ``spkt_welch_density`` feature: with it, twice
+    ``|rfft(x0 * _hann(n))[c]|^2`` off DC and the unpaired Nyquist bin is
+    ``scipy.signal.welch(X, fs=1, window="hann", nperseg=n, noverlap=0,
+    detrend="constant", axis=1)[1][:, c]`` of scipy 1.17 bit for bit: the
+    Welch PSD at one frequency-bin index, from one segment of the whole
+    window. Frequencies are in cycles/sample (fs = 1); the bin index, not
+    the physical frequency, is the contract.
+
+    The window is the periodic Hann window as ``get_window`` builds it,
+    scaled by the norm that ``ShortTimeFFT.fac_psd`` takes with Python's
+    builtin ``sum`` (a sequential sum, whose bits differ from numpy's
+    pairwise one).
+    """
+    h = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]
+    return h * (1 / np.sqrt(sum(h**2)))
 
 
 # Worker count of the AR fit: every CPU this process may run on (so
@@ -133,18 +157,22 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-class _ArFits:
-    """AR columns of ``n`` windows, fitted ahead of use on every CPU.
+class _Extraction:
+    """The feature rows of the windows of ``window_len`` samples of
+    ``series`` at ``starts``, for the catalog ``columns`` (all when None),
+    one block of ``BLOCK_WINDOWS`` windows at a time; its AR columns are
+    fitted ahead of use on every CPU.
 
-    :meth:`add` cuts a column into chunks of ``BLOCK_WINDOWS // 2`` windows
-    and submits each to the pool as a task that gathers its own windows when
-    it starts, so no window matrix waits in the queue, and fits them into its
-    slice of the column (``np.linalg.svd`` releases the GIL). :meth:`read`
-    returns rows of a column once they are fitted: the caller fits every
-    chunk that no pool thread has started (``Future.cancel`` succeeds) and
-    waits for the others. A one-CPU process has no pool, and the reader fits
-    every chunk. Leaving the ``with`` block cancels every chunk that has not
-    started, so an error leaves none queued.
+    The constructor cuts each AR column into chunks of ``BLOCK_WINDOWS //
+    2`` windows and submits each to the pool as a task that gathers its own
+    windows when it starts, so no window matrix waits in the queue, and fits
+    them into its slice of the column (``np.linalg.svd`` releases the GIL).
+    :meth:`blocks` computes the other columns on the calling thread and
+    reads the AR rows of each block once they are fitted: the caller fits
+    every chunk that no pool thread has started (``Future.cancel``
+    succeeds) and waits for the others. A one-CPU process has no pool, and
+    the reader fits every chunk. Leaving the ``with`` block cancels every
+    chunk that has not started, so an error leaves none queued.
 
     Each window's fit reads only that window, so no output bit depends on
     the chunks, on who fits them or on the number of CPUs. Pool threads run
@@ -152,25 +180,29 @@ class _ArFits:
     tracer that wraps those keeps one span stack, for the calling thread.
     """
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, series, starts, window_len, catalog, columns):
+        self.series, self.starts, self.window_len, self.catalog = series, starts, window_len, catalog
         self.size = max(1, signal_io.BLOCK_WINDOWS // 2)
-        self.out = {}  # column -> its values
-        self._tasks = {}  # (column, first row of a chunk) -> (arguments, future or None)
-
-    def add(self, column, x, starts, p, window_len):
-        """Submit coefficient ``p["coeff"]`` of the AR(``p["k"]``) fits of
-        the windows of ``window_len`` samples of ``x`` at ``starts``."""
-        out = self.out[column] = np.zeros(self.n)
-        j, k = int(p["coeff"]), int(p["k"])
+        self.by_channel = {}  # channel -> its (column, spec) pairs of the non-AR families
+        self.out = {}  # AR column -> its values
+        self._tasks = {}  # (AR column, first row of a chunk) -> (arguments, future or None)
+        if not catalog:
+            raise CatalogMismatch("catalog must be nonempty")
         pool = _pool() if _WORKERS > 1 else None
-        for i in range(0, self.n, self.size):
-            c = slice(i, i + self.size)
-            args = (x, starts[c], window_len, j, k, out[c])
-            self._tasks[column, i] = (args, pool and pool.submit(_ar_task, *args))
+        for j in sorted(range(len(catalog)) if columns is None else columns):
+            spec = catalog[j]
+            if spec.name != "ar_coefficient":
+                self.by_channel.setdefault(spec.channel, []).append((j, spec))
+                continue
+            out = self.out[j] = np.zeros(len(starts))
+            coeff, k = int(spec.param_dict["coeff"]), int(spec.param_dict["k"])
+            for i in range(0, len(starts), self.size):
+                c = slice(i, i + self.size)
+                args = (series.channel(spec.channel), starts[c], window_len, coeff, k, out[c])
+                self._tasks[j, i] = (args, pool and pool.submit(_ar_task, *args))
 
-    def read(self, column, b):
-        """Rows ``b`` of ``column``, fitted."""
+    def _read(self, column, b):
+        """Rows ``b`` of AR ``column``, fitted."""
         keys = [(column, i) for i in range(b.start - b.start % self.size, b.stop, self.size)]
         keys = [key for key in keys if key in self._tasks]
         for key in keys:
@@ -183,6 +215,19 @@ class _ArFits:
                 self._tasks.pop(key)[1].result()
         return self.out[column][b]
 
+    def blocks(self):
+        """Yield ``(b, X)`` for each slice ``b`` of ``BLOCK_WINDOWS`` windows:
+        ``X`` holds their rows of the feature matrix, columns in catalog
+        order, with NaN in the columns not requested."""
+        for b in signal_io.blocks(len(self.starts)):
+            starts = self.starts[b]
+            X = np.full((len(starts), len(self.catalog)), np.nan)
+            for channel, specs in self.by_channel.items():
+                _channel_features(self.series.rows(channel, starts, self.window_len), specs, X)
+            for j in self.out:
+                X[:, j] = self._read(j, b)
+            yield b, X
+
     def __enter__(self):
         return self
 
@@ -193,14 +238,15 @@ class _ArFits:
 
 
 def _ar_task(x, starts, window_len, j, k, out):
-    """One chunk of an ``_ArFits`` column: gather its windows, then fit them."""
+    """One chunk of an ``_Extraction`` AR column: gather its windows, then fit them."""
     _ar_fit(signal_io._windows_at(x, starts, window_len), j, k, out)
 
 
-def _ar_coefficient(X, p):
-    """OLS fit of an AR(k) model; coeff 0 is the intercept, j the lag-j weight.
-
-    Rank-deficient designs return 0 for the requested coefficient.
+def _ar_fit(X, j, k, out):
+    """Coefficient ``j`` of the OLS fit of an AR(k) model to each row of
+    ``X``, written into ``out``: coefficient 0 is the intercept, ``j`` the
+    lag-``j`` weight. A rank-deficient design gives 0, and ``out`` keeps
+    its values when the AR(k) design has no column ``j`` or no row.
 
     The fit stays a batched SVD, and only the requested column of the
     pseudo-inverse is contracted. A centered QR would be several times faster
@@ -208,18 +254,7 @@ def _ar_coefficient(X, p):
     Trained models split on AR features (16 of the 293 splits of the
     benchmark's model at its default seed), so their bytes and the recorded
     output digests of ``perfbench`` would change with it.
-
-    The rows are fitted on the calling thread; :func:`extract_matrix` fits
-    its AR columns with ``_ArFits``, on every CPU the process may use.
     """
-    out = np.zeros(len(X))
-    _ar_fit(X, int(p["coeff"]), int(p["k"]), out)
-    return out
-
-
-def _ar_fit(X, j, k, out):
-    """``_ar_coefficient`` of the rows of ``X``, written into ``out``, which
-    keeps its values when the AR(k) design has no column ``j`` or no row."""
     n, w = X.shape
     if j > k or w <= k:
         return
@@ -237,67 +272,6 @@ def _ar_fit(X, j, k, out):
     s_safe = np.where(s > tol, s, 1.0)
     np.einsum("nk,nk,nik,ni->n", Vt[:, :, j], 1.0 / s_safe, U, y, out=out)
     out[~full_rank] = 0.0
-
-
-def _spkt_welch_density(X, p):
-    """Welch PSD at one frequency-bin index: Hann window, single full segment.
-
-    Frequencies are in cycles/sample (fs = 1); the bin index, not the physical
-    frequency, is the contract. This is ``scipy.signal.welch(X, fs=1,
-    window="hann", nperseg=n, noverlap=0, detrend="constant", axis=1)[1][:, c]``
-    of scipy 1.17 bit for bit, computed in the same steps: the periodic Hann
-    window as ``get_window`` builds it, scaled by the window norm that
-    ``ShortTimeFFT.fac_psd`` takes with Python's builtin ``sum`` (a sequential
-    sum, whose bits differ from numpy's pairwise one), and every bin but DC and
-    the unpaired Nyquist bin of an even ``n`` doubled.
-    """
-    c = int(p["coeff"])
-    n = X.shape[1]
-    if c >= n // 2 + 1:
-        return np.zeros(len(X))
-    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]
-    w = w * (1 / np.sqrt(sum(w**2)))
-    col = np.fft.rfft((X - X.mean(axis=1, keepdims=True)) * w, axis=1)[:, c]
-    pxx = col.real**2 + col.imag**2
-    if 0 < c < n - n // 2:
-        pxx *= 2
-    return pxx
-
-
-def _fft_coefficient(X, p):
-    c = int(p["coeff"])
-    attr = p["attr"]
-    F = np.fft.rfft(X, axis=1)
-    if c >= F.shape[1]:
-        return np.zeros(len(X))
-    col = F[:, c]
-    if attr == "real":
-        return col.real.copy()
-    if attr == "abs":
-        return np.abs(col)
-    raise ValueError(f"unknown fft attr {attr!r}")
-
-
-_FEATURE_FUNCS = {
-    "mean": _mean,
-    "sum_values": _sum_values,
-    "std": _std,
-    "minimum": _minimum,
-    "maximum": _maximum,
-    "abs_energy": _abs_energy,
-    "longest_strike_below_mean": _longest_strike_below_mean,
-    "autocorrelation": _autocorrelation,
-    "cid_ce": _cid_ce,
-    "ar_coefficient": _ar_coefficient,
-    "spkt_welch_density": _spkt_welch_density,
-    "fft_coefficient": _fft_coefficient,
-}
-
-
-def compute_feature_batch(spec: FeatureSpec, X) -> np.ndarray:
-    """``spec`` on every row of ``X``, the (n_windows, window_len) matrix of
-    ``spec.channel``."""
-    return _FEATURE_FUNCS[spec.name](X, spec.param_dict)
 
 
 def build_catalog() -> list:
@@ -324,24 +298,13 @@ def build_catalog() -> list:
     return catalog
 
 
-def _column_ids(catalog, columns):
-    """The catalog ``columns`` given (all by default), sorted."""
-    if not catalog:
-        raise CatalogMismatch("catalog must be nonempty")
-    return sorted(range(len(catalog)) if columns is None else columns)
-
-
 def start_ar_fits(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns):
-    """Start fitting the AR columns among the catalog ``columns`` of the
-    windows of ``window_len`` samples at ``starts``, ahead of their use.
-    ``read(j, b)`` of the result gives rows ``b`` of column ``j``; leaving
-    its ``with`` block cancels the fits not yet started."""
-    fits = _ArFits(len(starts))
-    for j in _column_ids(catalog, columns):
-        spec = catalog[j]
-        if spec.name == "ar_coefficient":
-            fits.add(j, series.channel(spec.channel), starts, spec.param_dict, window_len)
-    return fits
+    """Start the extraction of the catalog ``columns`` (all when None) of
+    the windows of ``window_len`` samples at ``starts``: the fits of its AR
+    columns start now, ahead of their use. ``blocks()`` of the result yields
+    the feature rows one block of windows at a time, and leaving its
+    ``with`` block cancels the fits not yet started."""
+    return _Extraction(series, starts, window_len, catalog, columns)
 
 
 def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns=None) -> np.ndarray:
@@ -349,26 +312,15 @@ def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catal
 
     ``starts`` holds the first sample of each window of ``window_len``
     samples. Only the catalog ``columns`` given (all by default) are
-    computed; the others are NaN. The fits of the AR columns are started
-    with :func:`start_ar_fits` before the other families are computed.
-    Windows are gathered from the stream one channel and one block of
-    ``BLOCK_WINDOWS`` at a time.
+    computed; the others are NaN. The rows are the ``blocks()`` of
+    :func:`start_ar_fits`: windows are gathered from the stream one channel
+    and one block of ``BLOCK_WINDOWS`` at a time, every AR column through
+    the pool, every other one through one kernel per channel.
     """
-    columns = _column_ids(catalog, columns)
-    ar = start_ar_fits(series, starts, window_len, catalog, columns)
-    by_channel = {}
-    for j in columns:
-        if j not in ar.out:
-            by_channel.setdefault(catalog[j].channel, []).append(j)
     X = np.full((len(starts), len(catalog)), np.nan)
-    with ar:
-        for b in signal_io.blocks(len(starts)):
-            for channel, cols in by_channel.items():
-                W = series.rows(channel, starts[b], window_len)
-                for j in cols:
-                    X[b, j] = compute_feature_batch(catalog[j], W)
-            for j in ar.out:
-                X[b, j] = ar.read(j, b)
+    with start_ar_fits(series, starts, window_len, catalog, columns) as fits:
+        for b, rows in fits.blocks():
+            X[b] = rows
     return X
 
 

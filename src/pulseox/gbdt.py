@@ -42,6 +42,10 @@ from .features import build_catalog
 
 MODEL_SCHEMA_VERSION = 1
 
+#: The most trees a config may ask for, 100 times the default: each tree is
+#: one boosting round, so a larger count would train practically forever.
+MAX_ESTIMATORS = 10_000
+
 
 @dataclass(frozen=True)
 class GbdtParams:
@@ -60,6 +64,8 @@ class GbdtParams:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
+        if self.n_estimators > MAX_ESTIMATORS:
+            raise ValueError(f"n_estimators must be <= {MAX_ESTIMATORS}, got {self.n_estimators}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.seed < 0:
@@ -226,6 +232,10 @@ def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) ->
     are scaled by the learning rate at build time. A tree with a non-finite
     leaf (a learning rate that overflows it, or ``reg_lambda`` 0 over a zero
     hessian sum) raises :class:`ConfigOutOfRange`: ``model.json`` cannot hold it.
+    Boosting runs with numpy's floating-point warnings off: ``exp``
+    overflows at a saturated logit, where the sigmoid still takes its limit
+    0 or 1, and the other overflows and divisions by zero end in the
+    non-finite leaf that this check reports.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -247,19 +257,20 @@ def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) ->
     order = _presort(X)
 
     trees = []
-    for _ in range(params.n_estimators):
-        rows = np.sort(rng.permutation(n)[:m])
-        g = np.zeros(n)
-        h = np.zeros(n)
-        g[rows], h[rows] = logistic_grad_hess(logits[rows], y[rows])
-        tree = _build_tree(X, g, h, rows, _restrict(order, rows, n), 0, params, [])
-        if not all(math.isfinite(d.get("leaf", 0.0)) for d in tree):
-            raise ConfigOutOfRange(
-                f"gbdt_params learning_rate={params.learning_rate!r} and reg_lambda={params.reg_lambda!r} "
-                f"give tree {len(trees)} a non-finite leaf weight: lower learning_rate or raise reg_lambda"
-            )
-        trees.append(tree)
-        logits += _predict_tree_batch(tree, X)
+    with np.errstate(all="ignore"):
+        for _ in range(params.n_estimators):
+            rows = np.sort(rng.permutation(n)[:m])
+            g = np.zeros(n)
+            h = np.zeros(n)
+            g[rows], h[rows] = logistic_grad_hess(logits[rows], y[rows])
+            tree = _build_tree(X, g, h, rows, _restrict(order, rows, n), 0, params, [])
+            if not all(math.isfinite(d.get("leaf", 0.0)) for d in tree):
+                raise ConfigOutOfRange(
+                    f"gbdt_params learning_rate={params.learning_rate!r} and reg_lambda={params.reg_lambda!r} "
+                    f"give tree {len(trees)} a non-finite leaf weight: lower learning_rate or raise reg_lambda"
+                )
+            trees.append(tree)
+            logits += _predict_tree_batch(tree, X)
 
     meta = dict(training_meta or {})
     meta.setdefault("n_rows", n)

@@ -199,8 +199,8 @@ def _split_columns(model: gbdt.GbdtModel) -> set:
 
 
 def _emit_fits(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
-    """Start the AR fits that ``_emit`` reads: the split columns of the
-    gate-passing windows."""
+    """Start the feature extraction that ``_emit`` reads: the split columns
+    of the gate-passing windows, their AR fits started now."""
     catalog, columns = model.feature_catalog, _split_columns(model)
     return feats.start_ar_fits(series, starts[gate_pass], settings.window_len, catalog, columns)
 
@@ -210,20 +210,16 @@ def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSe
     that the classifier trusts. A window that fails the gate never emits, so
     only the gate-passing ``starts`` get features and a prediction, and
     only the columns the trees split on are computed. The others stay NaN,
-    so a tree that read one would take its default branch. Features are
-    extracted and predicted one block of windows at a time, so no feature
-    matrix of the whole stream is built; rows are independent in both. The
-    AR columns are read from ``ar``, the ``_emit_fits`` of these arguments,
-    or else their fits are started here, before the first block."""
+    so a tree that read one would take its default branch. The feature rows
+    come from ``ar``, the ``_emit_fits`` of these arguments, started here
+    when not given; each block of them is predicted before the next is
+    computed, so no feature matrix of the whole stream is built, and rows
+    are independent in both."""
     if ar is None:
         ar = _emit_fits(series, starts, gate_pass, model, settings)
-    starts, columns = starts[gate_pass], _split_columns(model)
-    proba = np.empty(len(starts))
+    proba = np.empty(int(gate_pass.sum()))
     with ar:
-        for b in signal_io.blocks(len(starts)):
-            X = feats.extract_matrix(series, starts[b], settings.window_len, model.feature_catalog, columns - ar.out.keys())
-            for j in ar.out:
-                X[:, j] = ar.read(j, b)
+        for b, X in ar.blocks():
             proba[b] = model.predict_proba_batch(X)
     emit = gate_pass.copy()
     emit[gate_pass] = proba >= settings.decision_threshold

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -556,6 +557,7 @@ class TestTrainEvaluatePruneSweep:
             ("gbdt_params", "seed", -1, "seed must be nonnegative, got -1"),
             ("gbdt_params", "n_estimators", 0, "n_estimators must be >= 1, got 0"),
             ("gbdt_params", "n_estimators", -1, "n_estimators must be >= 1, got -1"),
+            ("gbdt_params", "n_estimators", 4611686018427387904, "n_estimators must be <= 10000, got 4611686018427387904"),
             ("gbdt_params", "max_depth", -1, "max_depth must be >= 1, got -1"),
             ("gbdt_params", "learning_rate", 0, "learning_rate must be positive, got 0"),
             ("gbdt_params", "learning_rate", -1.0, "learning_rate must be positive, got -1.0"),
@@ -579,20 +581,26 @@ class TestTrainEvaluatePruneSweep:
         "params, message",
         [
             ({"learning_rate": 1e308, "n_estimators": 3}, "learning_rate=1e+308 and reg_lambda=1.0 give tree"),
+            ({"learning_rate": 1e307, "n_estimators": 3}, "learning_rate=1e+307 and reg_lambda=1.0 give tree 2"),
             ({"learning_rate": 1e3, "reg_lambda": 0, "n_estimators": 5}, "learning_rate=1000.0 and reg_lambda=0 give tree"),
         ],
-        ids=["overflowing_learning_rate", "zero_reg_lambda_over_zero_hessian"],
+        ids=["overflowing_learning_rate", "overflow_after_saturated_logits", "zero_reg_lambda_over_zero_hessian"],
     )
     def test_nonfinite_leaf_exits_config(self, cohort_small_dir, tmp_path, capsys, command, params, message):
         """Boosting settings in range can still overflow a leaf weight, or
         divide a zero hessian sum by a zero ``reg_lambda``; ``model.json``
-        cannot hold such a leaf, so the run writes nothing."""
+        cannot hold such a leaf, so the run writes nothing, and stderr holds
+        the one config error line, no numpy warning before it."""
         cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
         cfg["gbdt_params"] = params
         config = cohort_small_dir / f"nonfinite_leaf_{params['learning_rate']:g}.json"
         config.write_text(json.dumps(cfg))
-        assert cli.main([command, str(config), str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: gbdt_params {message}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, str(config), str(tmp_path / "out")]) == 2
+        assert [str(w.message) for w in caught] == []  # outside pytest, each would be a line of stderr
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: gbdt_params {message}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

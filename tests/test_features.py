@@ -48,8 +48,20 @@ def gap_free_windows(series, window_len, step):
     return starts, starts[:, None] + np.arange(window_len)
 
 
+def extract_rows(channels, catalog):
+    """``extract_matrix`` of ``catalog`` over windows given as rows:
+    ``channels`` maps every channel to an (n, w) matrix, one window per row,
+    or is one such matrix for all four. The rows of each channel are laid
+    end to end in one ``FrameSeries``, whose windows start at 0, w, 2w, ..."""
+    if not isinstance(channels, dict):
+        channels = dict.fromkeys(CHANNELS, channels)
+    n, w = np.shape(channels["red"])
+    series = FrameSeries(40 * np.arange(n * w), *(np.ravel(channels[c]) for c in CHANNELS))
+    return features.extract_matrix(series, w * np.arange(n), w, catalog)
+
+
 def compute_feature(spec, window):
-    return float(features.compute_feature_batch(spec, np.asarray(window[spec.channel], dtype=float)[None, :])[0])
+    return float(extract_rows(np.asarray(window[spec.channel], dtype=float)[None, :], [spec])[0, 0])
 
 
 class TestWindowStream:
@@ -135,7 +147,7 @@ class TestComputeFeature:
 
 def full_pinv_ar(X, k):
     """Every AR(k) coefficient from the whole pseudo-inverse contraction: the
-    reference for the one-column contraction of ``_ar_coefficient``."""
+    reference for the one-column contraction of ``_ar_fit``."""
     n, w = X.shape
     A = np.empty((n, w - k, k + 1))
     A[:, :, 0] = 1.0
@@ -166,6 +178,18 @@ def contact_loss_wrist(window_len=100, step=2):
     return frames, idx, flat
 
 
+def contact_loss_stream():
+    """A 170 s wrist stream at the synthetic DC (5e4 red, 6e4 ir) whose
+    contact loss flattens both optical channels to 0; it has more step-1
+    windows of 100 samples than one 4,096-window block holds."""
+    arts = (
+        ArtifactSegment(20.0, 8.0, "contact_loss"),
+        ArtifactSegment(60.0, 8.0, "motion", 1.5),
+        ArtifactSegment(120.0, 5.0, "ambient_spike", 1.5),
+    )
+    return synth.gen_ppg(SynthConfig(duration_s=170.0, noise_sigma=0.001, seed=4, artifacts=arts))[0]
+
+
 class TestWelchDensity:
     @pytest.mark.parametrize("n", [8, 9, 50, 99, 100, 128])
     def test_bit_identical_to_scipy_welch_on_wrist_stream(self, n):
@@ -174,29 +198,33 @@ class TestWelchDensity:
         (``n // 2``) the feature is 0, and an empty window matrix gives an
         empty column."""
         frames, idx, _ = contact_loss_wrist(n, 3)
+        bins = (0, 1, 2, n // 2, n // 2 + 1)
+        catalog = [FeatureSpec("red", "spkt_welch_density", (("coeff", c),)) for c in bins]
         for X in [frames.channel(ch)[idx] for ch in CHANNELS] + [np.empty((0, n))]:
             pxx = sps_signal.welch(X, fs=1, window="hann", nperseg=n, noverlap=0, detrend="constant", axis=1)[1]
-            for c in (0, 1, 2, n // 2, n // 2 + 1):
-                got = features._spkt_welch_density(X, {"coeff": c})
+            got = extract_rows(X, catalog)
+            assert got.shape == (len(X), len(bins))
+            for i, c in enumerate(bins):
                 want = pxx[:, c] if c <= n // 2 else np.zeros(len(X))
-                assert got.shape == (len(X),)
-                np.testing.assert_array_equal(got, want, err_msg=f"n {n} bin {c}")
+                np.testing.assert_array_equal(got[:, i], want, err_msg=f"n {n} bin {c}")
+
+
+def ar_spec(j, k=10):
+    return FeatureSpec("red", "ar_coefficient", (("coeff", j), ("k", k)))
 
 
 def pooled_ar(x, starts, window_len, j, k=10):
     """Coefficient ``j`` of the AR(``k``) fits of the windows of
-    ``window_len`` samples of ``x`` at ``starts``, by ``_ArFits``: the path
-    of ``extract_matrix``, where the pool fits what the reader does not."""
-    with features._ArFits(len(starts)) as fits:
-        fits.add(0, x, starts, {"coeff": j, "k": k}, window_len)
-        return fits.read(0, slice(0, len(starts)))
+    ``window_len`` samples of ``x`` at ``starts``, by ``extract_matrix``,
+    where the pool fits what the reader does not."""
+    series = FrameSeries(40 * np.arange(len(x)), x, x, x, x)
+    return features.extract_matrix(series, starts, window_len, [ar_spec(j, k)])[:, 0]
 
 
 class TestArCoefficient:
     def test_bit_identical_to_full_contraction_on_wrist_stream(self, ar_workers):
-        """The direct path (``_ar_coefficient`` on the calling thread) and the
-        pooled one (``_ArFits`` on three threads) both give the full
-        pseudo-inverse contraction bit for bit."""
+        """AR columns, fitted by the pool on three threads and by the
+        reader, give the full pseudo-inverse contraction bit for bit."""
         frames, idx, flat = contact_loss_wrist()
         k = 10
         ar_workers(3)
@@ -204,12 +232,10 @@ class TestArCoefficient:
             X = frames.channel(ch)[idx]
             want = full_pinv_ar(X, k)
             for j in range(k + 1):
-                direct = features._ar_coefficient(X, {"coeff": j, "k": k})
-                pooled = pooled_ar(frames.channel(ch), idx[:, 0], idx.shape[1], j, k)
-                for path, got in (("direct", direct), ("pooled", pooled)):
-                    np.testing.assert_array_equal(got, want[:, j], err_msg=f"{path} {ch} coeff {j}")
-                    if ch in ("red", "ir"):
-                        assert (got[flat] == 0).all()
+                got = pooled_ar(frames.channel(ch), idx[:, 0], idx.shape[1], j, k)
+                np.testing.assert_array_equal(got, want[:, j], err_msg=f"{ch} coeff {j}")
+                if ch in ("red", "ir"):
+                    assert (got[flat] == 0).all()
 
 
 class TestArWorkers:
@@ -249,14 +275,14 @@ class TestArWorkers:
 
     def test_pool_error_reaches_the_caller(self, monkeypatch, one_thread_pool):
         monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 2)  # chunks of one window
-        X = np.random.default_rng(0).normal(size=(6, 100))
-        X[-1, 5] = np.nan  # in the last chunk
-        with features._ArFits(len(X)) as fits:
-            fits.add(0, X.ravel(), 100 * np.arange(len(X)), {"coeff": 1, "k": 10}, 100)
+        x = np.random.default_rng(0).normal(size=6 * 100)
+        x[-95] = np.nan  # in the last chunk
+        series = FrameSeries(40 * np.arange(len(x)), x, x, x, x)
+        with features.start_ar_fits(series, 100 * np.arange(6), 100, [ar_spec(1)], None) as fits:
             assert not wait(one_thread_pool.futures, 60).not_done  # the pool thread has fitted every chunk
             assert isinstance(one_thread_pool.futures[-1].exception(), np.linalg.LinAlgError)
             with pytest.raises(np.linalg.LinAlgError):
-                fits.read(0, slice(0, len(X)))
+                list(fits.blocks())
 
     def test_rank_deficient_rows_across_a_chunk_boundary(self, case, monkeypatch, ar_workers):
         frames, idx, flat = case
@@ -293,11 +319,10 @@ class TestArWorkers:
 
     def test_public_calls_stay_on_the_calling_thread(self, monkeypatch, one_thread_pool):
         """Pool threads run only private functions: every public call that a
-        tracer wraps (``compute_feature_batch``, ``FrameSeries.rows``) is made
-        by the caller, over several blocks, while the pool fits AR rows. The
-        AR columns take no ``compute_feature_batch`` call. The pool thread's
-        fits wait until the caller has fitted a chunk (30 s at most in all),
-        so both fit some."""
+        tracer wraps (here ``FrameSeries.rows``, one per channel and block) is
+        made by the caller, over several blocks, while the pool fits AR rows.
+        The pool thread's fits wait until the caller has fitted a chunk (30 s
+        at most in all), so both fit some."""
         caller = threading.get_ident()
         caller_fitted = threading.Event()
         deadline = time.monotonic() + 30
@@ -316,14 +341,13 @@ class TestArWorkers:
             return called
 
         monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
-        monkeypatch.setattr(features, "compute_feature_batch", spy("public", features.compute_feature_batch))
         monkeypatch.setattr(FrameSeries, "rows", spy("public", FrameSeries.rows))
         monkeypatch.setattr(features, "_ar_fit", spy("_ar_fit", features._ar_fit))
         series = make_series(400)
         starts, _ = gap_free_windows(series, 100, 1)
         features.extract_matrix(series, starts, 100, build_catalog())
         assert caller_fitted.is_set()
-        assert len(threads["public"]) == 5 * (4 + 68) and set(threads["public"]) == {caller}
+        assert len(threads["public"]) == 5 * 4 and set(threads["public"]) == {caller}
         assert caller in threads["_ar_fit"] and len(set(threads["_ar_fit"])) > 1
 
     def test_blocked_pool_leaves_every_chunk_to_the_reader(self, case, monkeypatch, one_thread_pool):
@@ -368,6 +392,24 @@ class TestArWorkers:
         assert result["X"].tobytes() == want.tobytes()
 
 
+# column sets of ``extract_matrix`` by a predicate on (column, spec): a mix,
+# one family alone on every channel, and one family alone per channel
+ONE_PER_CHANNEL = {
+    "red": ("autocorrelation", (("lag", 6),)),
+    "ir": ("fft_coefficient", (("attr", "abs"), ("coeff", 0))),
+    "accel_mag": ("spkt_welch_density", (("coeff", 2),)),
+    "gyro_mag": ("std", ()),
+}
+COLUMN_SETS = {
+    "mixed": lambda j, spec: j in (0, 17, 40, 71),
+    "autocorrelation_lag_6": lambda j, spec: spec.name == "autocorrelation" and spec.param_dict["lag"] == 6,
+    "fft_abs": lambda j, spec: spec.name == "fft_coefficient" and spec.param_dict["attr"] == "abs",
+    "spkt_welch_density": lambda j, spec: spec.name == "spkt_welch_density",
+    "std": lambda j, spec: spec.name == "std",
+    "one_family_per_channel": lambda j, spec: (spec.name, spec.params) == ONE_PER_CHANNEL[spec.channel],
+}
+
+
 class TestCatalogAndMatrix:
     def test_catalog_size_and_uniqueness(self):
         catalog = build_catalog()
@@ -407,16 +449,34 @@ class TestCatalogAndMatrix:
         X2 = features.extract_matrix(series, starts, 100, catalog)
         np.testing.assert_array_equal(X1, X2)
 
-    def test_columns_computes_only_those(self):
-        series = make_series(400)
-        starts, _ = gap_free_windows(series, 100, 50)
+    @pytest.fixture(scope="class")
+    def full_matrices(self):
+        """``{name: (series, starts, full matrix)}`` of three streams: uniform
+        noise, the high-DC stream with contact loss, and a gapped one."""
+        streams = {
+            "uniform": (make_series(400), 50),
+            "high_dc_contact_loss": (contact_loss_stream(), 1),
+            "gapped": (make_series(400, gap_at=(150, 151, 390)), 1),
+        }
+        out = {}
+        for name, (series, step) in streams.items():
+            starts, _ = gap_free_windows(series, 100, step)
+            out[name] = series, starts, features.extract_matrix(series, starts, 100, build_catalog())
+        return out
+
+    @pytest.mark.parametrize("stream", ["uniform", "high_dc_contact_loss", "gapped"])
+    @pytest.mark.parametrize("picked", list(COLUMN_SETS))
+    def test_columns_computes_only_those(self, full_matrices, stream, picked):
+        """A subset of the columns has the bits of the full matrix: the
+        values shared between families depend on no other column."""
+        series, starts, full = full_matrices[stream]
         catalog = build_catalog()
-        columns = {0, 17, 40, 71}
-        X = features.extract_matrix(series, starts, 100, catalog, columns)
-        full = features.extract_matrix(series, starts, 100, catalog)
+        columns = [j for j, spec in enumerate(catalog) if COLUMN_SETS[picked](j, spec)]
+        X = features.extract_matrix(series, starts, 100, catalog, set(columns))
         rest = [j for j in range(len(catalog)) if j not in columns]
-        np.testing.assert_array_equal(X[:, sorted(columns)], full[:, sorted(columns)])
-        assert np.isnan(X[:, rest]).all() and np.isfinite(full).all()
+        assert columns and len(X) > 0
+        np.testing.assert_array_equal(X[:, columns], full[:, columns])
+        assert np.isfinite(full).all() and np.isnan(X[:, rest]).all()
 
 
 class TestBlocks:
@@ -424,15 +484,7 @@ class TestBlocks:
 
     @pytest.fixture(scope="class")
     def case(self):
-        # step-1 windows of a wrist stream at the synthetic DC (5e4 red, 6e4
-        # ir) whose contact loss flattens both optical channels to 0, more of
-        # them than one 4,096-window block holds
-        arts = (
-            ArtifactSegment(20.0, 8.0, "contact_loss"),
-            ArtifactSegment(60.0, 8.0, "motion", 1.5),
-            ArtifactSegment(120.0, 5.0, "ambient_spike", 1.5),
-        )
-        frames, _ = synth.gen_ppg(SynthConfig(duration_s=170.0, noise_sigma=0.001, seed=4, artifacts=arts))
+        frames = contact_loss_stream()
         starts, idx = gap_free_windows(frames, 100, 1)
         assert len(idx) > 4096 and 0 < (frames.red[idx] == 0).all(axis=1).sum() < len(idx)
         with pytest.MonkeyPatch.context() as mp:

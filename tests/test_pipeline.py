@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from test_features import extract_rows
 from pulseox import features, gbdt, metrics, pipeline, signal_io, spo2, synth
 from pulseox.errors import EmptyGroup, InsufficientUserData
 from pulseox.features import FeatureSpec
@@ -353,7 +354,7 @@ def full_path_emit(series, starts, gate_pass, model, settings, ar=None):
     after: the reference for the gate-first ``pipeline._emit``, which reads
     its AR columns from ``ar`` when given."""
     idx = starts[:, None] + np.arange(settings.window_len)
-    X = np.column_stack([features.compute_feature_batch(s, series.channel(s.channel)[idx]) for s in model.feature_catalog])
+    X = extract_rows({c: series.channel(c)[idx] for c in features.CHANNELS}, model.feature_catalog)
     return (model.predict_proba_batch(X) >= settings.decision_threshold) & gate_pass
 
 
@@ -446,7 +447,7 @@ class TestGateFirstEmit:
         trees = []
         for j, spec in enumerate(catalog):
             if spec.name == "ar_coefficient":
-                median = np.median(features.compute_feature_batch(spec, subject.wrist.channel(spec.channel)[idx]))
+                median = np.median(extract_rows(subject.wrist.channel(spec.channel)[idx], [spec])[:, 0])
                 trees.append([dict(split, feature=j, threshold=float(median)), {"leaf": 1.0}, {"leaf": -1.0}])
         model = GbdtModel(trees, 0.0, GbdtParams(), catalog)
         monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
