@@ -78,7 +78,7 @@ def cmd_simulate(args):
 def cmd_spo2(args):
     if args.window < spo2.MIN_WINDOW:
         raise ConfigOutOfRange(f"--window must be >= {spo2.MIN_WINDOW}, got {args.window}")
-    if args.step < 1:
+    if schema.typed(args.step, 1, "--step", ConfigOutOfRange) < 1:
         raise ConfigOutOfRange(f"--step must be >= 1, got {args.step}")
     with schema.checked("", ConfigOutOfRange):
         calib = spo2.CalibrationCurve(args.y0, args.m)
@@ -127,13 +127,10 @@ def cmd_evaluate(args):
     for r in reports:
         signal_io.write_json(out / f"report_{r.subject_id}.json", r.to_json_dict())
     _write_manifest(out, "evaluate", schema.load(args.config, ConfigOutOfRange), settings.gbdt_params.seed)
-    prec, skipped = metrics.aggregate([r.precision for r in ok])
-    rmse_p, _ = metrics.aggregate([r.rmse_pruned for r in ok])
-    rmse_e, _ = metrics.aggregate([r.rmse_enhanced for r in ok])
-    rmse_b, _ = metrics.aggregate([r.rmse_baseline for r in ok])
+    means = metrics.fold_means(reports)
     print(f"folds={len(reports)} ok={len(ok)}")
-    print(f"mean precision={prec} (skipped {skipped} undefined)")
-    print(f"mean rmse baseline={rmse_b} enhanced={rmse_e} pruned={rmse_p}")
+    print(f"mean precision={means['precision']} (skipped {means['precision_undefined']} undefined)")
+    print(f"mean rmse baseline={means['rmse_baseline']} enhanced={means['rmse_enhanced']} pruned={means['rmse_pruned']}")
     return EXIT_OK
 
 
@@ -169,12 +166,12 @@ def cmd_sweep(args):
 def build_parser():
     calib = spo2.CalibrationCurve()
     p = argparse.ArgumentParser(prog="pulseox", description=__doc__.split("\n")[0])
-    p.add_argument("--seed", type=int, default=0, help="global seed fallback")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="generate a synthetic cohort")
     s.add_argument("config", help="JSON config: n_subjects, duration_s, rate_hz, seed, calibration")
     s.add_argument("out_dir")
+    s.add_argument("--seed", type=int, default=0, help="cohort seed when the config names none (default 0)")
     s.set_defaults(func=cmd_simulate)
 
     s = sub.add_parser("spo2", help="run an extraction algorithm over one stream")

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from . import signal_io
-from .errors import CatalogMismatch, SingleClass
+from .errors import SingleClass
 
 CHANNELS = ("red", "ir", "accel_mag", "gyro_mag")
 
@@ -90,10 +90,13 @@ def _channel_features(W, specs, out):
             out[:, j] = W.max(axis=1)
         elif name == "abs_energy":
             out[:, j] = np.sum(W * W, axis=1)
-        elif name == "longest_strike_below_mean":
+        elif name == "longest_strike_below_mean":  # exact counts, in int32 and in place
             below = W < mu[:, None]
-            c = np.cumsum(below, axis=1)
-            out[:, j] = (c - np.maximum.accumulate(np.where(below, 0, c), axis=1)).max(axis=1)
+            c = np.cumsum(below, axis=1, dtype=np.int32)
+            m = np.where(below, 0, c)  # then the count at the last sample not below the mean
+            np.maximum.accumulate(m, axis=1, out=m)
+            out[:, j] = np.subtract(c, m, out=c).max(axis=1)
+            del below, c, m
         elif name == "autocorrelation":
             lag = int(p["lag"])
             out[:, j] = 0.0  # also where no pair of samples is lag apart
@@ -104,6 +107,7 @@ def _channel_features(W, specs, out):
             # complexity estimate on the zero-mean unit-variance standardization
             d = np.diff(np.divide(x0, sd[:, None], out=np.zeros_like(x0), where=sd[:, None] > 0), axis=1)
             out[:, j] = np.sqrt(np.sum(d * d, axis=1))
+            del d
         elif name == "spkt_welch_density":
             if P is None:
                 P = np.fft.rfft(x0 * _hann(w), axis=1)
@@ -157,16 +161,17 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-class _Extraction:
+class Extraction:
     """The feature rows of the windows of ``window_len`` samples of
-    ``series`` at ``starts``, for the catalog ``columns`` (all when None),
-    one block of ``BLOCK_WINDOWS`` windows at a time; its AR columns are
-    fitted ahead of use on every CPU.
+    ``series`` at ``starts``, for the ``columns`` (indices) of ``catalog``,
+    one block of ``BLOCK_WINDOWS`` windows at a time, used as a ``with``
+    block; its AR columns are fitted ahead of use on every CPU.
 
-    The constructor cuts each AR column into chunks of ``BLOCK_WINDOWS //
-    2`` windows and submits each to the pool as a task that gathers its own
-    windows when it starts, so no window matrix waits in the queue, and fits
-    them into its slice of the column (``np.linalg.svd`` releases the GIL).
+    The constructor starts the AR fits: it cuts each AR column into chunks
+    of ``BLOCK_WINDOWS // 2`` windows and submits each to the pool as a task
+    that gathers its own windows when it starts, so no window matrix waits
+    in the queue, and fits them into its slice of the column
+    (``np.linalg.svd`` releases the GIL).
     :meth:`blocks` computes the other columns on the calling thread and
     reads the AR rows of each block once they are fitted: the caller fits
     every chunk that no pool thread has started (``Future.cancel``
@@ -186,10 +191,8 @@ class _Extraction:
         self.by_channel = {}  # channel -> its (column, spec) pairs of the non-AR families
         self.out = {}  # AR column -> its values
         self._tasks = {}  # (AR column, first row of a chunk) -> (arguments, future or None)
-        if not catalog:
-            raise CatalogMismatch("catalog must be nonempty")
         pool = _pool() if _WORKERS > 1 else None
-        for j in sorted(range(len(catalog)) if columns is None else columns):
+        for j in sorted(columns):
             spec = catalog[j]
             if spec.name != "ar_coefficient":
                 self.by_channel.setdefault(spec.channel, []).append((j, spec))
@@ -238,7 +241,7 @@ class _Extraction:
 
 
 def _ar_task(x, starts, window_len, j, k, out):
-    """One chunk of an ``_Extraction`` AR column: gather its windows, then fit them."""
+    """One chunk of an ``Extraction`` AR column: gather its windows, then fit them."""
     _ar_fit(signal_io._windows_at(x, starts, window_len), j, k, out)
 
 
@@ -298,27 +301,18 @@ def build_catalog() -> list:
     return catalog
 
 
-def start_ar_fits(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns):
-    """Start the extraction of the catalog ``columns`` (all when None) of
-    the windows of ``window_len`` samples at ``starts``: the fits of its AR
-    columns start now, ahead of their use. ``blocks()`` of the result yields
-    the feature rows one block of windows at a time, and leaving its
-    ``with`` block cancels the fits not yet started."""
-    return _Extraction(series, starts, window_len, catalog, columns)
-
-
-def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns=None) -> np.ndarray:
-    """Feature matrix with one row per window, columns in catalog order.
+def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catalog) -> np.ndarray:
+    """Feature matrix of every ``catalog`` column, one row per window, columns
+    in catalog order.
 
     ``starts`` holds the first sample of each window of ``window_len``
-    samples. Only the catalog ``columns`` given (all by default) are
-    computed; the others are NaN. The rows are the ``blocks()`` of
-    :func:`start_ar_fits`: windows are gathered from the stream one channel
-    and one block of ``BLOCK_WINDOWS`` at a time, every AR column through
-    the pool, every other one through one kernel per channel.
+    samples. The rows are the ``blocks()`` of an :class:`Extraction`:
+    windows are gathered from the stream one channel and one block of
+    ``BLOCK_WINDOWS`` at a time, every AR column through the pool, every
+    other one through one kernel per channel.
     """
-    X = np.full((len(starts), len(catalog)), np.nan)
-    with start_ar_fits(series, starts, window_len, catalog, columns) as fits:
+    X = np.empty((len(starts), len(catalog)))
+    with Extraction(series, starts, window_len, catalog, range(len(catalog))) as fits:
         for b, rows in fits.blocks():
             X[b] = rows
     return X

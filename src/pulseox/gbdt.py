@@ -122,7 +122,7 @@ def _goes_left(x, threshold, default_direction) -> np.ndarray:
     return x < threshold
 
 
-def best_split(X, g, h, params: GbdtParams, row_idx=None, order=None):
+def best_split(X, g, h, params: GbdtParams, row_idx, order):
     """Exact greedy search for the best split over all features.
 
     Gain is half the score improvement of the penalized objective. Candidate
@@ -132,15 +132,9 @@ def best_split(X, g, h, params: GbdtParams, row_idx=None, order=None):
     ``(feature_id, threshold, gain)`` or None.
 
     ``row_idx`` holds distinct row ids in ascending order. ``order`` is their
-    per-column sorted order as :func:`_presort` restricted to them; it is
-    computed here when not given.
+    per-column sorted order, :func:`_presort` of ``X`` restricted to them
+    by :func:`_restrict`.
     """
-    if row_idx is None:
-        row_idx = np.arange(len(g))
-    if len(row_idx) == 0:
-        raise EmptyMatrix("no rows to split")
-    if order is None:
-        order = _restrict(_presort(X), row_idx, len(X))
     n_features, m = order.shape
     if n_features == 0 or m < 2:
         return None
@@ -210,7 +204,7 @@ class GbdtModel:
 
     def predict_logit_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or (self.feature_catalog and X.shape[1] != len(self.feature_catalog)):
+        if X.ndim != 2 or X.shape[1] != len(self.feature_catalog):
             raise CatalogMismatch(
                 f"expected {len(self.feature_catalog)} features, got {X.shape}"
             )
@@ -223,8 +217,9 @@ class GbdtModel:
         return sigmoid(self.predict_logit_batch(X))
 
 
-def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) -> GbdtModel:
-    """Fit the boosted ensemble.
+def train(X, y, params: GbdtParams, feature_catalog, training_meta=None) -> GbdtModel:
+    """Fit the boosted ensemble on ``X``, whose columns are the features of
+    ``feature_catalog`` in order.
 
     The base score is the log-odds of the training prior. Each round draws a
     seeded subsample of ceil(subsample*n) rows without replacement, computes
@@ -243,9 +238,7 @@ def train(X, y, params: GbdtParams, feature_catalog=None, training_meta=None) ->
         raise EmptyMatrix("X must be a nonempty 2-D matrix")
     if len(X) < 2 or len(np.unique(y)) < 2:
         raise SingleClass("training requires >= 2 rows with both classes present")
-    if feature_catalog is None:
-        feature_catalog = []
-    if feature_catalog and len(feature_catalog) != X.shape[1]:
+    if len(feature_catalog) != X.shape[1]:
         raise CatalogMismatch("catalog length must match feature count")
 
     n = len(X)
@@ -306,7 +299,7 @@ def _typed_tree(tree, n_features: int, path, name) -> list:
         node = {"default": "left", **schema.fields(d, _SPLIT_FIELDS, path, CorruptFile, where, ("feature", "left", "right", "threshold"))}
         if not (i < node["left"] < len(nodes) and i < node["right"] < len(nodes)):
             raise CorruptFile(f"{path}: {where}: child index out of order or range")
-        if node["feature"] < 0 or (n_features and node["feature"] >= n_features):
+        if not 0 <= node["feature"] < n_features:
             raise CorruptFile(f"{path}: {where}: feature {node['feature']} outside the {n_features}-feature catalog")
         if node["default"] not in ("left", "right"):
             raise CorruptFile(f"{path}: {where}: default direction {node['default']!r} is neither left nor right")
@@ -330,8 +323,8 @@ def save(model: GbdtModel, path):
 
 def load(path) -> GbdtModel:
     """The model file at ``path``, read by :mod:`pulseox.schema` with its
-    faults as ``CorruptFile``; every catalog entry must be a spec id of
-    :func:`build_catalog`, and a schema version other than
+    faults as ``CorruptFile``; the catalog must be nonempty and every entry a
+    spec id of :func:`build_catalog`, and a schema version other than
     ``MODEL_SCHEMA_VERSION`` is a ``SchemaVersionMismatch``."""
     doc = schema.load(path, CorruptFile)
     version = schema.typed(doc.get("version"), MODEL_SCHEMA_VERSION, f"{path}: version", CorruptFile)
@@ -344,6 +337,8 @@ def load(path) -> GbdtModel:
     for i, spec_id in enumerate(doc["catalog"]):
         if schema.typed(spec_id, "", f"{path}: catalog[{i}]", CorruptFile) not in known:
             raise CorruptFile(f"{path}: feature {spec_id!r} is not in the {len(known)}-feature catalog")
+    if not doc["catalog"]:
+        raise CorruptFile(f"{path}: catalog must be nonempty")
     catalog = [known[s] for s in doc["catalog"]]
     trees = [_typed_tree(t, len(catalog), path, f"trees[{k}]") for k, t in enumerate(doc["trees"])]
     return GbdtModel(trees, doc["base_logit"], params, catalog, doc.get("training_meta", {}))

@@ -124,3 +124,14 @@ def aggregate(values):
     if not present:
         return None, skipped
     return float(np.mean(present)), skipped
+
+
+def fold_means(reports) -> dict:
+    """The mean of each figure of ``reports`` over the folds that trained (a
+    skipped fold holds placeholders) where it is present, and in
+    ``precision_undefined`` the trained folds without a precision."""
+    ok = [r for r in reports if "skipped" not in r.extras]
+    keys = ("precision", "rmse_baseline", "rmse_enhanced", "rmse_pruned", "max_silent_interval_s")
+    means = {k: aggregate([getattr(r, k) for r in ok])[0] for k in keys}
+    means["precision_undefined"] = aggregate([r.precision for r in ok])[1]
+    return means

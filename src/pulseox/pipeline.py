@@ -201,8 +201,7 @@ def _split_columns(model: gbdt.GbdtModel) -> set:
 def _emit_fits(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
     """Start the feature extraction that ``_emit`` reads: the split columns
     of the gate-passing windows, their AR fits started now."""
-    catalog, columns = model.feature_catalog, _split_columns(model)
-    return feats.start_ar_fits(series, starts[gate_pass], settings.window_len, catalog, columns)
+    return feats.Extraction(series, starts[gate_pass], settings.window_len, model.feature_catalog, _split_columns(model))
 
 
 def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings, ar=None):
@@ -234,7 +233,7 @@ def prune(series, model, settings: PipelineSettings):
     return spo2.estimates_from_stats(stats, settings.calibration, "pruned", emit=emit)
 
 
-def evaluate_subject(subject: SubjectData, analysis: StreamAnalysis, model, settings: PipelineSettings, group="", ar=None):
+def evaluate_subject(subject: SubjectData, analysis: StreamAnalysis, model, settings: PipelineSettings, ar=None):
     """The report of ``model`` on one subject; ``ar`` as for ``_emit``."""
     emit = _emit(subject.wrist, analysis.starts, analysis.gate_pass, model, settings, ar=ar)
 
@@ -250,7 +249,7 @@ def evaluate_subject(subject: SubjectData, analysis: StreamAnalysis, model, sett
     report = metrics.EvalReport(
         subject_id=subject.subject_id,
         site=subject.site,
-        group=group or subject.skin_tone,
+        group=subject.skin_tone,
         tp=tp,
         fp=fp,
         tn=tn,
@@ -329,13 +328,14 @@ def calibrate_user(base_X, base_y, user: SubjectData, minutes: float, settings: 
 
 def _swept(settings: PipelineSettings, axis: str, v):
     """``settings`` with the swept knob at ``v``; a value outside the knob's
-    range, or a window length that is not an integer, is a config error."""
+    range, or a window length that is not an integer of 64 bits, is a config
+    error."""
     with schema.checked(f"sweep {axis} value {v!r}: ", ConfigOutOfRange):
         if axis == "reliability_threshold":
             return replace(settings, label=replace(settings.label, reliability_threshold_pct=float(v)))
         if not float(v).is_integer():
             raise ValueError("window_len must be an integer")
-        return replace(settings, window_len=int(v))
+        return replace(settings, window_len=schema.typed(int(v), 0, "window_len", ValueError))
 
 
 def sweep(axis: str, values, subjects, settings: PipelineSettings):
@@ -343,7 +343,8 @@ def sweep(axis: str, values, subjects, settings: PipelineSettings):
 
     Every value is checked before the first run. Returns rows of ``(value,
     mean precision, mean pruned RMSE, mean max silent interval, mean
-    enhanced RMSE, total training rows)``.
+    enhanced RMSE, total training rows)``, the means over the folds that
+    trained (:func:`metrics.fold_means`).
     """
     if axis not in ("window_len", "reliability_threshold"):
         raise ValueError(f"unknown sweep axis {axis!r}")
@@ -353,19 +354,15 @@ def sweep(axis: str, values, subjects, settings: PipelineSettings):
     rows = []
     for v, s in zip(values, swept):
         reports = run_loocv(subjects, s)
-        prec, _ = metrics.aggregate([r.precision for r in reports])
-        rmse_p, _ = metrics.aggregate([r.rmse_pruned for r in reports])
-        rmse_e, _ = metrics.aggregate([r.rmse_enhanced for r in reports])
-        silent, _ = metrics.aggregate([r.max_silent_interval_s for r in reports])
-        n_rows = sum(r.extras.get("n_labeled", 0) for r in reports)
+        means = metrics.fold_means(reports)
         rows.append(
             {
                 "value": float(v),
-                "precision": prec,
-                "rmse_pruned": rmse_p,
-                "rmse_enhanced": rmse_e,
-                "max_silent_s": silent,
-                "n_labeled": n_rows,
+                "precision": means["precision"],
+                "rmse_pruned": means["rmse_pruned"],
+                "rmse_enhanced": means["rmse_enhanced"],
+                "max_silent_s": means["max_silent_interval_s"],
+                "n_labeled": sum(r.extras.get("n_labeled", 0) for r in reports),
             }
         )
     return rows

@@ -134,6 +134,9 @@ def matrix_stats(series: FrameSeries, starts, window_len: int, t_end, has_gap) -
     NaN): that DC is the mean of its raw ``FrameSeries.rows``.
     """
     n, w = len(starts), window_len
+    if n == 0:  # allocate nothing window-sized: a window may outrun any stream
+        empty = np.empty(0)
+        return WindowStats(np.asarray(t_end, dtype=np.int64), np.asarray(starts), *[empty] * 6, np.zeros(0, dtype=bool))
     k = np.arange(w, dtype=float)
     k0 = k - k.mean()
     view, slope, raw = {}, {}, {}
@@ -234,46 +237,35 @@ def baseline_spo2(series, calib: CalibrationCurve, window_len: int = 100, step: 
     return estimates_from_stats(stats, calib, "baseline")
 
 
-def enhanced_spo2(
-    series,
-    calib: CalibrationCurve,
-    cfg: EnhancedConfig = EnhancedConfig(),
-    window_len: int = 100,
-    step: int = 1,
-):
+def enhanced_spo2(series, calib: CalibrationCurve, window_len: int = 100, step: int = 1):
     """Correlation-gated ratio of ratios.
 
     Both channels are leveled by least-squares linear detrend; windows whose
-    detrended channels correlate below ``cfg.corr_threshold`` are flagged
-    ``corr_rejected`` and emit no value. Zero-variance windows have undefined
-    correlation and are likewise rejected: a flat trace carries no pulse.
+    detrended channels correlate below ``EnhancedConfig().corr_threshold``
+    are flagged ``corr_rejected`` and emit no value. Zero-variance windows
+    have undefined correlation and are likewise rejected: a flat trace
+    carries no pulse.
     """
     stats = window_stats(series, window_len, step)
-    return estimates_from_stats(stats, calib, "enhanced", reject=~corr_pass(stats, cfg))
+    return estimates_from_stats(stats, calib, "enhanced", reject=~corr_pass(stats, EnhancedConfig()))
 
 
-def recalibrate(paired, fit_fraction: float = 0.5):
-    """Estimate a constant device bias from the leading part of a session.
+def recalibrate(paired):
+    """Estimate a constant device bias from the first half of a session.
 
-    ``paired`` is a sequence of ``(reference_pct, device_pct)``. The offset is
-    the mean of (reference - device) over the first ``fit_fraction`` of pairs.
-    Returns ``(offset, residual_mad)`` where ``residual_mad`` is the mean
-    absolute difference between reference and bias-corrected device readings
-    over the held-out remainder (NaN when nothing is held out).
+    ``paired`` is a sequence of at least 10 ``(reference_pct, device_pct)``.
+    The offset is the mean of (reference - device) over the first half of
+    the pairs, ``round(n / 2)`` of them. Returns ``(offset, residual_mad)``
+    where ``residual_mad`` is the mean absolute difference between reference
+    and bias-corrected device readings over the held-out second half.
     """
     pairs = np.asarray(paired, dtype=float)
     if len(pairs) < 10:
         raise TooFewPairs(f"need >= 10 pairs, got {len(pairs)}")
-    if not 0 < fit_fraction <= 1:
-        raise ValueError("fit_fraction must lie in (0, 1]")
-    n_fit = max(1, int(round(fit_fraction * len(pairs))))
+    n_fit = round(len(pairs) / 2)
     ref, dev = pairs[:, 0], pairs[:, 1]
     offset = float(np.mean(ref[:n_fit] - dev[:n_fit]))
-    if n_fit < len(pairs):
-        residual = float(np.mean(np.abs(ref[n_fit:] - (dev[n_fit:] + offset))))
-    else:
-        residual = float("nan")
-    return offset, residual
+    return offset, float(np.mean(np.abs(ref[n_fit:] - (dev[n_fit:] + offset))))
 
 
 def apply_offset(calib: CalibrationCurve, offset: float) -> CalibrationCurve:

@@ -29,6 +29,8 @@ ARTIFACT_KINDS = ("motion", "ambient_spike", "contact_loss")
 # systolic / dicrotic Gaussian bumps on cardiac phase in [0, 1)
 _SYSTOLIC_CENTER, _SYSTOLIC_WIDTH = 0.30, 0.06
 _DICROTIC_CENTER, _DICROTIC_WIDTH, _DICROTIC_GAIN = 0.62, 0.10, 0.45
+# channel DC levels before skin-tone attenuation; a cohort stream's artifact-free lead-in
+_DC_RED, _DC_IR, _ARTIFACT_LEAD_IN_S = 50000.0, 60000.0, 10.0
 
 #: The most samples a trace may hold, ``duration_s * rate_hz``: 24 hours at 25 Hz.
 MAX_SAMPLES = 2_160_000
@@ -57,13 +59,10 @@ class SynthConfig:
     rate_hz: float = 25.0
     heart_rate_bpm: float = 75.0
     target_spo2_pct: object = 97.0        # scalar or [(start_s, pct), ...]
-    dc_red: float = 50000.0
-    dc_ir: float = 60000.0
     perfusion_index: float = 0.02
     noise_sigma: float = 0.0              # Gaussian noise, fraction of channel DC
     artifacts: tuple = ()
     skin_tone_attenuation: float = 1.0
-    timestamp_jitter_ms: float = 0.0      # jitters emitted timestamps only
     seed: int = 0
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class SynthConfig:
             )
         if not self.duration_s <= MAX_DURATION_S:
             raise ConfigOutOfRange(f"duration_s must be at most {MAX_DURATION_S:g} s (24 h), got {self.duration_s!r}")
-        if self.dc_red <= 0 or self.dc_ir <= 0:
-            raise ConfigOutOfRange("dc levels must be positive")
         if not 0 < self.skin_tone_attenuation <= 1:
             raise ConfigOutOfRange("skin_tone_attenuation must lie in (0, 1]")
         if self.perfusion_index < 0 or self.noise_sigma < 0:
@@ -131,12 +128,8 @@ def pulse_waveform(phase: np.ndarray) -> np.ndarray:
 
 
 def gen_ppg(cfg: SynthConfig, calib: CalibrationCurve = CalibrationCurve()):
-    """Generate one trace. Returns ``(frames, truth)``.
-
-    Values are computed on the ideal sample grid; ``timestamp_jitter_ms`` only
-    perturbs the emitted timestamps, so the jittered trace and its clean twin
-    agree sample-for-sample after regularization.
-    """
+    """Generate one trace on the ideal sample grid, its timestamps rounded to
+    the millisecond. Returns ``(frames, truth)``."""
     rng = np.random.default_rng(cfg.seed)
     n = int(round(cfg.duration_s * cfg.rate_hz))
     t_s = np.arange(n) / cfg.rate_hz
@@ -147,23 +140,18 @@ def gen_ppg(cfg: SynthConfig, calib: CalibrationCurve = CalibrationCurve()):
     s = pulse_waveform(phase)
 
     att = cfg.skin_tone_attenuation
-    a_ir = cfg.perfusion_index * cfg.dc_ir
-    a_red = implied_r * cfg.perfusion_index * cfg.dc_red
-    ir = att * (cfg.dc_ir + a_ir * s)
-    red = att * (cfg.dc_red + a_red * s)
+    a_ir = cfg.perfusion_index * _DC_IR
+    a_red = implied_r * cfg.perfusion_index * _DC_RED
+    ir = att * (_DC_IR + a_ir * s)
+    red = att * (_DC_RED + a_red * s)
     if cfg.noise_sigma > 0:
-        red = red + rng.normal(0.0, cfg.noise_sigma * cfg.dc_red * att, n)
-        ir = ir + rng.normal(0.0, cfg.noise_sigma * cfg.dc_ir * att, n)
+        red = red + rng.normal(0.0, cfg.noise_sigma * _DC_RED * att, n)
+        ir = ir + rng.normal(0.0, cfg.noise_sigma * _DC_IR * att, n)
 
     accel = 1.0 + np.abs(rng.normal(0.0, 0.02, n))
     gyro = 0.10 + np.abs(rng.normal(0.0, 0.01, n))
 
-    t_ms = np.rint(t_s * 1000.0).astype(np.int64)
-    if cfg.timestamp_jitter_ms > 0:
-        jitter = rng.uniform(-cfg.timestamp_jitter_ms, cfg.timestamp_jitter_ms, n)
-        t_ms = np.rint(t_s * 1000.0 + jitter).astype(np.int64)
-
-    frames = FrameSeries(t_ms, red, ir, accel, gyro)
+    frames = FrameSeries(np.rint(t_s * 1000.0).astype(np.int64), red, ir, accel, gyro)
     truth = SynthTruth(true_spo2, np.zeros(n, dtype=bool), implied_r)
     if cfg.artifacts:
         frames, truth = inject_artifacts(frames, truth, cfg.artifacts, rng=rng)
@@ -235,7 +223,7 @@ def _random_schedule(rng, duration_s):
     return sched
 
 
-def _random_artifacts(rng, duration_s, coverage, lead_in_s=10.0):
+def _random_artifacts(rng, duration_s, coverage):
     """Alternating clean/artifact segments targeting a coverage fraction.
 
     Artifact runs are bounded (4-12 s) and clean gaps stay >= 6 s so a clean
@@ -243,7 +231,7 @@ def _random_artifacts(rng, duration_s, coverage, lead_in_s=10.0):
     behavior, not by generator pathology.
     """
     segs = []
-    t = lead_in_s
+    t = _ARTIFACT_LEAD_IN_S
     while t < duration_s - 5.0:
         dur = float(rng.uniform(4.0, 12.0))
         dur = min(dur, duration_s - t - 1.0)

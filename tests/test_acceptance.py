@@ -123,10 +123,10 @@ def test_criterion_04_gbdt_correctness(announce):
     # (c) training log-loss nonincreasing at subsample=1 over all 100 rounds
     Xc = np.vstack([rng.normal(0, 1, (200, 3)), rng.normal(1, 1, (200, 3))])
     yc = np.repeat([0, 1], 200)
-    model = gbdt.train(Xc, yc, GbdtParams(n_estimators=100, subsample=1.0, seed=1))
+    model = gbdt.train(Xc, yc, GbdtParams(n_estimators=100, subsample=1.0, seed=1), build_catalog()[:3])
     hist = []
     for k in range(len(model.trees) + 1):  # the base score, then each tree in training order
-        prefix = GbdtModel(model.trees[:k], model.base_logit, model.params, [])
+        prefix = GbdtModel(model.trees[:k], model.base_logit, model.params, model.feature_catalog)
         p = np.clip(gbdt.sigmoid(prefix.predict_logit_batch(Xc)), 1e-15, 1 - 1e-15)
         hist.append(float(-np.mean(yc * np.log(p) + (1 - yc) * np.log(1 - p))))
     ok_c = len(hist) == 101 and all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
@@ -137,6 +137,8 @@ def test_criterion_04_gbdt_correctness(announce):
         np.array([0.5, 0.5, -0.5, -0.5]),
         np.full(4, 0.25),
         GbdtParams(min_child_weight=0.0),
+        np.arange(4),
+        np.array([[0, 1, 2, 3]]),  # the rows in ascending feature order
     )
     ok_d = f == 0 and thr == pytest.approx(2.5)
 
@@ -145,7 +147,7 @@ def test_criterion_04_gbdt_correctness(announce):
     ye = (Xe.sum(axis=1) > 0).astype(int)
     Xe[ye == 1] += 0.25
     Xe[ye == 0] -= 0.25
-    m = gbdt.train(Xe, ye, GbdtParams(seed=2))
+    m = gbdt.train(Xe, ye, GbdtParams(seed=2), build_catalog()[:2])
     acc = float(np.mean((m.predict_proba_batch(Xe) >= 0.5) == (ye == 1)))
     ok_e = acc >= 0.99
 

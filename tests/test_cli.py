@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pulseox
+from test_features import extract_columns
 from pulseox import cli, features, gbdt, pipeline, signal_io, synth
 from pulseox.features import FeatureSpec
 from pulseox.gbdt import GbdtModel, GbdtParams
@@ -64,6 +65,26 @@ class TestSimulate:
                      "wrist_s01.csv", "cohort.json", "manifest.json"):
             assert (out / name).exists()
 
+    def test_seed_flag_seeds_a_config_without_seed(self, tmp_path, capsys):
+        named, bare = tmp_path / "named.json", tmp_path / "bare.json"
+        named.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0, "seed": 3}))
+        bare.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0}))
+        assert cli.main(["simulate", str(named), str(tmp_path / "a")]) == 0
+        assert cli.main(["simulate", str(bare), str(tmp_path / "b"), "--seed", "3"]) == 0
+        for name in ("cohort.json", "wrist_s00.csv", "finger_s01.csv", "truth_s01.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--seed", "5", "train", "c.json", "out"], ["train", "c.json", "out", "--seed", "5"]],
+        ids=["before_the_command", "after_train"],
+    )
+    def test_seed_is_a_flag_of_simulate_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        assert "pulseox: error:" in capsys.readouterr().err
+
     def test_missing_config(self, tmp_path, capsys):
         assert cli.main(["simulate", str(tmp_path / "nope.json"), str(tmp_path / "o")]) == 2
 
@@ -110,7 +131,7 @@ class TestSimulate:
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0}))
         out = tmp_path / "out"
-        assert cli.main(["--seed", "-1", "simulate", str(cfg), str(out)]) == 2
+        assert cli.main(["simulate", str(cfg), str(out), "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("config error: --seed must be nonnegative, got -1")
         assert not out.exists()
 
@@ -191,7 +212,9 @@ class TestSpo2:
         assert len(written[0].splitlines()) > 1
 
     @pytest.mark.parametrize(
-        "flag, value", [("--step", "0"), ("--step", "-3"), ("--window", "5")], ids=["step_zero", "step_negative", "window_short"]
+        "flag, value",
+        [("--step", "0"), ("--step", "-3"), ("--window", "5"), ("--step", str(2**63))],
+        ids=["step_zero", "step_negative", "window_short", "step_past_64_bits"],
     )
     def test_out_of_range_window_or_step_exits_config(self, clean_stream, tmp_path, capsys, flag, value):
         out = tmp_path / "est.csv"
@@ -480,7 +503,7 @@ class TestTrainEvaluatePruneSweep:
         assert json.loads(model_path.read_text())["catalog"] == []
         out = tmp_path / "pruned.csv"
         assert cli.main(["prune", str(clean_stream), str(model_path), str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: catalog must be nonempty")
+        assert capsys.readouterr().err.startswith(f"error: {model_path}: catalog must be nonempty")
         assert not out.exists()
 
     def test_prune_empty_catalog_model_exits_io_when_no_window_passes_the_gate(self, tmp_path, capsys):
@@ -495,7 +518,7 @@ class TestTrainEvaluatePruneSweep:
         gbdt.save(GbdtModel([stump(feature=3)], 0.0, GbdtParams(), []), model_path)
         capsys.readouterr()
         assert cli.main(["prune", str(stream), str(model_path), str(tmp_path / "pruned.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: catalog must be nonempty")
+        assert capsys.readouterr().err.startswith(f"error: {model_path}: catalog must be nonempty")
 
     @pytest.mark.parametrize(
         "obj, key",
@@ -549,6 +572,18 @@ class TestTrainEvaluatePruneSweep:
             assert cli.main(["train", str(config), str(tmp_path / "train")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {config}: {message}")
         assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("window_len", [2**62, 2**63 - 1])
+    @pytest.mark.parametrize("command, message", [("train", "error: both classes must be nonempty"), ("evaluate", "all folds failed")])
+    def test_window_longer_than_every_stream_exits_io(self, cohort_small_dir, tmp_path, capsys, window_len, command, message):
+        """A window that no stream holds leaves no row to train on, and the run
+        fails as on any cohort without rows, allocating nothing window-sized."""
+        cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
+        cfg["window"] = {"window_len": window_len}
+        config = cohort_small_dir / f"window_len_{window_len}.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main([command, str(config), str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(message)
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize(
@@ -712,8 +747,9 @@ class TestTrainEvaluatePruneSweep:
             ("window_len", "50.5", "sweep window_len value 50.5: window_len must be an integer"),
             ("reliability_threshold", "0", "sweep reliability_threshold value 0.0: reliability threshold must be positive"),
             ("reliability_threshold", "nan", "sweep reliability_threshold value nan: reliability threshold must be positive"),
+            ("window_len", "1e30", "sweep window_len value 1e+30: window_len must fit in 64 bits"),
         ],
-        ids=["not_a_number", "window_short", "window_not_integer", "threshold_zero", "threshold_nan"],
+        ids=["not_a_number", "window_short", "window_not_integer", "threshold_zero", "threshold_nan", "window_past_64_bits"],
     )
     def test_bad_sweep_value_exits_config(self, cohort_small_dir, tmp_path, capsys, axis, value, message):
         """Every value is checked before the first leave-one-out run."""
@@ -723,6 +759,24 @@ class TestTrainEvaluatePruneSweep:
             assert cli.main(["sweep", axis, config, str(out), "100", value]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
+
+    def test_sweep_averages_only_the_folds_that_trained(self, tmp_path, capsys):
+        """A skipped fold's report holds placeholders, so ``sweep`` averages
+        the folds that trained, as ``evaluate`` does: here s00's fold, whose
+        training set is the 49 samples left of s01's stream, is skipped."""
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0}))
+        cohort = tmp_path / "cohort"
+        assert cli.main(["simulate", str(sim), str(cohort)]) == 0
+        wrist = cohort / "wrist_s01.csv"
+        wrist.write_text("".join(wrist.read_text().splitlines(keepends=True)[:50]))
+        config = str(cohort / "cohort.json")
+        assert cli.main(["evaluate", config, str(tmp_path / "eval")]) == 0
+        assert "skipped" in json.loads((tmp_path / "eval" / "report_s00.json").read_text())["extras"]
+        silent = float(read_rows(tmp_path / "eval" / "reports.csv")[2][7])  # s01's max_silent_s
+        assert silent > 0
+        assert cli.main(["sweep", "reliability_threshold", config, str(tmp_path / "sweep"), "2.0"]) == 0
+        assert float(read_rows(tmp_path / "sweep" / "sweep.csv")[1][4]) == silent
 
     def test_library_value_error_is_not_a_config_error(self, cohort_small_dir, tmp_path, capsys):
         """Only typed config errors exit 2; a ``ValueError`` from inside the
@@ -780,7 +834,7 @@ class TestCpuCount:
         catalog = features.build_catalog()
         ar = [j for j, spec in enumerate(catalog) if spec.name == "ar_coefficient"]
         starts, _, has_gap = frames.windows(100, 1)
-        X = features.extract_matrix(frames, starts[~has_gap], 100, catalog, ar)
+        X = extract_columns(frames, starts[~has_gap], 100, catalog, ar)
         split = {"default": "left", "left": 1, "right": 2}
         trees = [[dict(split, feature=j, threshold=float(np.median(X[:, j]))), {"leaf": 1.0}, {"leaf": -1.0}] for j in ar]
         model = tmp_path / "model.json"

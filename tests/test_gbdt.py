@@ -5,8 +5,18 @@ import pytest
 
 from pulseox import gbdt
 from pulseox.errors import CorruptFile, SchemaVersionMismatch, SingleClass
-from pulseox.features import FeatureSpec
+from pulseox.features import FeatureSpec, build_catalog
 from pulseox.gbdt import GbdtModel, GbdtParams
+
+
+def train(X, y, params):
+    """``gbdt.train`` with the first catalog specs naming the columns of ``X``."""
+    return gbdt.train(X, y, params, build_catalog()[: np.shape(X)[1]])
+
+
+def best_split(X, g, h, params):
+    """``gbdt.best_split`` over every row, with the presorted order ``train`` passes."""
+    return gbdt.best_split(X, g, h, params, np.arange(len(g)), gbdt._presort(X))
 
 
 def log_loss_scalar(z, y):
@@ -103,7 +113,7 @@ class TestBestSplit:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         g = np.array([0.5, 0.5, -0.5, -0.5])   # base logit 0, labels 0,0,1,1
         h = np.full(4, 0.25)
-        f, thr, gain = gbdt.best_split(X, g, h, params)
+        f, thr, gain = best_split(X, g, h, params)
         assert f == 0
         assert thr == pytest.approx(2.5)
         # brute force over the 3 candidate thresholds with the closed-form gain
@@ -124,7 +134,7 @@ class TestBestSplit:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         g = np.full(4, 0.5)
         h = np.full(4, 0.25)
-        assert gbdt.best_split(X, g, h, params) is None
+        assert best_split(X, g, h, params) is None
 
     def test_tie_break_lower_feature(self):
         params = GbdtParams(min_child_weight=0.0)
@@ -132,7 +142,7 @@ class TestBestSplit:
         X = np.column_stack([col, col])
         g = np.array([0.5, 0.5, -0.5, -0.5])
         h = np.full(4, 0.25)
-        f, _, _ = gbdt.best_split(X, g, h, params)
+        f, _, _ = best_split(X, g, h, params)
         assert f == 0
 
     def test_monotone_transform_invariance(self):
@@ -142,10 +152,10 @@ class TestBestSplit:
             X = rng.uniform(0.1, 4.0, (40, 3))
             g = rng.normal(0, 1, 40)
             h = rng.uniform(0.1, 1.0, 40)
-            r1 = gbdt.best_split(X, g, h, params)
+            r1 = best_split(X, g, h, params)
             X2 = X.copy()
             X2[:, 1] = np.exp(X2[:, 1])
-            r2 = gbdt.best_split(X2, g, h, params)
+            r2 = best_split(X2, g, h, params)
             assert (r1 is None) == (r2 is None)
             if r1 is None:
                 continue
@@ -159,13 +169,13 @@ class TestBestSplit:
 class TestTrain:
     def test_separable_accuracy(self):
         X, y = separable_set()
-        model = gbdt.train(X, y, GbdtParams(seed=1))
+        model = train(X, y, GbdtParams(seed=1))
         acc = np.mean((model.predict_proba_batch(X) >= 0.5) == (y == 1))
         assert acc >= 0.99
 
     def test_loss_nonincreasing_full_sample(self):
         X, y = blobs()
-        model = gbdt.train(X, y, GbdtParams(n_estimators=30, subsample=1.0, seed=2))
+        model = train(X, y, GbdtParams(n_estimators=30, subsample=1.0, seed=2))
         hist = loss_history(model, X, y)
         assert len(hist) == 31
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
@@ -173,17 +183,17 @@ class TestTrain:
     def test_same_seed_identical_files(self, tmp_path):
         X, y = blobs(seed=4)
         params = GbdtParams(n_estimators=10, seed=7)
-        gbdt.save(gbdt.train(X, y, params), tmp_path / "a.json")
-        gbdt.save(gbdt.train(X, y, params), tmp_path / "b.json")
+        gbdt.save(train(X, y, params), tmp_path / "a.json")
+        gbdt.save(train(X, y, params), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
-            gbdt.train(np.ones((5, 2)), np.ones(5), GbdtParams())
+            train(np.ones((5, 2)), np.ones(5), GbdtParams())
 
     def test_depth_bound(self):
         X, y = blobs(seed=5)
-        model = gbdt.train(X, y, GbdtParams(n_estimators=10, max_depth=3, seed=0))
+        model = train(X, y, GbdtParams(n_estimators=10, max_depth=3, seed=0))
 
         def depth(nodes, i=0):
             d = nodes[i]
@@ -196,7 +206,7 @@ class TestTrain:
         # leaf hessian sums can be audited by walking the tree with all rows
         X, y = blobs(seed=6)
         params = GbdtParams(n_estimators=1, subsample=1.0, min_child_weight=3.0, seed=0)
-        model = gbdt.train(X, y, params)
+        model = train(X, y, params)
         p = 1.0 / (1.0 + math.exp(-model.base_logit))
         h = np.full(len(X), p * (1 - p))
 
@@ -216,7 +226,7 @@ class TestTrain:
 
 class TestPredict:
     def test_zero_trees_balanced_prior(self):
-        model = GbdtModel(trees=[], base_logit=0.0, params=GbdtParams(), feature_catalog=[])
+        model = GbdtModel(trees=[], base_logit=0.0, params=GbdtParams(), feature_catalog=build_catalog()[:2])
         assert model.predict_proba_batch([[1.0, 2.0]])[0] == 0.5
 
     def test_hand_built_tree(self):
@@ -225,7 +235,7 @@ class TestPredict:
             {"leaf": 0.3},
             {"leaf": -0.2},
         ]
-        model = GbdtModel(trees=[tree], base_logit=0.1, params=GbdtParams(), feature_catalog=[])
+        model = GbdtModel(trees=[tree], base_logit=0.1, params=GbdtParams(), feature_catalog=build_catalog()[:1])
         p = model.predict_proba_batch([[0.0], [1.0]])
         assert p[0] == pytest.approx(1 / (1 + math.exp(-0.4)))
         assert p[1] == pytest.approx(1 / (1 + math.exp(0.1)))
@@ -237,7 +247,7 @@ class TestPredict:
             {"leaf": 0.3},
             {"leaf": -0.2},
         ]
-        model = GbdtModel(trees=[tree], base_logit=0.0, params=GbdtParams(), feature_catalog=[])
+        model = GbdtModel(trees=[tree], base_logit=0.0, params=GbdtParams(), feature_catalog=build_catalog()[:1])
         gbdt.save(model, tmp_path / "m.json")
         for m in (model, gbdt.load(tmp_path / "m.json")):
             z = m.predict_logit_batch(np.array([[np.nan], [0.0], [1.0], [0.5]]))
@@ -245,7 +255,7 @@ class TestPredict:
 
     def test_proba_in_unit_interval(self):
         X, y = blobs(seed=8)
-        model = gbdt.train(X, y, GbdtParams(n_estimators=10, seed=0))
+        model = train(X, y, GbdtParams(n_estimators=10, seed=0))
         rng = np.random.default_rng(9)
         p = model.predict_proba_batch(rng.normal(0, 5, (10_000, 3)))
         assert np.all((p >= 0) & (p <= 1))

@@ -123,6 +123,19 @@ class TestAggregate:
     def test_all_absent(self):
         assert metrics.aggregate([None, None]) == (None, 2)
 
+    def test_fold_means_leave_out_skipped_folds(self):
+        trained = [
+            metrics.EvalReport(precision=0.5, rmse_pruned=1.0, max_silent_interval_s=2.0),
+            metrics.EvalReport(precision=None, rmse_pruned=3.0, max_silent_interval_s=4.0),
+        ]
+        skipped = metrics.EvalReport()  # placeholders, silent 0.0
+        skipped.extras["skipped"] = "single-class training set"
+        means = metrics.fold_means([skipped, *trained])
+        assert means == {
+            "precision": 0.5, "rmse_baseline": None, "rmse_enhanced": None, "rmse_pruned": 2.0,
+            "max_silent_interval_s": 3.0, "precision_undefined": 1,
+        }
+
 
 class TestReportCsv:
     def test_roundtrip_row_shape(self, tmp_path):

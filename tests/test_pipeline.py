@@ -259,8 +259,10 @@ def run_group_experiment(split: CohortSplit, subjects, settings: PipelineSetting
         raise EmptyGroup("both sides of the split must be nonempty")
     X, y = pipeline.build_training_set(train, settings)
     model, _ = pipeline.train_model(X, y, settings)
-    group = f"{split.train_site}->{split.test_site}"
-    return [pipeline.evaluate_subject(s, pipeline.analyze_subject(s, settings), model, settings, group=group) for s in test]
+    reports = [pipeline.evaluate_subject(s, pipeline.analyze_subject(s, settings), model, settings) for s in test]
+    for r in reports:
+        r.group = f"{split.train_site}->{split.test_site}"
+    return reports
 
 
 class TestGroupExperiment:

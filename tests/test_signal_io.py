@@ -292,11 +292,12 @@ class TestRegularize:
         assert np.isnan(r.red[2])
 
     def test_jittered_equals_clean_twin(self):
-        cfg = synth.SynthConfig(duration_s=60, seed=5)
-        clean, _ = synth.gen_ppg(cfg)
+        clean, _ = synth.gen_ppg(synth.SynthConfig(duration_s=60, seed=5))
         from dataclasses import replace
 
-        jittered, _ = synth.gen_ppg(replace(cfg, timestamp_jitter_ms=5.0))
+        # the same samples, each timestamp moved by up to 5 ms
+        jitter = np.random.default_rng(5).uniform(-5.0, 5.0, len(clean))
+        jittered = replace(clean, t_ms=np.rint(clean.t_ms + jitter).astype(np.int64))
         r = signal_io.regularize(jittered, self.meta)
         assert len(r) == len(clean)
         assert not r.gap.any()
