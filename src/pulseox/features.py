@@ -12,10 +12,7 @@ discovery rate across the catalog.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -146,103 +143,34 @@ def _hann(n):
     return h * (1 / np.sqrt(sum(h**2)))
 
 
-# Worker count of the AR fit: every CPU this process may run on (so
-# ``taskset`` limits it), the calling thread included.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@functools.cache
-def _pool():
-    """The other ``_WORKERS - 1`` threads, started by the first AR fit."""
-    return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="pulseox-ar")
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-class Extraction:
-    """The feature rows of the windows of ``window_len`` samples of
-    ``series`` at ``starts``, for the ``columns`` (indices) of ``catalog``,
-    one block of ``BLOCK_WINDOWS`` windows at a time, used as a ``with``
-    block; its AR columns are fitted ahead of use on every CPU.
-
-    The constructor starts the AR fits: it cuts each AR column into chunks
-    of ``BLOCK_WINDOWS // 2`` windows and submits each to the pool as a task
-    that gathers its own windows when it starts, so no window matrix waits
-    in the queue, and fits them into its slice of the column
-    (``np.linalg.svd`` releases the GIL).
-    :meth:`blocks` computes the other columns on the calling thread and
-    reads the AR rows of each block once they are fitted: the caller fits
-    every chunk that no pool thread has started (``Future.cancel``
-    succeeds) and waits for the others. A one-CPU process has no pool, and
-    the reader fits every chunk. Leaving the ``with`` block cancels every
-    chunk that has not started, so an error leaves none queued.
-
-    Each window's fit reads only that window, so no output bit depends on
-    the chunks, on who fits them or on the number of CPUs. Pool threads run
-    only private functions of the package and numpy, never a public one: a
-    tracer that wraps those keeps one span stack, for the calling thread.
+def feature_blocks(series, starts, window_len, catalog, columns, needs_ar=None):
+    """Yield ``(b, X, fit)`` for each slice ``b`` of ``BLOCK_WINDOWS`` of the
+    windows of ``window_len`` samples of ``series`` at ``starts``: ``X``
+    holds their feature rows, columns in ``catalog`` order, NaN outside
+    ``columns``. The non-AR columns come first, one kernel per channel; then
+    ``needs_ar(b, X)`` picks the rows ``fit`` (a boolean mask; every row when
+    ``needs_ar`` is None) whose windows are gathered and AR-fitted, on the
+    calling thread, and the others keep NaN in the AR columns. Each window's
+    features read only that window, so no bit depends on the blocks or on
+    which rows are fitted.
     """
-
-    def __init__(self, series, starts, window_len, catalog, columns):
-        self.series, self.starts, self.window_len, self.catalog = series, starts, window_len, catalog
-        self.size = max(1, signal_io.BLOCK_WINDOWS // 2)
-        self.by_channel = {}  # channel -> its (column, spec) pairs of the non-AR families
-        self.out = {}  # AR column -> its values
-        self._tasks = {}  # (AR column, first row of a chunk) -> (arguments, future or None)
-        pool = _pool() if _WORKERS > 1 else None
-        for j in sorted(columns):
-            spec = catalog[j]
-            if spec.name != "ar_coefficient":
-                self.by_channel.setdefault(spec.channel, []).append((j, spec))
-                continue
-            out = self.out[j] = np.zeros(len(starts))
-            coeff, k = int(spec.param_dict["coeff"]), int(spec.param_dict["k"])
-            for i in range(0, len(starts), self.size):
-                c = slice(i, i + self.size)
-                args = (series.channel(spec.channel), starts[c], window_len, coeff, k, out[c])
-                self._tasks[j, i] = (args, pool and pool.submit(_ar_task, *args))
-
-    def _read(self, column, b):
-        """Rows ``b`` of AR ``column``, fitted."""
-        keys = [(column, i) for i in range(b.start - b.start % self.size, b.stop, self.size)]
-        keys = [key for key in keys if key in self._tasks]
-        for key in keys:
-            args, future = self._tasks[key]
-            if future is None or future.cancel():
-                del self._tasks[key]
-                _ar_task(*args)
-        for key in keys:
-            if key in self._tasks:
-                self._tasks.pop(key)[1].result()
-        return self.out[column][b]
-
-    def blocks(self):
-        """Yield ``(b, X)`` for each slice ``b`` of ``BLOCK_WINDOWS`` windows:
-        ``X`` holds their rows of the feature matrix, columns in catalog
-        order, with NaN in the columns not requested."""
-        for b in signal_io.blocks(len(self.starts)):
-            starts = self.starts[b]
-            X = np.full((len(starts), len(self.catalog)), np.nan)
-            for channel, specs in self.by_channel.items():
-                _channel_features(self.series.rows(channel, starts, self.window_len), specs, X)
-            for j in self.out:
-                X[:, j] = self._read(j, b)
-            yield b, X
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        for _, future in self._tasks.values():
-            if future is not None:
-                future.cancel()
-
-
-def _ar_task(x, starts, window_len, j, k, out):
-    """One chunk of an ``Extraction`` AR column: gather its windows, then fit them."""
-    _ar_fit(signal_io._windows_at(x, starts, window_len), j, k, out)
+    by_channel, ar = {}, []  # channel -> its (column, spec) pairs of the non-AR families
+    for j in sorted(columns):
+        spec = catalog[j]
+        if spec.name == "ar_coefficient":
+            ar.append((j, spec))
+        else:
+            by_channel.setdefault(spec.channel, []).append((j, spec))
+    for b in signal_io.blocks(len(starts)):
+        X = np.full((len(starts[b]), len(catalog)), np.nan)
+        for channel, specs in by_channel.items():
+            _channel_features(series.rows(channel, starts[b], window_len), specs, X)
+        fit = np.ones(len(X), dtype=bool) if needs_ar is None else needs_ar(b, X)
+        for j, spec in ar:
+            out = np.zeros(int(fit.sum()))
+            _ar_fit(series.rows(spec.channel, starts[b][fit], window_len), int(spec.param_dict["coeff"]), int(spec.param_dict["k"]), out)
+            X[fit, j] = out
+        yield b, X, fit
 
 
 def _ar_fit(X, j, k, out):
@@ -257,24 +185,29 @@ def _ar_fit(X, j, k, out):
     Trained models split on AR features (16 of the 293 splits of the
     benchmark's model at its default seed), so their bytes and the recorded
     output digests of ``perfbench`` would change with it.
+
+    Rows are fitted 128 at a time, which bounds the design matrices and SVD
+    factors to about 2 MB at windows of 100 samples; each row's fit reads
+    only that row, so the batch changes no bit.
     """
     n, w = X.shape
     if j > k or w <= k:
         return
-    # design [1, x_{t-1}, ..., x_{t-k}] predicting x_t for t = k..w-1, built
-    # lag-major so every row write is contiguous; the SVD reads its transpose
-    At = np.empty((n, k + 1, w - k))
-    At[:, 0] = 1.0
-    for lag in range(1, k + 1):
-        At[:, lag] = X[:, k - lag : w - lag]
-    A = At.transpose(0, 2, 1)
-    y = X[:, k:]
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    tol = s[:, :1] * max(A.shape[1], A.shape[2]) * np.finfo(float).eps
-    full_rank = (s > tol).all(axis=1)
-    s_safe = np.where(s > tol, s, 1.0)
-    np.einsum("nk,nk,nik,ni->n", Vt[:, :, j], 1.0 / s_safe, U, y, out=out)
-    out[~full_rank] = 0.0
+    for r in range(0, n, 128):
+        rows = slice(r, r + 128)
+        # design [1, x_{t-1}, ..., x_{t-k}] predicting x_t for t = k..w-1, built
+        # lag-major so every row write is contiguous; the SVD reads its transpose
+        At = np.empty((len(X[rows]), k + 1, w - k))
+        At[:, 0] = 1.0
+        for lag in range(1, k + 1):
+            At[:, lag] = X[rows, k - lag : w - lag]
+        A = At.transpose(0, 2, 1)
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        tol = s[:, :1] * max(A.shape[1], A.shape[2]) * np.finfo(float).eps
+        full_rank = (s > tol).all(axis=1)
+        s_safe = np.where(s > tol, s, 1.0)
+        np.einsum("nk,nk,nik,ni->n", Vt[:, :, j], 1.0 / s_safe, U, X[rows, k:], out=out[rows])
+        out[rows][~full_rank] = 0.0
 
 
 def build_catalog() -> list:
@@ -306,15 +239,13 @@ def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catal
     in catalog order.
 
     ``starts`` holds the first sample of each window of ``window_len``
-    samples. The rows are the ``blocks()`` of an :class:`Extraction`:
-    windows are gathered from the stream one channel and one block of
-    ``BLOCK_WINDOWS`` at a time, every AR column through the pool, every
-    other one through one kernel per channel.
+    samples. The rows are the :func:`feature_blocks` of every column, AR
+    fitted for every window: windows are gathered from the stream one
+    channel and one block of ``BLOCK_WINDOWS`` at a time.
     """
     X = np.empty((len(starts), len(catalog)))
-    with Extraction(series, starts, window_len, catalog, range(len(catalog))) as fits:
-        for b, rows in fits.blocks():
-            X[b] = rows
+    for b, rows, _ in feature_blocks(series, starts, window_len, catalog, range(len(catalog))):
+        X[b] = rows
     return X
 
 

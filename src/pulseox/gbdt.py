@@ -78,8 +78,22 @@ class GbdtParams:
             raise ValueError(f"unsupported objective {self.objective!r}")
 
 
+#: The relative margin by which a bounded probability clears the decision
+#: threshold in :meth:`GbdtModel.decide`. With u = 2**-53 and numpy's ``exp``
+#: allowed 4 ulps (8u), and one rounding each for the add and the divide, a
+#: computed sigmoid that is not 0 is within 13u of the exact one (a quotient
+#: under the smallest normal is at least 1/DBL_MAX, where rounding costs 4u).
+#: Two sigmoids and the rounding of ``threshold * (1 +- margin)`` take under
+#: 32u; the margin is 64u. A sigmoid of 0 is exact (``exp`` overflowed), and a
+#: threshold under 1/DBL_MAX separates 0 from every other sigmoid.
+DECISION_MARGIN = 2.0**-47
+
+
 def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+    """The logistic function; ``exp`` overflows below a logit of about -709,
+    where the result takes its limit 0, so its warning is off."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
 def logistic_grad_hess(logit, label):
@@ -177,8 +191,12 @@ def _build_tree(X, g, h, row_idx, order, depth, params: GbdtParams, nodes) -> li
     return nodes
 
 
-def _predict_tree_batch(nodes: list, X) -> np.ndarray:
-    out = np.empty(len(X))
+def _predict_tree_batch(nodes: list, X, open_cols=frozenset()) -> np.ndarray:
+    """The least and the greatest leaf of the tree ``nodes`` that each row of
+    ``X`` reaches when every split on a column in ``open_cols`` sends it both
+    ways, as rows 0 and 1 of a (2, n) array; with no open column, the one
+    leaf each row reaches, as a (1, n) array."""
+    out = np.full((2, len(X)), [[np.inf], [-np.inf]]) if open_cols else np.empty((1, len(X)))
     stack = [(0, np.arange(len(X)))]
     while stack:
         i, idx = stack.pop()
@@ -186,11 +204,13 @@ def _predict_tree_batch(nodes: list, X) -> np.ndarray:
             continue
         node = nodes[i]
         if "leaf" in node:
-            out[idx] = node["leaf"]
+            leaf = node["leaf"]
+            out[:, idx] = (np.minimum(out[0, idx], leaf), np.maximum(out[1, idx], leaf)) if open_cols else leaf
             continue
-        go_left = _goes_left(X[idx, node["feature"]], node["threshold"], node["default"])
-        stack.append((node["left"], idx[go_left]))
-        stack.append((node["right"], idx[~go_left]))
+        left = _goes_left(X[idx, node["feature"]], node["threshold"], node["default"])
+        either = node["feature"] in open_cols
+        stack.append((node["left"], idx[left | either]))
+        stack.append((node["right"], idx[~left | either]))
     return out
 
 
@@ -202,19 +222,38 @@ class GbdtModel:
     feature_catalog: list                     # ordered FeatureSpec list
     training_meta: dict = field(default_factory=dict)
 
-    def predict_logit_batch(self, X) -> np.ndarray:
+    def logit_bounds(self, X, open_cols=frozenset()) -> np.ndarray:
+        """The least and the greatest logit of each row of ``X`` over every
+        value of the columns in ``open_cols``, NaN included, as rows 0 and 1
+        of a (2, n) array; with no open column, the logits, as (1, n). Each
+        bound adds the trees' least or greatest reachable leaves in the order
+        of the logit, and rounded addition is monotone, so it holds exactly.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.feature_catalog):
             raise CatalogMismatch(
                 f"expected {len(self.feature_catalog)} features, got {X.shape}"
             )
-        z = np.full(len(X), self.base_logit, dtype=float)
+        z = np.full((2 if open_cols else 1, len(X)), self.base_logit, dtype=float)
         for t in self.trees:
-            z += _predict_tree_batch(t, X)
+            z += _predict_tree_batch(t, X, open_cols)
         return z
+
+    def predict_logit_batch(self, X) -> np.ndarray:
+        return self.logit_bounds(X)[0]
 
     def predict_proba_batch(self, X) -> np.ndarray:
         return sigmoid(self.predict_logit_batch(X))
+
+    def decide(self, X, threshold: float, open_cols) -> tuple:
+        """``(positive, negative)``: the rows of ``X`` where
+        ``predict_proba_batch(...) >= threshold`` holds, and those where it
+        fails, whatever values the columns in ``open_cols`` take. The
+        sigmoid of a row's least logit must clear ``threshold * (1 +
+        DECISION_MARGIN)``, or that of its greatest stay under ``threshold *
+        (1 - DECISION_MARGIN)``, at any threshold in [0, 1]."""
+        p = sigmoid(self.logit_bounds(X, open_cols))
+        return p[0] >= threshold * (1 + DECISION_MARGIN), p[-1] < threshold * (1 - DECISION_MARGIN)
 
 
 def train(X, y, params: GbdtParams, feature_catalog, training_meta=None) -> GbdtModel:
@@ -263,7 +302,7 @@ def train(X, y, params: GbdtParams, feature_catalog, training_meta=None) -> Gbdt
                     f"give tree {len(trees)} a non-finite leaf weight: lower learning_rate or raise reg_lambda"
                 )
             trees.append(tree)
-            logits += _predict_tree_batch(tree, X)
+            logits += _predict_tree_batch(tree, X)[0]
 
     meta = dict(training_meta or {})
     meta.setdefault("n_rows", n)

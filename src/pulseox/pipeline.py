@@ -11,8 +11,6 @@ and inference prunes to windows the classifier trusts and the gate passes.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import pathlib
 from dataclasses import dataclass, replace
 
@@ -171,8 +169,11 @@ def train_model(X, y, settings: PipelineSettings, training_meta=None):
     """Feature selection (Mann-Whitney + BH) followed by GBDT training.
 
     If selection keeps nothing, the full catalog is used; a classifier with no
-    inputs is worse than one with unselected ones.
+    inputs is worse than one with unselected ones. No training row at all
+    (no labeled window of ``window_len`` samples) is a ``SingleClass``.
     """
+    if len(y) == 0:
+        raise SingleClass(f"no training row: no stream holds a labeled window of {settings.window_len} samples")
     catalog = feats.build_catalog()
     selection = feats.select_features(X, y, catalog, settings.fdr_q)
     kept = selection.kept if selection.kept else catalog
@@ -198,31 +199,30 @@ def _split_columns(model: gbdt.GbdtModel) -> set:
     return {d["feature"] for t in model.trees for d in t if "leaf" not in d}
 
 
-def _emit_fits(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
-    """Start the feature extraction that ``_emit`` reads: the split columns
-    of the gate-passing windows, their AR fits started now."""
-    return feats.Extraction(series, starts[gate_pass], settings.window_len, model.feature_catalog, _split_columns(model))
-
-
-def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings, ar=None):
+def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSettings):
     """Windows that emit a reading: those that pass the correlation gate and
     that the classifier trusts. A window that fails the gate never emits, so
-    only the gate-passing ``starts`` get features and a prediction, and
-    only the columns the trees split on are computed. The others stay NaN,
-    so a tree that read one would take its default branch. The feature rows
-    come from ``ar``, the ``_emit_fits`` of these arguments, started here
-    when not given; each block of them is predicted before the next is
-    computed, so no feature matrix of the whole stream is built, and rows
-    are independent in both."""
-    if ar is None:
-        ar = _emit_fits(series, starts, gate_pass, model, settings)
-    proba = np.empty(int(gate_pass.sum()))
-    with ar:
-        for b, X in ar.blocks():
-            proba[b] = model.predict_proba_batch(X)
-    emit = gate_pass.copy()
-    emit[gate_pass] = proba >= settings.decision_threshold
-    return emit
+    only the gate-passing ``starts`` get features, and only the columns the
+    trees split on are computed. The others stay NaN, so a tree that read
+    one would take its default branch. Each block's non-AR columns come
+    first; ``GbdtModel.decide`` settles every window that no AR value can
+    move across the threshold, and only the others get AR and a prediction,
+    so every window emits as the prediction from all its features says. No
+    feature matrix of the whole stream is built."""
+    q = settings.decision_threshold
+    ar = {j for j, spec in enumerate(model.feature_catalog) if spec.name == "ar_coefficient"}
+    emit = np.zeros(int(gate_pass.sum()), dtype=bool)
+
+    def undecided(b, X):
+        emit[b], negative = model.decide(X, q, ar)
+        return ~(emit[b] | negative)
+
+    blocks = feats.feature_blocks(series, starts[gate_pass], settings.window_len, model.feature_catalog, _split_columns(model), undecided)
+    for b, X, fit in blocks:
+        emit[b][fit] = model.predict_proba_batch(X[fit]) >= q
+    out = gate_pass.copy()
+    out[gate_pass] = emit
+    return out
 
 
 def prune(series, model, settings: PipelineSettings):
@@ -233,9 +233,9 @@ def prune(series, model, settings: PipelineSettings):
     return spo2.estimates_from_stats(stats, settings.calibration, "pruned", emit=emit)
 
 
-def evaluate_subject(subject: SubjectData, analysis: StreamAnalysis, model, settings: PipelineSettings, ar=None):
-    """The report of ``model`` on one subject; ``ar`` as for ``_emit``."""
-    emit = _emit(subject.wrist, analysis.starts, analysis.gate_pass, model, settings, ar=ar)
+def evaluate_subject(subject: SubjectData, analysis: StreamAnalysis, model, settings: PipelineSettings):
+    """The report of ``model`` on one subject."""
+    emit = _emit(subject.wrist, analysis.starts, analysis.gate_pass, model, settings)
 
     def pair_set(mask):
         mask = mask & ~np.isnan(analysis.value) & ~np.isnan(analysis.reference)
@@ -277,34 +277,26 @@ def _skipped_report(held: SubjectData, error):
 def run_loocv(subjects, settings: PipelineSettings):
     """Leave-one-subject-out: train on all others, evaluate on the hold-out.
 
-    Each subject is analyzed once, for its training rows and its report. As
-    soon as a fold's model exists, the pool starts fitting the AR columns
-    that its evaluation reads; the fold is evaluated after the next fold has
-    trained, so the fits overlap that training. A fold that cannot train
-    (single-class training set) gets a diagnostic report instead. Reports
-    come sorted by subject id, whatever the input order.
+    Each subject is analyzed once, for its training rows and its report.
+    Each fold trains, then evaluates its held-out subject. A fold that
+    cannot train (single-class training set) gets a diagnostic report
+    instead. Reports come sorted by subject id, whatever the input order.
     """
     subjects = sorted(subjects, key=lambda s: s.subject_id)
     if len(subjects) < 2:
         raise EmptyGroup("leave-one-out needs at least 2 subjects")
     analyses = [analyze_subject(s, settings) for s in subjects]
     rows = [subject_training_rows(s, a, settings) for s, a in zip(subjects, analyses)]
-    reports, last = [], None
-    with contextlib.ExitStack() as pending:  # an error cancels every fit not started
-        for i, (held, analysis) in enumerate(zip(subjects, analyses)):
-            X = np.vstack([r[0] for j, r in enumerate(rows) if j != i])
-            y = np.concatenate([r[1] for j, r in enumerate(rows) if j != i])
-            try:
-                model, _ = train_model(X, y, settings, training_meta={"held_out": held.subject_id})
-            except SingleClass as e:
-                fold = functools.partial(_skipped_report, held, e)
-            else:
-                ar = pending.enter_context(_emit_fits(held.wrist, analysis.starts, analysis.gate_pass, model, settings))
-                fold = functools.partial(evaluate_subject, held, analysis, model, settings, ar=ar)
-            if last is not None:
-                reports.append(last())
-            last = fold
-        reports.append(last())
+    reports = []
+    for i, (held, analysis) in enumerate(zip(subjects, analyses)):
+        X = np.vstack([r[0] for j, r in enumerate(rows) if j != i])
+        y = np.concatenate([r[1] for j, r in enumerate(rows) if j != i])
+        try:
+            model, _ = train_model(X, y, settings, training_meta={"held_out": held.subject_id})
+        except SingleClass as e:
+            reports.append(_skipped_report(held, e))
+        else:
+            reports.append(evaluate_subject(held, analysis, model, settings))
     return reports
 
 
@@ -344,7 +336,8 @@ def sweep(axis: str, values, subjects, settings: PipelineSettings):
     Every value is checked before the first run. Returns rows of ``(value,
     mean precision, mean pruned RMSE, mean max silent interval, mean
     enhanced RMSE, total training rows)``, the means over the folds that
-    trained (:func:`metrics.fold_means`).
+    trained (:func:`metrics.fold_means`); a value at which no fold trained is
+    a ``SingleClass`` that names it.
     """
     if axis not in ("window_len", "reliability_threshold"):
         raise ValueError(f"unknown sweep axis {axis!r}")
@@ -354,6 +347,8 @@ def sweep(axis: str, values, subjects, settings: PipelineSettings):
     rows = []
     for v, s in zip(values, swept):
         reports = run_loocv(subjects, s)
+        if all("skipped" in r.extras for r in reports):
+            raise SingleClass(f"sweep {axis} value {v!r}: all folds failed")
         means = metrics.fold_means(reports)
         rows.append(
             {

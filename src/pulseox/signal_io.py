@@ -108,9 +108,9 @@ def _windows_at(x, starts, window_len):
 #: Windows whose statistics and features are computed at a time. Every step
 #: walked in blocks works row by row, so the block size changes no bit of any
 #: output; it bounds the working memory. Feature extraction of the whole
-#: catalog peaks at about 10 MB under ``tracemalloc`` at 512 windows of 100
-#: samples with two AR threads (5 MB with one), most of it the AR design
-#: matrices and their SVD factors; the other 68 columns take about 3 MB.
+#: catalog peaks at about 4.5 MB under ``tracemalloc`` at 512 windows of 100
+#: samples: the AR design matrices and their SVD factors take about 2 MB, 128
+#: windows at a time, and the other 68 columns about 3 MB.
 #: ``spo2.matrix_stats`` scrubs each channel once and keeps its slopes
 #: whole: their BLAS bits held only in blocks of a multiple of 8 rows.
 BLOCK_WINDOWS = 512

@@ -574,16 +574,22 @@ class TestTrainEvaluatePruneSweep:
         assert not (tmp_path / "train").exists()
 
     @pytest.mark.parametrize("window_len", [2**62, 2**63 - 1])
-    @pytest.mark.parametrize("command, message", [("train", "error: both classes must be nonempty"), ("evaluate", "all folds failed")])
+    @pytest.mark.parametrize(
+        "command, message",
+        [("train", "error: no training row: no stream holds a labeled window of {} samples"), ("evaluate", "all folds failed")],
+        ids=["train", "evaluate"],
+    )
     def test_window_longer_than_every_stream_exits_io(self, cohort_small_dir, tmp_path, capsys, window_len, command, message):
-        """A window that no stream holds leaves no row to train on, and the run
-        fails as on any cohort without rows, allocating nothing window-sized."""
+        """A window that no stream holds leaves no row to train on: ``train``
+        says so and names the window length, every fold of ``evaluate`` is
+        skipped, and nothing window-sized is allocated."""
         cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
         cfg["window"] = {"window_len": window_len}
         config = cohort_small_dir / f"window_len_{window_len}.json"
         config.write_text(json.dumps(cfg))
         assert cli.main([command, str(config), str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith(message)
+        assert capsys.readouterr().err == message.format(window_len) + "\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize(
@@ -778,6 +784,47 @@ class TestTrainEvaluatePruneSweep:
         assert cli.main(["sweep", "reliability_threshold", config, str(tmp_path / "sweep"), "2.0"]) == 0
         assert float(read_rows(tmp_path / "sweep" / "sweep.csv")[1][4]) == silent
 
+    def test_sweep_value_with_every_fold_skipped_exits_io(self, tmp_path, capsys):
+        """A swept value at which no fold trains (both wrist streams cut to
+        49 samples, so every training set is empty) fails as ``evaluate``
+        does, naming the axis and the value, and writes no ``sweep.csv``."""
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0}))
+        cohort = tmp_path / "cohort"
+        assert cli.main(["simulate", str(sim), str(cohort)]) == 0
+        for wrist in (cohort / "wrist_s00.csv", cohort / "wrist_s01.csv"):
+            wrist.write_text("".join(wrist.read_text().splitlines(keepends=True)[:50]))
+        config = str(cohort / "cohort.json")
+        assert cli.main(["evaluate", config, str(tmp_path / "eval")]) == 1
+        capsys.readouterr()
+        assert cli.main(["sweep", "reliability_threshold", config, str(tmp_path / "sweep"), "2.0"]) == 1
+        assert capsys.readouterr().err == "error: sweep reliability_threshold value 2.0: all folds failed\n"
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("command", ["prune", "evaluate"])
+    def test_saturated_logits_print_no_warning(self, tmp_path, capsys, command):
+        """A one-stump model with leaves of +-1000 on ``red__mean`` saturates
+        the logits: ``exp`` overflows where the sigmoid takes its limit 0,
+        and ``prune`` and ``evaluate --model`` write nothing to stderr."""
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0}))
+        cohort = tmp_path / "cohort"
+        assert cli.main(["simulate", str(sim), str(cohort)]) == 0
+        frames, _ = signal_io.load_frames(cohort / "wrist_s00.csv", "wrist")
+        split = {"default": "left", "feature": 0, "left": 1, "right": 2, "threshold": float(np.median(frames.red))}
+        model = tmp_path / "model.json"
+        gbdt.save(GbdtModel([[split, {"leaf": 1000.0}, {"leaf": -1000.0}]], 0.0, GbdtParams(), [FeatureSpec("red", "mean")]), model)
+        argv = {
+            "prune": ["prune", str(cohort / "wrist_s00.csv"), str(model), str(tmp_path / "pruned.csv")],
+            "evaluate": ["evaluate", str(cohort / "cohort.json"), str(tmp_path / "eval"), "--model", str(model)],
+        }[command]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 0
+        assert [str(w.message) for w in caught] == []  # outside pytest, each would be a line of stderr
+        assert capsys.readouterr().err == ""
+
     def test_library_value_error_is_not_a_config_error(self, cohort_small_dir, tmp_path, capsys):
         """Only typed config errors exit 2; a ``ValueError`` from inside the
         library is a bug and keeps its traceback."""
@@ -813,7 +860,7 @@ class TestCpuCount:
         """On every CPU the process may use, then pinned to one: each command
         of ``commands(out)``, in its own interpreter, for a fresh directory
         ``out`` under ``tmp_path``. Returns the two directories."""
-        # one BLAS thread in both runs, so only the package's own threads vary
+        # one BLAS thread in both runs, so only the CPUs the process may use vary
         one_blas = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         src = str(Path(pulseox.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **one_blas)
@@ -852,9 +899,10 @@ class TestCpuCount:
         assert 0 < pruned < spo2_rows
 
     def test_evaluate_does_not_depend_on_cpu_count(self, cohort_small_dir, tmp_path):
-        """``evaluate`` (LOOCV, whose held-out AR columns are fitted while the
-        next fold trains) writes the same ``reports.csv`` and
-        ``report_*.json`` bytes on every CPU and pinned to one."""
+        """``evaluate`` (LOOCV: each fold trains, then decides its held-out
+        windows, fitting AR for the undecided ones on the calling thread)
+        writes the same ``reports.csv`` and ``report_*.json`` bytes on every
+        CPU and pinned to one."""
         config = str(cohort_small_dir / "cohort.json")
         dirs = self.run_pinned(lambda out: [["evaluate", config, str(out)]], tmp_path)
         outputs = [{p.name: p.read_bytes() for p in sorted(out.glob("report*"))} for out in dirs]

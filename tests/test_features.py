@@ -1,12 +1,6 @@
 import json
 import math
-import multiprocessing
-import os
-import sys
-import threading
-import time
 import tracemalloc
-from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -62,12 +56,11 @@ def extract_rows(channels, catalog):
 
 def extract_columns(series, starts, window_len, catalog, columns):
     """The feature matrix of ``catalog`` with only ``columns`` computed and
-    NaN in the others, assembled from the blocks of an ``Extraction`` as
-    ``pipeline`` reads them at inference."""
+    NaN in the others, assembled from ``feature_blocks`` as ``pipeline``
+    reads them at inference, AR fitted for every row."""
     X = np.empty((len(starts), len(catalog)))
-    with features.Extraction(series, starts, window_len, catalog, columns) as fits:
-        for b, rows in fits.blocks():
-            X[b] = rows
+    for b, rows, _ in features.feature_blocks(series, starts, window_len, catalog, columns):
+        X[b] = rows
     return X
 
 
@@ -224,183 +217,92 @@ def ar_spec(j, k=10):
     return FeatureSpec("red", "ar_coefficient", (("coeff", j), ("k", k)))
 
 
-def pooled_ar(x, starts, window_len, j, k=10):
+def extracted_ar(x, starts, window_len, j, k=10):
     """Coefficient ``j`` of the AR(``k``) fits of the windows of
-    ``window_len`` samples of ``x`` at ``starts``, by ``extract_matrix``,
-    where the pool fits what the reader does not."""
+    ``window_len`` samples of ``x`` at ``starts``, by ``extract_matrix``."""
     series = FrameSeries(40 * np.arange(len(x)), x, x, x, x)
     return features.extract_matrix(series, starts, window_len, [ar_spec(j, k)])[:, 0]
 
 
 class TestArCoefficient:
-    def test_bit_identical_to_full_contraction_on_wrist_stream(self, ar_workers):
-        """AR columns, fitted by the pool on three threads and by the
-        reader, give the full pseudo-inverse contraction bit for bit."""
+    def test_bit_identical_to_full_contraction_on_wrist_stream(self):
+        """AR columns give the full pseudo-inverse contraction bit for bit."""
         frames, idx, flat = contact_loss_wrist()
         k = 10
-        ar_workers(3)
         for ch in CHANNELS:
             X = frames.channel(ch)[idx]
             want = full_pinv_ar(X, k)
             for j in range(k + 1):
-                got = pooled_ar(frames.channel(ch), idx[:, 0], idx.shape[1], j, k)
+                got = extracted_ar(frames.channel(ch), idx[:, 0], idx.shape[1], j, k)
                 np.testing.assert_array_equal(got, want[:, j], err_msg=f"{ch} coeff {j}")
                 if ch in ("red", "ir"):
                     assert (got[flat] == 0).all()
 
 
-class TestArWorkers:
-    """AR columns are fitted ahead of use, in chunks of ``BLOCK_WINDOWS // 2``
-    windows, by a pool of ``_WORKERS - 1`` threads and by the reader."""
+class TestArSubset:
+    """AR is fitted only for the rows that ``feature_blocks``' ``needs_ar``
+    picks; each window's fit reads only that window."""
 
     @pytest.fixture(scope="class")
     def case(self):
         return contact_loss_wrist()
 
     @staticmethod
-    def fit(X, j, workers, ar_workers):
-        """``pooled_ar`` of the rows of ``X``, laid end to end in one array."""
-        ar_workers(workers)
-        n, w = X.shape
-        return pooled_ar(X.ravel(), w * np.arange(n), w, j)
+    def subset(name, flat):
+        """A boolean row mask of the contact-loss windows: the flat
+        (rank-deficient) runs and their edges are in several."""
+        n = len(flat)
+        edges = np.flatnonzero(np.diff(flat.astype(int))) + [[0], [1]]
+        masks = {
+            "none": np.zeros(n, dtype=bool),
+            "one_flat": np.arange(n) == np.flatnonzero(flat)[0],
+            "every_third": np.arange(n) % 3 == 1,
+            "flat": flat,
+            "flat_edges": np.isin(np.arange(n), edges),
+            "random": np.random.default_rng(5).random(n) < 0.3,
+            "all": np.ones(n, dtype=bool),
+        }
+        return masks[name]
 
-    @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_worker_count_changes_no_bit(self, case, monkeypatch, ar_workers, workers):
-        frames, idx, _ = case
-        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 8)  # chunks of 4 windows
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
-        try:
-            for ch in CHANNELS:
-                X = frames.channel(ch)[idx]
-                # n = 0, 1, fewer rows than a chunk, and all rows
-                for rows in (X[:0], X[:1], X[:2], X[5:11], X):
-                    rows = np.ascontiguousarray(rows)
-                    for j in (0, 1, 10):
-                        want = self.fit(rows, j, 1, ar_workers)
-                        got = self.fit(rows, j, workers, ar_workers)
-                        assert got.shape == (len(rows),)
-                        assert got.tobytes() == want.tobytes(), (ch, len(rows), j)
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_pool_error_reaches_the_caller(self, monkeypatch, one_thread_pool):
-        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 2)  # chunks of one window
-        x = np.random.default_rng(0).normal(size=6 * 100)
-        x[-95] = np.nan  # in the last chunk
-        series = FrameSeries(40 * np.arange(len(x)), x, x, x, x)
-        with features.Extraction(series, 100 * np.arange(6), 100, [ar_spec(1)], [0]) as fits:
-            assert not wait(one_thread_pool.futures, 60).not_done  # the pool thread has fitted every chunk
-            assert isinstance(one_thread_pool.futures[-1].exception(), np.linalg.LinAlgError)
-            with pytest.raises(np.linalg.LinAlgError):
-                list(fits.blocks())
-
-    def test_rank_deficient_rows_across_a_chunk_boundary(self, case, monkeypatch, ar_workers):
+    @pytest.mark.parametrize("name", ["none", "one_flat", "every_third", "flat", "flat_edges", "random", "all"])
+    def test_subset_has_the_bits_of_the_full_fit(self, case, name):
         frames, idx, flat = case
-        # rows centred on the first flat run, and chunks of half of them, so
-        # the boundary of two chunks falls inside it
-        first = np.flatnonzero(flat)[0]
-        mid = (first + first + np.argmin(flat[first:])) // 2
-        rows = slice(first - 20, 2 * mid - first + 20)
-        X = np.ascontiguousarray(frames.red[idx][rows])
-        half = len(X) // 2
-        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 2 * half)
-        assert flat[rows][half - 1] and flat[rows][half] and not flat[rows].all()
-        for j in range(11):
-            got = self.fit(X, j, 2, ar_workers)
-            assert (got[flat[rows]] == 0).all() and (got[~flat[rows]] != 0).any()
-            assert got.tobytes() == self.fit(X, j, 1, ar_workers).tobytes()
+        rows = self.subset(name, flat)
+        for ch in CHANNELS:
+            X = frames.channel(ch)[idx]
+            for j in (0, 1, 10):
+                full, part = np.zeros(len(X)), np.zeros(int(rows.sum()))
+                features._ar_fit(X, j, 10, full)
+                features._ar_fit(np.ascontiguousarray(X[rows]), j, 10, part)
+                assert part.tobytes() == full[rows].tobytes(), (ch, j)
+                if ch in ("red", "ir"):
+                    assert (full[flat] == 0).all() and (full[~flat] != 0).any()
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_starts_its_own_pool(self, monkeypatch):
-        x = np.random.default_rng(0).normal(size=60 * 100)
-        starts = 100 * np.arange(60)
-        monkeypatch.setattr(features, "_WORKERS", 2)
-        want = pooled_ar(x, starts, 100, 1)  # the pool now runs here
-
-        def child():
-            assert pooled_ar(x, starts, 100, 1).tobytes() == want.tobytes()
-
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        proc.start()
-        proc.join(60)
-        if proc.is_alive():
-            proc.kill()
-        assert proc.exitcode == 0
-
-    def test_public_calls_stay_on_the_calling_thread(self, monkeypatch, one_thread_pool):
-        """Pool threads run only private functions: every public call that a
-        tracer wraps (here ``FrameSeries.rows``, one per channel and block) is
-        made by the caller, over several blocks, while the pool fits AR rows.
-        The pool thread's fits wait until the caller has fitted a chunk (30 s
-        at most in all), so both fit some."""
-        caller = threading.get_ident()
-        caller_fitted = threading.Event()
-        deadline = time.monotonic() + 30
-        threads = {"public": [], "_ar_fit": []}
-
-        def spy(kind, fn):
-            def called(*args, **kwargs):
-                threads[kind].append(threading.get_ident())
-                if kind == "_ar_fit":
-                    if threading.get_ident() == caller:
-                        caller_fitted.set()
-                    else:
-                        caller_fitted.wait(max(0.0, deadline - time.monotonic()))
-                return fn(*args, **kwargs)
-
-            return called
-
-        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
-        monkeypatch.setattr(FrameSeries, "rows", spy("public", FrameSeries.rows))
-        monkeypatch.setattr(features, "_ar_fit", spy("_ar_fit", features._ar_fit))
-        series = make_series(400)
-        starts, _ = gap_free_windows(series, 100, 1)
-        features.extract_matrix(series, starts, 100, build_catalog())
-        assert caller_fitted.is_set()
-        assert len(threads["public"]) == 5 * 4 and set(threads["public"]) == {caller}
-        assert caller in threads["_ar_fit"] and len(set(threads["_ar_fit"])) > 1
-
-    def test_blocked_pool_leaves_every_chunk_to_the_reader(self, case, monkeypatch, one_thread_pool):
-        """With the one pool thread busy, reading the AR columns that
-        ``extract_matrix`` started fits every chunk on the reading thread,
-        with the bytes of a one-CPU run; a reader that waited on a chunk no
-        thread will start would hang, which the timeout turns into a
-        failure."""
-        frames, idx, _ = case
+    def test_blocks_fit_only_the_rows_asked_for(self, case, monkeypatch):
+        """Every block's non-AR columns are computed before ``needs_ar`` is
+        asked; the rows it picks get the AR bits of ``extract_matrix``, and
+        the others keep NaN there."""
+        frames, idx, flat = case
         starts = idx[:, 0]
         catalog = build_catalog()
-        columns = [j for j, spec in enumerate(catalog) if spec.name == "ar_coefficient"]
+        full = features.extract_matrix(frames, starts, 100, catalog)
+        ar = [j for j, spec in enumerate(catalog) if spec.name == "ar_coefficient"]
+        rest = [j for j in range(len(catalog)) if j not in ar]
+        pick = self.subset("flat_edges", flat) | self.subset("random", flat)
         monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
-        fitters, result = [], {}
+        asked = []
 
-        def spy(*args):
-            fitters.append(threading.get_ident())
-            return ar_fit(*args)
+        def needs_ar(b, X):
+            asked.append(b)
+            assert X[:, rest].tobytes() == full[b][:, rest].tobytes() and np.isnan(X[:, ar]).all()
+            return pick[b]
 
-        def read():
-            try:
-                result["X"] = extract_columns(frames, starts, 100, catalog, columns)
-            except BaseException as e:  # reported below, on the test's thread
-                result["error"] = e
-
-        ar_fit = features._ar_fit
-        monkeypatch.setattr(features, "_ar_fit", spy)
-        release = one_thread_pool.block()
-        reader = threading.Thread(target=read)
-        try:
-            reader.start()
-            reader.join(60)
-            assert not reader.is_alive(), "the reader waits on a chunk that no thread starts"
-        finally:
-            release.set()
-        assert "error" not in result, result
-        assert len(one_thread_pool.futures) == 4 * -(-len(starts) // 32)
-        assert all(f.cancelled() for f in one_thread_pool.futures)
-        assert set(fitters) == {reader.ident}
-        monkeypatch.setattr(features, "_WORKERS", 1)
-        want = extract_columns(frames, starts, 100, catalog, columns)
-        assert result["X"].tobytes() == want.tobytes()
+        blocks = list(features.feature_blocks(frames, starts, 100, catalog, range(len(catalog)), needs_ar))
+        assert [b for b, _, _ in blocks] == asked and len(asked) == -(-len(starts) // 64) > 2
+        for b, X, fit in blocks:
+            np.testing.assert_array_equal(fit, pick[b])
+            assert X[fit][:, ar].tobytes() == full[b][fit][:, ar].tobytes()
+            assert np.isnan(X[~fit][:, ar]).all() and X[:, rest].tobytes() == full[b][:, rest].tobytes()
 
 
 # column sets of ``extract_matrix`` by a predicate on (column, spec): a mix,

@@ -1,8 +1,5 @@
-import functools
-import inspect
 import json
-import sys
-import threading
+import math
 import tracemalloc
 from dataclasses import dataclass, replace
 from unittest import mock
@@ -10,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from test_features import extract_rows
+from test_features import contact_loss_stream, extract_rows
 from pulseox import features, gbdt, metrics, pipeline, signal_io, spo2, synth
 from pulseox.errors import EmptyGroup, InsufficientUserData
 from pulseox.features import FeatureSpec
@@ -151,92 +148,6 @@ class TestLoocv:
         with pytest.raises(EmptyGroup):
             pipeline.run_loocv([make_subject()], FAST)
 
-    def test_worker_count_changes_no_report(self, cohort_small, ar_workers):
-        """One thread, and the caller with a pool of two, give the same
-        reports, the absolute errors of the pruned readings included, with
-        the threads switching as often as they can."""
-        subjects, settings = cohort_small
-        reports = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 3):
-                ar_workers(workers)
-                reports[workers] = [r.to_json_dict() for r in pipeline.run_loocv(subjects, settings)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert json.dumps(reports[1]) == json.dumps(reports[3])
-        assert all(r["extras"]["abs_errors_pruned"] for r in reports[1])
-
-    def test_public_calls_stay_on_the_calling_thread(self, cohort_small, monkeypatch, ar_workers):
-        """Pool threads call no public function or method of the package
-        during LOOCV, while they fit AR columns of the training rows and of
-        the held-out subjects."""
-        subjects, settings = cohort_small
-        caller = threading.get_ident()
-        public, fitters = [], []
-
-        def spy(record, fn):
-            @functools.wraps(fn)
-            def called(*args, **kwargs):
-                record.append(threading.get_ident())
-                return fn(*args, **kwargs)
-
-            return called
-
-        for module in (signal_io, spo2, features, gbdt, metrics, pipeline):
-            for name, obj in list(vars(module).items()):
-                if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
-                    continue
-                if inspect.isfunction(obj):
-                    monkeypatch.setattr(module, name, spy(public, obj))
-                elif inspect.isclass(obj):
-                    for meth, fn in list(vars(obj).items()):
-                        if not meth.startswith("_") and inspect.isfunction(fn):
-                            monkeypatch.setattr(obj, meth, spy(public, fn))
-        monkeypatch.setattr(features, "_ar_fit", spy(fitters, features._ar_fit))
-        ar_workers(3)
-        emit_fits = pipeline._emit_fits
-        deferred = []
-        monkeypatch.setattr(pipeline, "_emit_fits", lambda *args: deferred.append(emit_fits(*args)) or deferred[-1])
-        pipeline.run_loocv(subjects, settings)
-        assert any(fits.out for fits in deferred)  # some held-out subject's AR columns are deferred
-        assert len(public) > 1000 and set(public) == {caller}
-        assert set(fitters) - {caller}
-
-    @pytest.mark.parametrize("blocked", [False, True])
-    def test_failed_deferred_fit_raises_and_cancels_the_rest(self, cohort_small, monkeypatch, one_thread_pool, blocked):
-        """A chunk of a held-out subject's deferred AR fits that fails (a NaN
-        sample in its first gate-passing window: the SVD does not converge)
-        raises out of ``run_loocv``, and leaves no chunk of the run queued.
-        With the pool thread blocked, every chunk waits in the queue until
-        it is read, so the failing one runs on the caller while the chunks
-        after it are queued, and the error must cancel them."""
-        subjects, settings = cohort_small
-        emit_fits = pipeline._emit_fits
-        deferred = []
-
-        def poisoned(series, starts, gate_pass, model, settings):
-            channels = [series.channel(c).copy() for c in features.CHANNELS]
-            for x in channels:
-                x[starts[gate_pass][0] + 5] = np.nan
-            fits = emit_fits(FrameSeries(series.t_ms, *channels, series.gap), starts, gate_pass, model, settings)
-            deferred.append(fits)
-            return fits
-
-        monkeypatch.setattr(pipeline, "_emit_fits", poisoned)
-        release = one_thread_pool.block() if blocked else threading.Event()
-        try:
-            with pytest.raises(np.linalg.LinAlgError):
-                pipeline.run_loocv(subjects, settings)
-            queued = [f for f in one_thread_pool.futures if not (f.done() or f.running())]
-        finally:
-            release.set()
-        assert any(fits.out for fits in deferred)
-        assert not queued
-        if blocked:
-            assert all(f.cancelled() for f in one_thread_pool.futures)
-
 
 @dataclass(frozen=True)
 class CohortSplit:
@@ -351,10 +262,9 @@ class TestPrune:
         assert len(enh_t) < len(base_t)
 
 
-def full_path_emit(series, starts, gate_pass, model, settings, ar=None):
+def full_path_emit(series, starts, gate_pass, model, settings):
     """Features and a prediction for every gap-free window, the gate applied
-    after: the reference for the gate-first ``pipeline._emit``, which reads
-    its AR columns from ``ar`` when given."""
+    after: the reference for the gate-first ``pipeline._emit``."""
     idx = starts[:, None] + np.arange(settings.window_len)
     X = extract_rows({c: series.channel(c)[idx] for c in features.CHANNELS}, model.feature_catalog)
     return (model.predict_proba_batch(X) >= settings.decision_threshold) & gate_pass
@@ -435,11 +345,10 @@ class TestGateFirstEmit:
             monkeypatch.setattr(pipeline, "_split_columns", lambda m, missed=missed: split - {missed})
             assert (masks(pipeline._emit) != want).any(), model.feature_catalog[missed].spec_id
 
-    def test_ar_columns_match_full_path_over_blocks(self, case, monkeypatch, ar_workers):
+    def test_ar_columns_match_full_path_over_blocks(self, case, monkeypatch):
         """A model whose trees split on the four AR columns, each at its median
         over the gate-passing windows, emits what the full path emits when the
-        AR columns are read block by block, from fits ``_emit`` starts itself
-        or from fits started ahead, as ``run_loocv`` does."""
+        AR columns are fitted block by block."""
         subject, _ = case
         analysis = pipeline.analyze_subject(subject, FAST)
         starts, gate = analysis.starts, analysis.gate_pass
@@ -453,21 +362,76 @@ class TestGateFirstEmit:
                 trees.append([dict(split, feature=j, threshold=float(median)), {"leaf": 1.0}, {"leaf": -1.0}])
         model = GbdtModel(trees, 0.0, GbdtParams(), catalog)
         monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
-        ar_workers(2)
         want = full_path_emit(subject.wrist, starts, gate, model, FAST)
         assert len(trees) == 4 and 0 < want.sum() < gate.sum() and gate.sum() > 4 * 64
         np.testing.assert_array_equal(pipeline._emit(subject.wrist, starts, gate, model, FAST), want)
-        ahead = pipeline._emit_fits(subject.wrist, starts, gate, model, FAST)
-        np.testing.assert_array_equal(pipeline._emit(subject.wrist, starts, gate, model, FAST, ar=ahead), want)
+
+    @pytest.fixture(scope="class")
+    def mask_cases(self, case, tmp_path_factory):
+        """``{stream: (series, analysis, model, proba)}`` for a wrist stream
+        of the golden cohort (3 subjects x 120 s), the high-DC contact-loss
+        stream and the gapped stream of ``case``. The model is the golden
+        cohort's, with 25 trees, and one AR stump per channel at its median,
+        whose leaves add up to the 30th percentile of the absolute logit of
+        the gate-passing windows: at 0.5 they leave about 30 % of them
+        undecided before AR (more where logits tie); ``proba`` is the prediction of every window from
+        all its features."""
+        cohort = tmp_path_factory.mktemp("golden_cohort")
+        synth.gen_cohort(3, cohort, SynthConfig(duration_s=120.0), variation_seed=20260823)
+        subjects, settings = pipeline.load_experiment(cohort / "cohort.json")
+        settings = replace(settings, gbdt_params=GbdtParams(n_estimators=25))
+        golden, _ = pipeline.train_model(*pipeline.build_training_set(subjects, settings), settings)
+        catalog = features.build_catalog()
+        full = {i: catalog.index(spec) for i, spec in enumerate(golden.feature_catalog)}
+        trees = [[dict(n, feature=full[n["feature"]]) if "feature" in n else n for n in t] for t in golden.trees]
+        ar = [j for j, spec in enumerate(catalog) if spec.name == "ar_coefficient"]
+        split = {"default": "left", "left": 1, "right": 2}
+        out = {}
+        streams = {"golden": subjects[0].wrist, "high_dc_contact_loss": contact_loss_stream(), "gapped": case[0].wrist}
+        for name, series in streams.items():
+            analysis = pipeline.analyze_subject(pipeline.SubjectData(name, series, case[0].finger, case[0].meta), FAST)
+            gate = analysis.gate_pass
+            idx = analysis.starts[:, None] + np.arange(FAST.window_len)
+            X = extract_rows({c: series.channel(c)[idx] for c in features.CHANNELS}, catalog)
+            z = GbdtModel(trees, golden.base_logit, golden.params, catalog).predict_logit_batch(X[gate])
+            w = float(np.quantile(np.abs(z), 0.3)) / len(ar)
+            stumps = [[dict(split, feature=j, threshold=float(np.median(X[:, j]))), {"leaf": w}, {"leaf": -w}] for j in ar]
+            model = GbdtModel(trees + stumps, golden.base_logit, golden.params, catalog)
+            undecided = ~np.logical_or(*model.decide(X[gate], 0.5, set(ar)))
+            assert 0.05 < undecided.mean() < 0.95 and (name != "gapped" or series.gap.any())
+            out[name] = series, analysis, model, model.predict_proba_batch(X)
+        return out
+
+    @pytest.mark.parametrize("stream", ["golden", "high_dc_contact_loss", "gapped"])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, "exact", "exact_below", "exact_above", 5e-324, 1 - 2**-53])
+    def test_mask_equals_full_prediction(self, mask_cases, stream, q):
+        """``_emit`` emits what a prediction from every feature emits, at the
+        edges of [0, 1] and next to them, at 0.5, and at one gate-passing
+        window's exact probability and its float neighbours."""
+        series, analysis, model, proba = mask_cases[stream]
+        gate = analysis.gate_pass
+        if isinstance(q, str):
+            p = float(proba[gate][np.argmin(np.abs(proba[gate] - 0.5))])
+            q = {"exact": p, "exact_below": math.nextafter(p, 0.0), "exact_above": math.nextafter(p, 1.0)}[q]
+        got = pipeline._emit(series, analysis.starts, gate, model, replace(FAST, decision_threshold=q))
+        np.testing.assert_array_equal(got, (proba >= q) & gate)
 
     def test_working_memory_does_not_grow_with_windows(self):
         """Peak traced memory of ``_emit`` besides its output mask is one
         block's worth, the same for 4 and 16 blocks of gate-passing windows,
-        with the whole 72-column catalog in the model."""
+        with the whole 72-column catalog in the model, and under 6 MB (about
+        10 MB when two threads fitted 256 windows each). The AR tree's leaves
+        outweigh the other two trees, so no window is decided without its AR
+        column, and every block fits it for all its windows."""
         catalog = features.build_catalog()
         split = {"default": "left", "left": 1, "right": 2}
-        trees = [[dict(split, feature=j, threshold=float(t)), {"leaf": 1.0}, {"leaf": -1.0}] for j, t in ((8, 5.05e4), (22, 0.0), (40, 0.0))]
+        stumps = ((8, 5.05e4, 1.0), (22, 0.0, 0.25), (40, 0.0, 0.25))
+        trees = [[dict(split, feature=j, threshold=t), {"leaf": w}, {"leaf": -w}] for j, t, w in stumps]
         model = GbdtModel(trees, 0.0, GbdtParams(), catalog)
+        assert [catalog[j].name for j, _, _ in stumps] == ["ar_coefficient", "autocorrelation", "autocorrelation"]
+        X = np.full((4, len(catalog)), np.nan)
+        X[:, 22], X[:, 40] = [-1, -1, 1, 1], [-1, 1, -1, 1]  # each path of the non-AR trees
+        assert not np.logical_or(*model.decide(X, FAST.decision_threshold, {8})).any()
         rng = np.random.default_rng(2)
         overhead = []
         for blocks in (4, 16):
@@ -485,6 +449,7 @@ class TestGateFirstEmit:
             assert 0 < emit.sum() < len(emit)
             overhead.append(peak - emit.nbytes)
         assert abs(overhead[1] - overhead[0]) < 1e6, overhead
+        assert max(overhead) < 6e6, overhead
 
 
 class TestSweep:

@@ -1,6 +1,6 @@
 """Property tests of the stream parser, the windowing core, the clamped
 calibration, the Mann-Whitney midranks, the presorted split search, the leaf
-weight, the model file and the timestamp regularizer."""
+weight, the model file, the logit bounds and the timestamp regularizer."""
 
 import csv
 import math
@@ -453,14 +453,14 @@ FINITE = st.floats(-1e6, 1e6, allow_nan=False)
 
 
 @st.composite
-def model_trees(draw, n_features):
+def model_trees(draw, n_features, max_depth=4, leaf=FINITE):
     """One tree as a preorder node list: each split names its children, which
-    come after it; depth at most 4."""
+    come after it; depth at most ``max_depth``."""
     nodes = []
 
     def grow(depth):
-        if depth == 4 or draw(st.booleans()):
-            nodes.append({"leaf": draw(FINITE)})
+        if depth == max_depth or draw(st.booleans()):
+            nodes.append({"leaf": draw(leaf)})
             return
         node = {
             "default": draw(st.sampled_from(["left", "right"])),
@@ -488,6 +488,47 @@ def models(draw):
     value = st.sampled_from(thresholds) | FINITE | st.just(math.nan) if thresholds else FINITE | st.just(math.nan)
     X = np.array(draw(st.lists(st.lists(value, min_size=len(catalog), max_size=len(catalog)), min_size=1, max_size=8)))
     return model, X
+
+
+@st.composite
+def open_column_cases(draw):
+    """A model of trees of depth at most 3 with leaves up to 1e3, a set of
+    open columns, rows ``X``, the same rows with every open column redrawn
+    (a value or NaN), and a decision threshold: one of [0, 1], an edge of
+    it, or a row's exact probability or one of its float neighbours."""
+    catalog = features.build_catalog()[: draw(st.integers(1, 5))]
+    trees = draw(st.lists(model_trees(len(catalog), 3, st.floats(-1e3, 1e3)), min_size=1, max_size=6))
+    model = gbdt.GbdtModel(trees, draw(st.floats(-50, 50)), gbdt.GbdtParams(), catalog)
+    open_cols = frozenset(draw(st.sets(st.integers(0, len(catalog) - 1))))
+    thresholds = [n["threshold"] for t in trees for n in t if "threshold" in n]
+    value = (st.sampled_from(thresholds) if thresholds else FINITE) | FINITE | st.just(math.nan)
+    X = np.array(draw(st.lists(st.lists(value, min_size=len(catalog), max_size=len(catalog)), min_size=1, max_size=8)))
+    X2 = X.copy()
+    for j in open_cols:
+        X2[:, j] = draw(st.lists(value, min_size=len(X), max_size=len(X)))
+    p = model.predict_proba_batch(X2)[draw(st.integers(0, len(X) - 1))]
+    exact = st.sampled_from([p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)])
+    q = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0, 5e-324, 1 - 2**-53]) | exact)
+    return model, open_cols, X, X2, q
+
+
+@settings(deadline=None, max_examples=300)
+@given(open_column_cases())
+def test_logit_bounds_hold_the_logit_and_decide_as_the_prediction(case):
+    """The bounds hold the logit of every row that agrees with ``X`` off the
+    open columns, bit for bit, and a row that ``decide`` settles emits as its
+    prediction does; with no open column the bounds are the logits."""
+    model, open_cols, X, X2, q = case
+    bounds = model.logit_bounds(X, open_cols)
+    lo, hi = bounds[0], bounds[-1]
+    for rows in (X, X2):
+        z = model.predict_logit_batch(rows)
+        assert (lo <= z).all() and (z <= hi).all()
+    np.testing.assert_array_equal(model.logit_bounds(X2)[0], model.predict_logit_batch(X2))
+    positive, negative = model.decide(X, q, open_cols)
+    emit = model.predict_proba_batch(X2) >= q
+    assert not (positive & negative).any()
+    assert emit[positive].all() and not emit[negative].any()
 
 
 def saved_and_loaded(model):

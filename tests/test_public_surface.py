@@ -24,12 +24,7 @@ CALLER_DIRS = ("src", "demos", "perfbench")
 
 TEST_ONLY = {}
 
-PRIVATE_READS = {
-    "features -> signal_io._windows_at": (
-        "AR pool threads call only private functions: perfbench/tracer.py wraps the public "
-        "FrameSeries.rows and keeps one span stack"
-    ),
-}
+PRIVATE_READS = {}
 
 
 def parse_callers():
