@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, gbdt, metrics, pipeline, schema, signal_io, spo2, synth
-from .errors import ConfigOutOfRange, PulseoxError
+from .errors import ConfigOutOfRange, PulseoxError, SingleClass
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -119,8 +119,7 @@ def cmd_evaluate(args):
         reports = pipeline.run_loocv(subjects, settings)
     ok = [r for r in reports if "skipped" not in r.extras]
     if not ok:
-        print("all folds failed", file=sys.stderr)
-        return EXIT_IO
+        raise SingleClass(f"all folds failed: {reports[0].subject_id}: {reports[0].extras['skipped']}")
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics.reports_to_csv(out / "reports.csv", reports)

@@ -65,6 +65,3 @@ class InsufficientUserData(PulseoxError):
 class ConfigOutOfRange(PulseoxError):
     pass
 
-
-class IoFailure(PulseoxError):
-    pass

@@ -143,36 +143,6 @@ def _hann(n):
     return h * (1 / np.sqrt(sum(h**2)))
 
 
-def feature_blocks(series, starts, window_len, catalog, columns, needs_ar=None):
-    """Yield ``(b, X, fit)`` for each slice ``b`` of ``BLOCK_WINDOWS`` of the
-    windows of ``window_len`` samples of ``series`` at ``starts``: ``X``
-    holds their feature rows, columns in ``catalog`` order, NaN outside
-    ``columns``. The non-AR columns come first, one kernel per channel; then
-    ``needs_ar(b, X)`` picks the rows ``fit`` (a boolean mask; every row when
-    ``needs_ar`` is None) whose windows are gathered and AR-fitted, on the
-    calling thread, and the others keep NaN in the AR columns. Each window's
-    features read only that window, so no bit depends on the blocks or on
-    which rows are fitted.
-    """
-    by_channel, ar = {}, []  # channel -> its (column, spec) pairs of the non-AR families
-    for j in sorted(columns):
-        spec = catalog[j]
-        if spec.name == "ar_coefficient":
-            ar.append((j, spec))
-        else:
-            by_channel.setdefault(spec.channel, []).append((j, spec))
-    for b in signal_io.blocks(len(starts)):
-        X = np.full((len(starts[b]), len(catalog)), np.nan)
-        for channel, specs in by_channel.items():
-            _channel_features(series.rows(channel, starts[b], window_len), specs, X)
-        fit = np.ones(len(X), dtype=bool) if needs_ar is None else needs_ar(b, X)
-        for j, spec in ar:
-            out = np.zeros(int(fit.sum()))
-            _ar_fit(series.rows(spec.channel, starts[b][fit], window_len), int(spec.param_dict["coeff"]), int(spec.param_dict["k"]), out)
-            X[fit, j] = out
-        yield b, X, fit
-
-
 def _ar_fit(X, j, k, out):
     """Coefficient ``j`` of the OLS fit of an AR(k) model to each row of
     ``X``, written into ``out``: coefficient 0 is the intercept, ``j`` the
@@ -234,18 +204,32 @@ def build_catalog() -> list:
     return catalog
 
 
-def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catalog) -> np.ndarray:
-    """Feature matrix of every ``catalog`` column, one row per window, columns
-    in catalog order.
+def extract_matrix(series: signal_io.FrameSeries, starts, window_len: int, catalog, columns=None) -> np.ndarray:
+    """Feature matrix of ``catalog``, one row per window, columns in catalog
+    order: every column, or only those in ``columns`` and NaN in the others.
 
     ``starts`` holds the first sample of each window of ``window_len``
-    samples. The rows are the :func:`feature_blocks` of every column, AR
-    fitted for every window: windows are gathered from the stream one
-    channel and one block of ``BLOCK_WINDOWS`` at a time.
+    samples. Windows are gathered from the stream one channel and one block
+    of ``BLOCK_WINDOWS`` at a time: one kernel call per channel gives its
+    non-AR columns, and every AR column is fitted for every row. Each
+    window's features read only that window, so no bit depends on the
+    blocks, on the other rows or on the other columns.
     """
-    X = np.empty((len(starts), len(catalog)))
-    for b, rows, _ in feature_blocks(series, starts, window_len, catalog, range(len(catalog))):
-        X[b] = rows
+    by_channel, ar = {}, []  # channel -> its (column, spec) pairs of the non-AR families
+    for j in range(len(catalog)) if columns is None else sorted(columns):
+        spec = catalog[j]
+        if spec.name == "ar_coefficient":
+            ar.append((j, spec))
+        else:
+            by_channel.setdefault(spec.channel, []).append((j, spec))
+    X = np.full((len(starts), len(catalog)), np.nan)
+    for b in signal_io.blocks(len(starts)):
+        for channel, specs in by_channel.items():
+            _channel_features(series.rows(channel, starts[b], window_len), specs, X[b])
+        for j, spec in ar:
+            out = np.zeros(len(starts[b]))
+            _ar_fit(series.rows(spec.channel, starts[b], window_len), int(spec.param_dict["coeff"]), int(spec.param_dict["k"]), out)
+            X[b, j] = out
     return X
 
 

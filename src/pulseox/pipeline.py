@@ -204,22 +204,22 @@ def _emit(series, starts, gate_pass, model: gbdt.GbdtModel, settings: PipelineSe
     that the classifier trusts. A window that fails the gate never emits, so
     only the gate-passing ``starts`` get features, and only the columns the
     trees split on are computed. The others stay NaN, so a tree that read
-    one would take its default branch. Each block's non-AR columns come
-    first; ``GbdtModel.decide`` settles every window that no AR value can
-    move across the threshold, and only the others get AR and a prediction,
-    so every window emits as the prediction from all its features says. No
-    feature matrix of the whole stream is built."""
-    q = settings.decision_threshold
-    ar = {j for j, spec in enumerate(model.feature_catalog) if spec.name == "ar_coefficient"}
-    emit = np.zeros(int(gate_pass.sum()), dtype=bool)
-
-    def undecided(b, X):
-        emit[b], negative = model.decide(X, q, ar)
-        return ~(emit[b] | negative)
-
-    blocks = feats.feature_blocks(series, starts[gate_pass], settings.window_len, model.feature_catalog, _split_columns(model), undecided)
-    for b, X, fit in blocks:
-        emit[b][fit] = model.predict_proba_batch(X[fit]) >= q
+    one would take its default branch. The first loop computes each block's
+    non-AR split columns, and ``GbdtModel.decide`` settles every window that
+    no AR value can move across the threshold. The second computes every
+    split column of the windows left open, ``BLOCK_WINDOWS`` at a time, and
+    predicts them, so every window emits as the prediction from all its
+    features says. No feature matrix of the whole stream is built."""
+    q, columns, catalog = settings.decision_threshold, _split_columns(model), model.feature_catalog
+    ar = {j for j, spec in enumerate(catalog) if spec.name == "ar_coefficient"}
+    starts = starts[gate_pass]
+    emit, negative = np.zeros(len(starts), dtype=bool), np.zeros(len(starts), dtype=bool)
+    for b in signal_io.blocks(len(starts)):
+        emit[b], negative[b] = model.decide(feats.extract_matrix(series, starts[b], settings.window_len, catalog, columns - ar), q, ar)
+    rows = np.flatnonzero(~(emit | negative))
+    for b in signal_io.blocks(len(rows)):
+        X = feats.extract_matrix(series, starts[rows[b]], settings.window_len, catalog, columns)
+        emit[rows[b]] = model.predict_proba_batch(X) >= q
     out = gate_pass.copy()
     out[gate_pass] = emit
     return out

@@ -94,23 +94,20 @@ class FrameSeries:
     def rows(self, name: str, starts, window_len: int) -> np.ndarray:
         """One channel's windows of ``window_len`` samples at ``starts``, one
         per row, as a C-contiguous copy."""
-        return _windows_at(self.channel(name), starts, window_len)
-
-
-def _windows_at(x, starts, window_len):
-    """The windows of ``window_len`` samples of ``x`` at ``starts``, one per
-    row, as a C-contiguous copy (``FrameSeries.rows`` of one channel)."""
-    if len(x) < window_len:  # no complete window, so ``starts`` is empty
-        return np.empty((0, window_len))
-    return np.lib.stride_tricks.sliding_window_view(x, window_len)[starts]
+        x = self.channel(name)
+        if len(x) < window_len:  # no complete window, so ``starts`` is empty
+            return np.empty((0, window_len))
+        return np.lib.stride_tricks.sliding_window_view(x, window_len)[starts]
 
 
 #: Windows whose statistics and features are computed at a time. Every step
 #: walked in blocks works row by row, so the block size changes no bit of any
-#: output; it bounds the working memory. Feature extraction of the whole
-#: catalog peaks at about 4.5 MB under ``tracemalloc`` at 512 windows of 100
-#: samples: the AR design matrices and their SVD factors take about 2 MB, 128
-#: windows at a time, and the other 68 columns about 3 MB.
+#: output; it bounds the working memory. Beyond its output, feature
+#: extraction of the whole catalog peaks at about 3.9 MB under
+#: ``tracemalloc`` at 512 windows of 100 samples: the AR fits, 128 windows at
+#: a time, take about 3.7 MB, and the 68 other columns about 2.1 MB.
+#: Inference decides 512 gate-passing windows at a time, then extracts and
+#: predicts 512 of the windows left open at a time.
 #: ``spo2.matrix_stats`` scrubs each channel once and keeps its slopes
 #: whole: their BLAS bits held only in blocks of a multiple of 8 rows.
 BLOCK_WINDOWS = 512

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigOutOfRange, IoFailure
+from .errors import ConfigOutOfRange
 from .signal_io import FrameSeries, StreamMeta, write_csv, write_json, write_stream
 from .spo2 import CalibrationCurve
 
@@ -259,10 +259,7 @@ def gen_cohort(
     if n_subjects < 2:
         raise ConfigOutOfRange("cohort needs at least 2 subjects")
     out = pathlib.Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise IoFailure(str(e))
+    out.mkdir(parents=True, exist_ok=True)
 
     coverages = np.linspace(0.15, 0.75, n_subjects)
     entries = []

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import pulseox
-from test_features import extract_columns
 from pulseox import cli, features, gbdt, pipeline, signal_io, synth
 from pulseox.features import FeatureSpec
 from pulseox.gbdt import GbdtModel, GbdtParams
@@ -162,6 +161,17 @@ class TestSimulate:
         assert done.returncode == 2
         assert done.stderr.startswith(f"config error: {cfg}: {message}")
         assert not (tmp_path / "out").exists()
+
+    def test_simulate_into_a_file_exits_io(self, tmp_path, capsys):
+        """An output directory that is an existing regular file is an I/O
+        error, and the file is left as it was."""
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n_subjects": 2, "duration_s": 30.0, "seed": 5}))
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert cli.main(["simulate", str(cfg), str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "not a directory"
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"
@@ -576,13 +586,17 @@ class TestTrainEvaluatePruneSweep:
     @pytest.mark.parametrize("window_len", [2**62, 2**63 - 1])
     @pytest.mark.parametrize(
         "command, message",
-        [("train", "error: no training row: no stream holds a labeled window of {} samples"), ("evaluate", "all folds failed")],
+        [
+            ("train", "error: no training row: no stream holds a labeled window of {} samples"),
+            ("evaluate", "error: all folds failed: s00: single-class training set: no training row: no stream holds a labeled window of {} samples"),
+        ],
         ids=["train", "evaluate"],
     )
     def test_window_longer_than_every_stream_exits_io(self, cohort_small_dir, tmp_path, capsys, window_len, command, message):
         """A window that no stream holds leaves no row to train on: ``train``
         says so and names the window length, every fold of ``evaluate`` is
-        skipped, and nothing window-sized is allocated."""
+        skipped and it names the first skipped subject and its reason, and
+        nothing window-sized is allocated."""
         cfg = json.loads((cohort_small_dir / "cohort.json").read_text())
         cfg["window"] = {"window_len": window_len}
         config = cohort_small_dir / f"window_len_{window_len}.json"
@@ -881,7 +895,7 @@ class TestCpuCount:
         catalog = features.build_catalog()
         ar = [j for j, spec in enumerate(catalog) if spec.name == "ar_coefficient"]
         starts, _, has_gap = frames.windows(100, 1)
-        X = extract_columns(frames, starts[~has_gap], 100, catalog, ar)
+        X = features.extract_matrix(frames, starts[~has_gap], 100, catalog, ar)
         split = {"default": "left", "left": 1, "right": 2}
         trees = [[dict(split, feature=j, threshold=float(np.median(X[:, j]))), {"leaf": 1.0}, {"leaf": -1.0}] for j in ar]
         model = tmp_path / "model.json"

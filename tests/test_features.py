@@ -54,16 +54,6 @@ def extract_rows(channels, catalog):
     return features.extract_matrix(series, w * np.arange(n), w, catalog)
 
 
-def extract_columns(series, starts, window_len, catalog, columns):
-    """The feature matrix of ``catalog`` with only ``columns`` computed and
-    NaN in the others, assembled from ``feature_blocks`` as ``pipeline``
-    reads them at inference, AR fitted for every row."""
-    X = np.empty((len(starts), len(catalog)))
-    for b, rows, _ in features.feature_blocks(series, starts, window_len, catalog, columns):
-        X[b] = rows
-    return X
-
-
 def compute_feature(spec, window):
     return float(extract_rows(np.asarray(window[spec.channel], dtype=float)[None, :], [spec])[0, 0])
 
@@ -239,9 +229,12 @@ class TestArCoefficient:
                     assert (got[flat] == 0).all()
 
 
+SUBSETS = ["none", "one_flat", "every_third", "flat", "flat_edges", "random", "all"]
+
+
 class TestArSubset:
-    """AR is fitted only for the rows that ``feature_blocks``' ``needs_ar``
-    picks; each window's fit reads only that window."""
+    """AR fits of any subset of the windows have the bits of the fits of
+    all of them; each window's fit reads only that window."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -264,7 +257,7 @@ class TestArSubset:
         }
         return masks[name]
 
-    @pytest.mark.parametrize("name", ["none", "one_flat", "every_third", "flat", "flat_edges", "random", "all"])
+    @pytest.mark.parametrize("name", SUBSETS)
     def test_subset_has_the_bits_of_the_full_fit(self, case, name):
         frames, idx, flat = case
         rows = self.subset(name, flat)
@@ -278,31 +271,28 @@ class TestArSubset:
                 if ch in ("red", "ir"):
                     assert (full[flat] == 0).all() and (full[~flat] != 0).any()
 
-    def test_blocks_fit_only_the_rows_asked_for(self, case, monkeypatch):
-        """Every block's non-AR columns are computed before ``needs_ar`` is
-        asked; the rows it picks get the AR bits of ``extract_matrix``, and
-        the others keep NaN there."""
+    @pytest.fixture(scope="class")
+    def full(self, case):
+        frames, idx, _ = case
+        return features.extract_matrix(frames, idx[:, 0], 100, build_catalog())
+
+    @pytest.mark.parametrize("picked", ["non_ar", "ar", "mixed"])
+    @pytest.mark.parametrize("name", SUBSETS)
+    def test_extract_matrix_of_rows_and_columns(self, case, full, monkeypatch, name, picked):
+        """``extract_matrix`` of a subset of the windows and of the columns,
+        in blocks of 64 windows, has the bits of those rows and columns of
+        the full matrix, which is one block, and NaN in the other columns."""
         frames, idx, flat = case
-        starts = idx[:, 0]
+        rows = self.subset(name, flat)
         catalog = build_catalog()
-        full = features.extract_matrix(frames, starts, 100, catalog)
-        ar = [j for j, spec in enumerate(catalog) if spec.name == "ar_coefficient"]
-        rest = [j for j in range(len(catalog)) if j not in ar]
-        pick = self.subset("flat_edges", flat) | self.subset("random", flat)
+        is_ar = np.array([spec.name == "ar_coefficient" for spec in catalog])
+        columns = {"non_ar": np.flatnonzero(~is_ar), "ar": np.flatnonzero(is_ar), "mixed": np.array([0, 8, 17, 26, 40, 53, 62, 71])}[picked]
+        assert len(idx) > 4 * 64 and (picked != "mixed" or 0 < is_ar[columns].sum() < len(columns))
         monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
-        asked = []
-
-        def needs_ar(b, X):
-            asked.append(b)
-            assert X[:, rest].tobytes() == full[b][:, rest].tobytes() and np.isnan(X[:, ar]).all()
-            return pick[b]
-
-        blocks = list(features.feature_blocks(frames, starts, 100, catalog, range(len(catalog)), needs_ar))
-        assert [b for b, _, _ in blocks] == asked and len(asked) == -(-len(starts) // 64) > 2
-        for b, X, fit in blocks:
-            np.testing.assert_array_equal(fit, pick[b])
-            assert X[fit][:, ar].tobytes() == full[b][fit][:, ar].tobytes()
-            assert np.isnan(X[~fit][:, ar]).all() and X[:, rest].tobytes() == full[b][:, rest].tobytes()
+        X = features.extract_matrix(frames, idx[rows, 0], 100, catalog, columns)
+        assert X.shape == (rows.sum(), len(catalog))
+        assert X[:, columns].tobytes() == full[rows][:, columns].tobytes()
+        assert np.isnan(np.delete(X, columns, axis=1)).all()
 
 
 # column sets of ``extract_matrix`` by a predicate on (column, spec): a mix,
@@ -385,7 +375,7 @@ class TestCatalogAndMatrix:
         series, starts, full = full_matrices[stream]
         catalog = build_catalog()
         columns = [j for j, spec in enumerate(catalog) if COLUMN_SETS[picked](j, spec)]
-        X = extract_columns(series, starts, 100, catalog, set(columns))
+        X = features.extract_matrix(series, starts, 100, catalog, set(columns))
         rest = [j for j in range(len(catalog)) if j not in columns]
         assert columns and len(X) > 0
         np.testing.assert_array_equal(X[:, columns], full[:, columns])

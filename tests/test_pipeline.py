@@ -416,13 +416,30 @@ class TestGateFirstEmit:
         got = pipeline._emit(series, analysis.starts, gate, model, replace(FAST, decision_threshold=q))
         np.testing.assert_array_equal(got, (proba >= q) & gate)
 
+    @pytest.mark.parametrize("q", [0.5, 0.0])
+    def test_predicts_once_per_block_of_open_windows(self, mask_cases, monkeypatch, q):
+        """``_emit`` predicts the windows that the bounds leave open,
+        ``BLOCK_WINDOWS`` at a time, and never when none is open: every
+        window passes at 0."""
+        series, analysis, model, _ = mask_cases["high_dc_contact_loss"]
+        starts = analysis.starts[analysis.gate_pass]
+        ar = {j for j, spec in enumerate(model.feature_catalog) if spec.name == "ar_coefficient"}
+        X = features.extract_matrix(series, starts, FAST.window_len, model.feature_catalog)
+        n_open = int((~np.logical_or(*model.decide(X, q, ar))).sum())
+        assert len(starts) > 4 * 64 and (n_open > 2 * 64 if q else n_open == 0)
+        sizes, predict = [], GbdtModel.predict_proba_batch
+        monkeypatch.setattr(GbdtModel, "predict_proba_batch", lambda self, X: sizes.append(len(X)) or predict(self, X))
+        monkeypatch.setattr(signal_io, "BLOCK_WINDOWS", 64)
+        pipeline._emit(series, analysis.starts, analysis.gate_pass, model, replace(FAST, decision_threshold=q))
+        assert sizes == [64] * (n_open // 64) + [n_open % 64] * (n_open % 64 > 0)
+
     def test_working_memory_does_not_grow_with_windows(self):
         """Peak traced memory of ``_emit`` besides its output mask is one
         block's worth, the same for 4 and 16 blocks of gate-passing windows,
-        with the whole 72-column catalog in the model, and under 6 MB (about
-        10 MB when two threads fitted 256 windows each). The AR tree's leaves
-        outweigh the other two trees, so no window is decided without its AR
-        column, and every block fits it for all its windows."""
+        with the whole 72-column catalog in the model, and under 6 MB. The
+        AR tree's leaves outweigh the other two trees, so no window is
+        decided without its AR column: every window is left open, and the
+        second loop extracts all its split columns and predicts it."""
         catalog = features.build_catalog()
         split = {"default": "left", "left": 1, "right": 2}
         stumps = ((8, 5.05e4, 1.0), (22, 0.0, 0.25), (40, 0.0, 0.25))
